@@ -2,11 +2,10 @@
 """Jointly calibrate a network of bearing-only sensors.
 
 Same joint estimation idea as the ranging-network case, but none of
-the sensors measures range, so target positions are unknown too. Each
-sweep first triangulates every epoch from the bias-compensated
-bearings, then refits the rotations against those fixes. This needs
-more sweeps than the ranging variant; epochs whose triangulation fails
-are dropped for that sweep and counted.
+the sensors measures range, so target positions are unknown too. The
+rotations and the target positions are solved for together by damped
+Gauss-Newton, started from a few triangulate-and-align sweeps; epochs
+whose warm-start triangulation fails are left out and counted.
 """
 
 import argparse
@@ -43,9 +42,9 @@ def main():
 
     print(f"{args.sensors} bearing-only sensors, {batch.n_epochs} epochs, "
           f"{args.noise_mrad:.1f} mrad noise")
-    print(f"converged: {result.converged} after {result.iterations} sweeps, "
+    print(f"converged: {result.converged} after {result.iterations} iterations, "
           f"{result.dropped_indices} epoch drops")
-    print(f"track mismatch cost: {result.cost_trace[0]:.4e} after one sweep, "
+    print(f"bearing residual cost (rad^2): {result.cost_trace[0]:.4e} at warm start, "
           f"{result.cost_trace[-1]:.4e} final\n")
 
     print(f"{'sensor':>6} {'yaw err':>9} {'pitch err':>10} {'roll err':>9} "

@@ -2,9 +2,9 @@
 
 Estimates one fixed correcting rotation per sensor from shared target
 observations: alternating optimal-rotation (Wahba) updates for sensors
-with range measurements, with a triangulation loop supplying ranges for
-bearing-only sensors.  Includes a flight-scenario simulator and a
-seeded Monte-Carlo experiment harness.
+with range measurements, and a joint Gauss-Newton solve over rotations
+and target positions for bearing-only sensors.  Includes a
+flight-scenario simulator and a seeded Monte-Carlo experiment harness.
 """
 
 from .calibration import (CalibrationResult, MeasurementBatch,

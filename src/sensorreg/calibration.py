@@ -4,9 +4,10 @@ Every sensor observes the same targets in its own, slightly rotated,
 local frame.  These routines estimate one correcting rotation per sensor
 so that corrected local tracks, shifted to sensor locations, agree in a
 common frame.  3D (range + bearing) sensors are handled directly via
-alternating optimal-rotation updates; bearing-only (2D) sensors get
-ranges from triangulation that is refreshed as the bias estimates
-improve.
+alternating optimal-rotation updates.  Bearing-only (2D) networks are
+solved jointly for the rotations and the target positions by damped
+Gauss-Newton (bundle adjustment), started from a few
+triangulate-and-align sweeps.
 """
 
 import warnings
@@ -15,11 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, MissingRangeError, ZeroVectorError
-from .geometry import collinearity_ratio, direction_from_angles
-from .triangulation import STATUS_OK, triangulate_batch
+from .geometry import (cart_to_spherical, collinearity_ratio,
+                       direction_from_angles, rotation_from_rotvec)
+from .triangulation import (LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, STATUS_OK,
+                            bearing_residuals, triangulate_batch)
 from .wahba import solve_wahba
 
 COLLINEAR_WARN_RATIO = 0.01
+# triangulate-and-align sweeps that bring the bearing-only joint solver
+# into the basin of the right minimum before it starts
+WARM_START_SWEEPS = 2
+# sightings this close to a sensor's pole (|el| above it) keep their
+# azimuth out of the first phase of the joint solve; warm-start rotation
+# errors stay well below the 10 degrees this leaves
+NEAR_POLE_EL = np.radians(80.0)
+# that first phase only has to reach the right basin, so it stops on
+# this tolerance whatever the caller asks of the final solve
+GATED_REL_COST_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -42,6 +55,10 @@ class SensorMeasurements:
             object.__setattr__(self, "rng", np.asarray(self.rng, dtype=float))
             if self.rng.shape != self.az.shape:
                 raise ValueError("rng must match az/el length")
+        _check_values("az", self.az)
+        _check_values("el", self.el)
+        if self.rng is not None:
+            _check_values("rng", self.rng, positive=True)
 
     @property
     def n(self) -> int:
@@ -60,6 +77,17 @@ class SensorMeasurements:
     def directions(self) -> np.ndarray:
         """Unit line-of-sight vectors in the sensor's own frame, (n, 3)."""
         return direction_from_angles(self.az, self.el)
+
+
+def _check_values(name, values, positive=False):
+    bad = ~np.isfinite(values)
+    if positive:
+        bad |= values <= 0.0
+    if bad.any():
+        epoch = int(np.argmax(bad))
+        rule = "finite and positive" if positive else "finite"
+        raise DegenerateInputError(
+            f"{name} must be {rule}, got {values[epoch]} at epoch {epoch}")
 
 
 @dataclass(frozen=True)
@@ -107,10 +135,11 @@ class MeasurementBatch:
 
 @dataclass(frozen=True)
 class StoppingCriteria:
-    """Stop when the total pairwise cost changes by less than
-    ``rel_cost_tol`` (relative) between iterations, or after
-    ``max_iterations`` sweeps.  A tolerance of zero disables the cost
-    rule, so the iteration always runs the full budget."""
+    """Stop when the cost changes by less than ``rel_cost_tol``
+    (relative) between iterations, or after ``max_iterations``
+    iterations.  A tolerance of zero disables the cost rule, so the
+    iteration runs the full budget, except that the bearing-only solver
+    also stops once no damped step lowers its cost (its fixed point)."""
 
     rel_cost_tol: float = 1e-3
     max_iterations: int = 100
@@ -128,12 +157,21 @@ class CalibrationResult:
 
     estimates[s] maps sensor s's local coordinates into the common
     frame (apply then add the sensor location).  ``cost_trace`` holds
-    the total pairwise cost per iteration; for the range-bearing
-    algorithms its first entry is the cost before any update.
+    the cost per iteration; for the absolute algorithms its first entry
+    is the cost before the first iteration.  Its unit depends on the
+    algorithm family:
+
+    ==================  ==================================================
+    alg1, alg3, alg4    m^2, total pairwise track disagreement
+    alg2                squared unit-vector distance
+    alg6, alg7          rad^2, sum of squared az/el residuals; the first
+                        entry is the cost at the warm start
+    ==================  ==================================================
+
     ``gauge_ambiguous`` flags two-sensor absolute solutions, where any
     common rotation about the baseline fits equally well.
-    ``dropped_indices`` counts per-iteration triangulation failures
-    (bearing-only algorithms).
+    ``dropped_indices`` counts the epochs left out of the bearing-only
+    joint solve because their warm-start triangulation failed.
     """
 
     estimates: list
@@ -278,12 +316,11 @@ def absolute_2d_pair(batch: MeasurementBatch,
                      stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
     """Estimate both rotations of a bearing-only sensor pair.
 
-    Ranges are not measured, so each iteration first triangulates every
-    target from bias-compensated bearings, rebuilds per-sensor Cartesian
-    positions from the fitted ranges, then runs one alternation sweep.
-    The incremental rotations are composed into the running estimates
-    and the compensated bearings are recomputed for the next pass.
-    Shares the two-sensor baseline ambiguity of the 3D pair case.
+    Ranges are not measured, so the target positions are estimated
+    jointly with the rotations (see ``absolute_2d``).  Shares the
+    two-sensor baseline ambiguity of the 3D pair case: the solver never
+    steps along the common rotation about the baseline, so that part of
+    the answer stays where the warm start left it.
     """
     _check_sensor_count(batch, 2)
     return _absolute_bearing(batch, stopping, gauge_ambiguous=True)
@@ -293,8 +330,17 @@ def absolute_2d(batch: MeasurementBatch,
                 stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
     """Estimate all rotations of S >= 3 bearing-only sensors.
 
-    Triangulation pass and pair sweep per iteration, as in the
-    two-sensor case, but over the full pair schedule.
+    Minimizes the wrapped az/el residuals of every sensor's bearings
+    against A_s^T (x_i - l_s) over all rotations A_s and target
+    positions x_i at once, by Levenberg-Marquardt with a Schur
+    complement over the 3x3 point blocks (bundle adjustment).  From
+    identity rotations that solver can settle in a local minimum, so it
+    starts from two triangulate-and-align sweeps: triangulate every
+    epoch from bias-compensated bearings, then align each sensor pair's
+    tracks.  Epochs whose warm-start fix fails are left out.  Azimuths
+    of sightings within 10 degrees of a sensor's pole join the solve
+    only once it has converged without them, so the cost trace may rise
+    during that first phase.
     """
     _check_sensor_count(batch, 3, at_least=True)
     _warn_if_collinear(batch.locations)
@@ -302,43 +348,150 @@ def absolute_2d(batch: MeasurementBatch,
 
 
 def _absolute_bearing(batch, stopping, gauge_ambiguous) -> CalibrationResult:
-    n_sensors = batch.n_sensors
-    n = batch.n_epochs
     locations = batch.locations
-    pairs = _pair_schedule(n_sensors)
-    raw_dirs = [m.directions() for m in batch.sensors]
+    rotations, points, ok = _warm_start(batch)
+    az = np.stack([m.az[ok] for m in batch.sensors])
+    el = np.stack([m.el[ok] for m in batch.sensors])
+    baseline = None
+    if gauge_ambiguous:
+        baseline = (locations[1] - locations[0]) \
+            / np.linalg.norm(locations[1] - locations[0])
+    # Near the pole of a sensor's frame the azimuth swings fast with the
+    # line of sight, so a rotation error larger than a sighting's angle
+    # from the pole can trap the solver in a false minimum.  Solve
+    # without those azimuths first, then with every residual.
+    weights = np.ones((points.shape[0], 2 * batch.n_sensors))
+    weights[:, 0::2] = (np.abs(el) < NEAR_POLE_EL).T
+    gated = not weights.all()
 
-    accumulated = [np.eye(3) for _ in range(n_sensors)]
-    trace = []
-    dropped = 0
+    res, jac = bearing_residuals(points, locations, az, el, rotations)
+    trace = [float(np.sum(res * res))]
+    objective = float(np.sum((res * weights) ** 2))
+    lam = LAMBDA_INIT
     converged = False
     iterations = 0
     for iterations in range(1, stopping.max_iterations + 1):
-        comp_dirs = [raw_dirs[s] @ accumulated[s].T for s in range(n_sensors)]
-        az = np.stack([np.arctan2(d[:, 1], d[:, 0]) for d in comp_dirs])
-        el = np.stack([np.arctan2(d[:, 2], np.hypot(d[:, 0], d[:, 1]))
-                       for d in comp_dirs])
-        fix = triangulate_batch(locations, az, el)
+        normal = _normal_equations(points, locations, rotations, res * weights,
+                                   jac * weights[..., np.newaxis])
+        gauge = None if baseline is None else _gauge_complement(rotations, baseline)
+        while lam <= LAMBDA_MAX:
+            d_rot, d_pts = _damped_step(*normal, lam, gauge)
+            trial_rot = rotations @ np.stack([rotation_from_rotvec(w) for w in d_rot])
+            trial_pts = points + d_pts
+            trial_res, trial_jac = bearing_residuals(trial_pts, locations, az, el,
+                                                     trial_rot)
+            trial_objective = float(np.sum((trial_res * weights) ** 2))
+            if trial_objective < objective:
+                rotations, points, res, jac = trial_rot, trial_pts, trial_res, trial_jac
+                lam = max(lam / 10.0, LAMBDA_MIN)
+                trace.append(float(np.sum(res * res)))
+                tol = GATED_REL_COST_TOL if gated else stopping.rel_cost_tol
+                phase_done = _stopped(objective, trial_objective, tol)
+                objective = trial_objective
+                break
+            lam *= 10.0
+        else:
+            phase_done = True  # no damped step lowers the cost: a fixed point
+        if phase_done:
+            if not gated:
+                converged = True
+                break
+            gated = False
+            weights[:] = 1.0
+            objective = trace[-1]
+            lam = LAMBDA_INIT
+    return CalibrationResult(estimates=list(rotations), cost_trace=trace,
+                             iterations=iterations, converged=converged,
+                             gauge_ambiguous=gauge_ambiguous,
+                             dropped_indices=int(ok.size - ok.sum()))
+
+
+def _warm_start(batch):
+    """Triangulate-and-align sweeps, then one fix from the result.
+
+    Returns the (S, 3, 3) rotations, the fixed points of the epochs that
+    triangulated and the mask of those epochs.
+    """
+    n_sensors = batch.n_sensors
+    locations = batch.locations
+    pairs = _pair_schedule(n_sensors)
+    raw_dirs = np.stack([m.directions() for m in batch.sensors])
+    rotations = np.stack([np.eye(3)] * n_sensors)
+    for sweep in range(WARM_START_SWEEPS + 1):
+        comp_dirs = raw_dirs @ rotations.transpose(0, 2, 1)
+        bearings = cart_to_spherical(comp_dirs)
+        fix = triangulate_batch(locations, bearings.az, bearings.el)
         ok = fix.status == STATUS_OK
-        dropped += int(n - ok.sum())
         if ok.sum() < 2:
             raise DegenerateInputError(
                 "fewer than two targets could be triangulated")
-        positions = [fix.ranges[s, ok][:, np.newaxis] * comp_dirs[s][ok]
+        if sweep == WARM_START_SWEEPS:
+            return rotations, fix.points[ok], ok
+        positions = [fix.ranges[s, ok][:, np.newaxis] * comp_dirs[s, ok]
                      for s in range(n_sensors)]
-
         increments = [np.eye(3) for _ in range(n_sensors)]
         _als_sweep(increments, positions, locations, pairs)
-        cur = _cost(increments, positions, locations)
-        accumulated = [increments[s] @ accumulated[s] for s in range(n_sensors)]
-        trace.append(cur)
-        if len(trace) >= 2 and _stopped(trace[-2], cur, stopping.rel_cost_tol):
-            converged = True
-            break
-    return CalibrationResult(estimates=accumulated, cost_trace=trace,
-                             iterations=iterations, converged=converged,
-                             gauge_ambiguous=gauge_ambiguous,
-                             dropped_indices=dropped)
+        rotations = np.stack(increments) @ rotations
+
+
+def _normal_equations(points, locations, rotations, res, jac):
+    """Gauss-Newton blocks of the joint bearing-only problem.
+
+    With n epochs and S sensors, returns the point blocks V (n, 3, 3),
+    the rotation blocks U (S, 3, 3), the rotation-point blocks
+    W (n, S, 3, 3) and the descent right-hand sides for the rotations
+    (S, 3) and the points (n, 3).
+    """
+    n, n_sensors = points.shape[0], locations.shape[0]
+    jac_pts = jac.reshape(n, n_sensors, 2, 3)
+    r = res.reshape(n, n_sensors, 2)
+    # A_s <- A_s exp(w) moves the local offset d = A_s^T e to d + d x w,
+    # so a residual row j (per unit point shift) changes by
+    # (A_s^T (j x e)) . w, with e = x_i - l_s in the common frame
+    offsets = points[:, np.newaxis, np.newaxis, :] - locations[:, np.newaxis, :]
+    jac_rot = np.cross(jac_pts, offsets) @ rotations
+    v = jac.transpose(0, 2, 1) @ jac
+    by_sensor = jac_rot.transpose(1, 0, 2, 3).reshape(n_sensors, 2 * n, 3)
+    u = by_sensor.transpose(0, 2, 1) @ by_sensor
+    w = jac_rot.transpose(0, 1, 3, 2) @ jac_pts
+    b_rot = -np.einsum("nskc,nsk->sc", jac_rot, r)
+    b_pts = -np.einsum("nkc,nk->nc", jac, res)
+    return v, u, w, b_rot, b_pts
+
+
+def _damped_step(v, u, w, b_rot, b_pts, lam, gauge):
+    """Solve the Marquardt-damped normal equations via the Schur
+    complement over the point blocks; ``gauge`` (rows spanning the
+    allowed rotation steps) confines the rotation step when given."""
+    n, n_sensors = v.shape[0], u.shape[0]
+    eye = np.eye(3)
+    v_inv = np.linalg.inv(v + lam * v * eye)
+    # one GEMM over (3S, 3n) layouts forms sum_i W_si V_i^-1 W_ti^T
+    y = (w @ v_inv[:, np.newaxis]).transpose(1, 2, 0, 3).reshape(3 * n_sensors, 3 * n)
+    w_mat = w.transpose(1, 2, 0, 3).reshape(3 * n_sensors, 3 * n)
+    reduced = -(y @ w_mat.T)
+    blocks = reduced.reshape(n_sensors, 3, n_sensors, 3)
+    diag = np.arange(n_sensors)
+    blocks[diag, :, diag, :] += u + lam * u * eye
+    rhs = b_rot.ravel() - y @ b_pts.ravel()
+    if gauge is None:
+        d_rot = np.linalg.solve(reduced, rhs)
+    else:
+        d_rot = gauge.T @ np.linalg.solve(gauge @ reduced @ gauge.T, gauge @ rhs)
+    back = b_pts - (w_mat.T @ d_rot).reshape(n, 3)
+    d_pts = (v_inv @ back[..., np.newaxis])[..., 0]
+    return d_rot.reshape(n_sensors, 3), d_pts
+
+
+def _gauge_complement(rotations, baseline):
+    """Orthonormal rows spanning the rotation steps that leave the
+    common rotation about the baseline unchanged.
+
+    R_b(t) A_s = A_s exp(t A_s^T b), so that rotation is the step
+    direction (A_s^T b) over all sensors; the rows span its complement.
+    """
+    direction = (rotations.transpose(0, 2, 1) @ baseline).reshape(1, -1)
+    return np.linalg.svd(direction)[2][1:]
 
 
 def _check_sensor_count(batch, count, at_least=False):

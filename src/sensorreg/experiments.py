@@ -18,7 +18,8 @@ import numpy as np
 from . import calibration
 from .calibration import (CalibrationResult, MeasurementBatch,
                           SensorMeasurements, StoppingCriteria, pairwise_cost)
-from .errors import ConfigError, ExperimentError, RegistrationError
+from .errors import (ConfigError, DegenerateInputError, ExperimentError,
+                     RegistrationError)
 from .geometry import (EulerAngles, geodesic_angle, rotation_to_euler,
                        wrap_angle)
 from .scenario import (SensorTruth, TrajectorySpec, build_batch,
@@ -486,10 +487,13 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
         has_rng = [r is not None for r in ranges]
         if any(has_rng) and not all(has_rng):
             raise ValueError(f"sensor {s}: rng_m must be all present or all empty")
-        sensors.append(SensorMeasurements(
-            az=np.array([e[2] for e in entries]),
-            el=np.array([e[3] for e in entries]),
-            rng=np.array(ranges, dtype=float) if all(has_rng) else None))
+        try:
+            sensors.append(SensorMeasurements(
+                az=np.array([e[2] for e in entries]),
+                el=np.array([e[3] for e in entries]),
+                rng=np.array(ranges, dtype=float) if all(has_rng) else None))
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"sensor {s}: {exc}") from exc
     ordered = sorted(rows)
     return MeasurementBatch(
         sensors=tuple(sensors),

@@ -18,6 +18,7 @@ COST_DECREASE_TOL = 1e-12   # rad^2
 STEP_NORM_TOL = 1e-9        # meters
 CONDITION_LIMIT = 1e12
 LAMBDA_INIT = 1e-3
+LAMBDA_MIN = 1e-12
 LAMBDA_MAX = 1e12
 MIN_SENSOR_SEPARATION = 1e-6
 
@@ -78,7 +79,7 @@ class BatchFix(NamedTuple):
     status: np.ndarray      # (n,) STATUS_* codes
 
 
-def bearing_residuals(points, locations, az, el):
+def bearing_residuals(points, locations, az, el, rotations=None):
     """Wrapped bearing residuals and their Jacobian.
 
     Parameters
@@ -86,6 +87,10 @@ def bearing_residuals(points, locations, az, el):
     points : (n, 3) candidate target positions.
     locations : (S, 3) sensor locations.
     az, el : (S, n) measured bearings.
+    rotations : (S, 3, 3), optional
+        Correcting rotation A_s of each sensor (local frame to common
+        frame).  The bearings are then predicted in the sensor's own
+        frame, from A_s^T (point - location_s).  Default: identity.
 
     Returns
     -------
@@ -99,6 +104,9 @@ def bearing_residuals(points, locations, az, el):
     s = locations.shape[0]
 
     delta = points[np.newaxis, :, :] - locations[:, np.newaxis, :]  # (S, n, 3)
+    if rotations is not None:
+        rotations = np.asarray(rotations, dtype=float)
+        delta = delta @ rotations  # row form of A_s^T (point - location_s)
     dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
     rho2 = np.maximum(dx * dx + dy * dy, 1e-30)
     rho = np.sqrt(rho2)
@@ -116,6 +124,10 @@ def bearing_residuals(points, locations, az, el):
     jac[:, 1::2, 0] = (dx * dz / (r2 * rho)).T
     jac[:, 1::2, 1] = (dy * dz / (r2 * rho)).T
     jac[:, 1::2, 2] = (-rho / r2).T
+    if rotations is not None:
+        # chain rule through the local frame: d(local)/d(point) = A_s^T
+        jac = (jac.reshape(n, s, 2, 3) @ rotations.transpose(0, 2, 1)) \
+            .reshape(n, 2 * s, 3)
     return res, jac
 
 
@@ -203,7 +215,7 @@ def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -
         decrease = cost[acc] - cost_t[better]
         x[acc] = trial[better]
         cost[acc] = cost_t[better]
-        lam[acc] = np.maximum(lam[acc] / 10.0, 1e-12)
+        lam[acc] = np.maximum(lam[acc] / 10.0, LAMBDA_MIN)
         done = (decrease < COST_DECREASE_TOL) | \
                (np.linalg.norm(step[better], axis=1) < STEP_NORM_TOL)
         status[acc[done]] = STATUS_OK

@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +134,32 @@ class TestCalibrate:
              result["sensors"][0]["roll_deg"]],
             [2.0, -1.0, 1.0], atol=1e-6)
 
+    @pytest.mark.parametrize("column, value, sensor, epoch", [
+        ("az_rad", "nan", 1, 5),
+        ("rng_m", "-5.0", 2, 17),
+    ])
+    def test_rejects_bad_measurement(self, tmp_path, capsys, column, value,
+                                     sensor, epoch):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        csv_path = out / "batch.csv"
+        lines = csv_path.read_text().splitlines()
+        header = lines[0].split(",")
+        for k, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            if cells[:2] == [str(sensor), str(epoch)]:
+                cells[header.index(column)] = value
+                lines[k] = ",".join(cells)
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc = main(["calibrate", "--batch", str(csv_path),
+                   "--sensors-file", str(out / "sensors.json"),
+                   "--out", str(tmp_path / "result.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"sensor {sensor}" in err and f"epoch {epoch}" in err
+        assert not (tmp_path / "result.json").exists()
+
     def test_missing_batch_file(self, tmp_path, capsys):
         rc = main(["calibrate", "--batch", str(tmp_path / "nope.csv"),
                    "--sensors-file", str(tmp_path / "nope.json")])
@@ -198,11 +227,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
-    @pytest.mark.skipif(shutil.which("sensorreg") is None,
-                        reason="console script not on PATH")
     def test_console_script(self):
-        proc = subprocess.run(["sensorreg", "--help"],
-                              capture_output=True, text=True)
+        if shutil.which("sensorreg"):
+            cmd, env = ["sensorreg", "--help"], None
+        else:
+            # not installed: run the module the console script points at
+            src = str(Path(__file__).resolve().parent.parent / "src")
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            cmd = [sys.executable, "-m", "sensorreg.cli", "--help"]
+            env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         for name in ("simulate", "calibrate", "experiment", "sweep"):
             assert name in proc.stdout
