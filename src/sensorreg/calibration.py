@@ -110,6 +110,11 @@ class MeasurementBatch:
             raise ValueError("a batch needs at least two sensors")
         if self.locations.shape != (s, 3):
             raise ValueError(f"locations must be ({s}, 3)")
+        finite = np.isfinite(self.locations).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise DegenerateInputError(f"location of sensor {bad} must be finite, "
+                                       f"got {self.locations[bad].tolist()}")
         n = self.sensors[0].n
         if n < 2:
             raise ValueError("a batch needs at least two shared targets")

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +41,9 @@ ALGORITHMS = {
 }
 
 SWEEP_AXES = ("sensor_count", "noise_std", "sample_count")
+
+# the batch CSV header; ``read_batch`` finds the columns by these names
+BATCH_COLUMNS = ("sensor_id", "epoch_index", "rng_m", "az_rad", "el_rad")
 
 
 @dataclass
@@ -444,7 +448,7 @@ def write_batch(batch: MeasurementBatch, csv_path, sidecar_path) -> None:
     """
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sensor_id", "epoch_index", "rng_m", "az_rad", "el_rad"])
+        writer.writerow(BATCH_COLUMNS)
         for s, meas in enumerate(batch.sensors):
             for i in range(meas.n):
                 rng_cell = _fmt(meas.rng[i]) if meas.is_3d else ""
@@ -461,20 +465,51 @@ def write_batch(batch: MeasurementBatch, csv_path, sidecar_path) -> None:
 
 
 def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
-    """Read a batch written by ``write_batch`` (or recorded real data)."""
+    """Read a batch written by ``write_batch`` (or recorded real data).
+
+    Columns are found by header name.  A malformed file raises
+    ``ValueError`` naming the file, the line and, for a bad cell, the
+    column.
+    """
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
-    locations = {int(s["id"]): s["location_m"] for s in sidecar["sensors"]}
+    try:
+        locations = {int(s["id"]): np.array(s["location_m"], dtype=float)
+                     for s in sidecar["sensors"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar_path}: expected {{\"sensors\": [{{\"id\": "
+                         f"..., \"location_m\": [x, y, z]}}, ...]}}") from exc
 
     rows = {}
     with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            s = int(row["sensor_id"])
-            rng_cell = row["rng_m"].strip()
-            rows.setdefault(s, []).append(
-                (int(row["epoch_index"]),
-                 float(rng_cell) if rng_cell else None,
-                 float(row["az_rad"]), float(row["el_rad"])))
+        reader = csv.reader(fh)
+        try:
+            header = [cell.strip() for cell in next(reader, [])]
+            missing = [c for c in BATCH_COLUMNS if c not in header]
+            if missing:
+                raise ValueError(f"{csv_path} line 1: header lacks column "
+                                 f"{', '.join(missing)}")
+            cells = operator.itemgetter(*(header.index(c) for c in BATCH_COLUMNS))
+            end = reader.line_num
+            for row in reader:
+                # a quoted cell may span lines: name the line the row starts on
+                line, end = end + 1, reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{csv_path} line {line}: "
+                                     f"{len(row)} cells, the header has {len(header)}")
+                sid, epoch, rng_cell, az, el = cells(row)
+                try:
+                    entry = (int(epoch), float(rng_cell) if rng_cell.strip() else None,
+                             float(az), float(el))
+                    s = int(sid)
+                except ValueError:
+                    raise ValueError(f"{csv_path} line {line}, "
+                                     f"{_bad_cell(cells(row))}") from None
+                rows.setdefault(s, []).append(entry)
+        except csv.Error as exc:
+            raise ValueError(f"{csv_path} line {reader.line_num}: {exc}") from exc
 
     if set(rows) != set(locations):
         raise ValueError("sensor ids in CSV and sidecar JSON do not match")
@@ -498,3 +533,15 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
     return MeasurementBatch(
         sensors=tuple(sensors),
         locations=np.array([locations[s] for s in ordered], dtype=float))
+
+
+def _bad_cell(cells) -> str:
+    """Name the first of a row's ``BATCH_COLUMNS`` cells that does not parse."""
+    for name, cell in zip(BATCH_COLUMNS, cells):
+        parse = int if name in ("sensor_id", "epoch_index") else float
+        if name == "rng_m" and not cell.strip():
+            continue
+        try:
+            parse(cell)
+        except ValueError:
+            return f"column {name}: {cell!r} is not a number"

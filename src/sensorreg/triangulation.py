@@ -158,6 +158,22 @@ def initial_points(locations, az, el) -> np.ndarray:
     return np.where(safe[:, np.newaxis], mid, fallback)
 
 
+def _ill_conditioned(jtj) -> np.ndarray:
+    """``np.linalg.cond(jtj) > CONDITION_LIMIT`` for a stack of symmetric
+    positive semi-definite 3x3 matrices.
+
+    lambda_max <= trace and lambda_min >= det / trace^2, so cond <= trace^3 / det.
+    Only the matrices that bound does not clear (det <= 0, the zero matrix
+    and NaN among them) pay for the SVD inside ``np.linalg.cond``.
+    """
+    tr = jtj[:, 0, 0] + jtj[:, 1, 1] + jtj[:, 2, 2]
+    candidate = ~(tr ** 3 < CONDITION_LIMIT * np.linalg.det(jtj))
+    bad = np.zeros(len(jtj), dtype=bool)
+    if candidate.any():
+        bad[candidate] = np.linalg.cond(jtj[candidate]) > CONDITION_LIMIT
+    return bad
+
+
 def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -> BatchFix:
     """Fix n targets at once from per-sensor bearing arrays.
 
@@ -187,9 +203,10 @@ def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -
             break
         idx = np.flatnonzero(active)
         j = jac[idx]
-        r = res[idx]
-        jtj = np.einsum("nki,nkj->nij", j, j)
-        bad = np.linalg.cond(jtj) > CONDITION_LIMIT
+        jt = j.transpose(0, 2, 1)
+        jtj = jt @ j
+        rhs = -(jt @ res[idx, :, np.newaxis])
+        bad = _ill_conditioned(jtj)
         if bad.any():
             status[idx[bad]] = STATUS_ILL_CONDITIONED
             active[idx[bad]] = False
@@ -197,14 +214,13 @@ def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -
             idx = idx[~bad]
             if idx.size == 0:
                 continue
-            j, r, jtj = j[~bad], r[~bad], jtj[~bad]
+            jtj, rhs = jtj[~bad], rhs[~bad]
 
         diag = jtj * np.eye(3)
         damped = jtj + lam[idx, np.newaxis, np.newaxis] * diag
-        rhs = -np.einsum("nki,nk->ni", j, r)
-        step = np.linalg.solve(damped, rhs[..., np.newaxis])[..., 0]
+        step = np.linalg.solve(damped, rhs)[..., 0]
         trial = x[idx] + step
-        res_t, _ = bearing_residuals(trial, locations, az[:, idx], el[:, idx])
+        res_t, jac_t = bearing_residuals(trial, locations, az[:, idx], el[:, idx])
         cost_t = np.sum(res_t * res_t, axis=1)
 
         better = cost_t <= cost[idx]
@@ -225,11 +241,10 @@ def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -
         stuck = lam[rej] > LAMBDA_MAX
         active[rej[stuck]] = False
 
-        moved = acc[~done]
-        if moved.size:
-            res_m, jac_m = bearing_residuals(x[moved], locations, az[:, moved], el[:, moved])
-            res[moved] = res_m
-            jac[moved] = jac_m
+        # the trial residuals of a moved target are its residuals at x now
+        moved = np.flatnonzero(better)[~done]
+        res[idx[moved]] = res_t[moved]
+        jac[idx[moved]] = jac_t[moved]
 
     ranges = np.linalg.norm(x[np.newaxis, :, :] - locations[:, np.newaxis, :], axis=-1)
     return BatchFix(points=x, ranges=ranges, cost=cost, iterations=iterations, status=status)

@@ -58,8 +58,12 @@ def solve_wahba(xs, ys, weights=None) -> np.ndarray:
     if sv[0] < SINGULAR_RATIO_TOL or sv[1] < SINGULAR_RATIO_TOL * sv[0]:
         raise DegenerateInputError(
             "vector pairs are collinear, rotation is not uniquely determined")
-    d = np.linalg.det(u) * np.linalg.det(vt)
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    # u diag(1, 1, det(u vt)) vt: on a reflection, flip the term of the
+    # smallest singular value
+    rot = u @ vt
+    if np.linalg.det(rot) < 0.0:
+        rot -= 2.0 * np.outer(u[:, 2], vt[2])
+    return rot
 
 
 def wahba_cost(rot, xs, ys, weights=None) -> float:

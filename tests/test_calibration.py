@@ -111,6 +111,13 @@ class TestDataStructures:
         with pytest.raises(ValueError):
             MeasurementBatch(sensors=(m, m), locations=np.zeros((3, 3)))
 
+    def test_batch_rejects_non_finite_location(self):
+        m = SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1], rng=[1.0, 2.0])
+        locations = np.zeros((3, 3))
+        locations[1, 2] = np.nan
+        with pytest.raises(DegenerateInputError, match="sensor 1 must be finite"):
+            MeasurementBatch(sensors=(m, m, m), locations=locations)
+
     def test_stopping_criteria_validation(self):
         StoppingCriteria(rel_cost_tol=0.0)  # zero disables the cost rule
         with pytest.raises(ValueError):

@@ -1,19 +1,27 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorreg.calibration import MeasurementBatch, SensorMeasurements
 from sensorreg.cli import _infer_algorithm, main
 from sensorreg.errors import RegistrationError
-from sensorreg.experiments import read_batch
+from sensorreg.experiments import BATCH_COLUMNS, read_batch, write_batch
+from sensorreg.scenario import SensorTruth, TrajectorySpec, build_batch
 
 RING = [[14500.0, 1700.0, -300.0], [2500.0, 8600.0, -600.0],
         [2500.0, -5100.0, -150.0]]
@@ -165,6 +173,138 @@ class TestCalibrate:
                    "--sensors-file", str(tmp_path / "nope.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# cells that no column accepts: not a number, not blank
+NOT_A_NUMBER = st.text(min_size=1).filter(
+    lambda t: t.strip() and not _is_number(t))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12)
+
+
+@lru_cache(maxsize=None)
+def valid_batch():
+    """Header and rows of a simulated 3-sensor, 6-epoch batch file, as
+    tuples of cells, and its sidecar JSON text."""
+    sensors = [SensorTruth(location=loc) for loc in RING]
+    batch, _ = build_batch(TrajectorySpec(duration=50.0), sensors, seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_batch(batch, Path(tmp) / "batch.csv", Path(tmp) / "sensors.json")
+        with open(Path(tmp) / "batch.csv", newline="") as fh:
+            rows = tuple(map(tuple, csv.reader(fh)))
+        sidecar = (Path(tmp) / "sensors.json").read_text()
+    return rows, sidecar
+
+
+class TestMalformedBatch:
+    """Every malformed batch file ends in exit status 1 and a one-line
+    message, never in a traceback."""
+
+    @property
+    def rows(self):
+        """A fresh, editable copy of the valid file's rows."""
+        return [list(row) for row in valid_batch()[0]]
+
+    def calibrate(self, csv_bytes, sidecar_text=None):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = Path(tmp) / "batch.csv"
+            csv_path.write_bytes(csv_bytes)
+            sidecar = Path(tmp) / "sensors.json"
+            sidecar.write_text(valid_batch()[1] if sidecar_text is None
+                               else sidecar_text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["calibrate", "--batch", str(csv_path),
+                           "--sensors-file", str(sidecar),
+                           "--out", str(Path(tmp) / "result.json")])
+            written = (Path(tmp) / "result.json").exists()
+        return rc, err.getvalue(), written
+
+    def calibrate_rows(self, rows, sidecar_text=None):
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        return self.calibrate(out.getvalue().encode(), sidecar_text)
+
+    def assert_rejected(self, outcome, *fragments):
+        rc, err, written = outcome
+        assert rc == 1 and not written
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_valid_file_calibrates(self):
+        rc, err, written = self.calibrate_rows(self.rows)
+        assert rc == 0 and written and err == ""
+
+    def test_short_row(self):
+        rows = self.rows
+        rows[3] = ["0", "5"]
+        self.assert_rejected(self.calibrate_rows(rows), "line 4", "2 cells")
+
+    def test_header_without_range_column(self):
+        rows = [[c for k, c in enumerate(r) if k != 2] for r in self.rows]
+        self.assert_rejected(self.calibrate_rows(rows), "line 1", "rng_m")
+
+    def test_non_finite_sidecar_location(self):
+        sidecar = json.loads(valid_batch()[1])
+        sidecar["sensors"][2]["location_m"][0] = float("inf")
+        self.assert_rejected(self.calibrate_rows(self.rows, json.dumps(sidecar)),
+                             "sensor 2 must be finite")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_damaged_rows(self, data):
+        rows = self.rows
+        line = data.draw(st.integers(1, len(rows) - 1))
+        damage = data.draw(st.sampled_from(["short", "long", "cell", "header"]))
+        if damage == "short":
+            rows[line] = rows[line][:data.draw(st.integers(1, 4))]
+            fragments = [f"line {line + 1}", "cells"]
+        elif damage == "long":
+            rows[line] += data.draw(st.lists(st.text(), min_size=1, max_size=3))
+            fragments = [f"line {line + 1}", "cells"]
+        elif damage == "cell":
+            column = data.draw(st.integers(0, 4))
+            rows[line][column] = data.draw(NOT_A_NUMBER)
+            fragments = [f"line {line + 1}", BATCH_COLUMNS[column]]
+        else:
+            column = data.draw(st.integers(0, 4))
+            rows[0][column] = data.draw(
+                st.text().filter(lambda t: t.strip() not in BATCH_COLUMNS))
+            fragments = ["line 1", BATCH_COLUMNS[column]]
+        self.assert_rejected(self.calibrate_rows(rows), *fragments)
+
+    @settings(max_examples=100, deadline=None)
+    @given(position=st.integers(1, 12),
+           junk=st.text(min_size=1).filter(str.strip))
+    def test_junk_line(self, position, junk):
+        lines = io.StringIO()
+        csv.writer(lines).writerows(self.rows)
+        text = lines.getvalue().splitlines(keepends=True)
+        text.insert(position, junk + "\r\n")
+        self.assert_rejected(self.calibrate("".join(text).encode("utf-8")))
+
+    @settings(max_examples=100, deadline=None)
+    @given(blob=st.binary(max_size=300))
+    def test_arbitrary_bytes(self, blob):
+        self.assert_rejected(self.calibrate(blob))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sidecar=JSON_VALUES)
+    def test_arbitrary_sidecar(self, sidecar):
+        self.assert_rejected(self.calibrate_rows(self.rows, json.dumps(sidecar)))
 
 
 class TestExperiment:

@@ -363,6 +363,36 @@ class TestBatchFiles:
         with pytest.raises(ValueError, match="epoch"):
             read_batch(csv_path, sidecar)
 
+    @pytest.mark.parametrize("csv_text, match", [
+        ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n0,0,100.0,0.1,0.0\n0,5\n",
+         "line 3: 2 cells, the header has 5"),
+        ("sensor_id,epoch_index,az_rad,el_rad\n0,0,0.1,0.0\n",
+         "line 1: header lacks column rng_m"),
+        ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n0,0,100.0,0.1,0.0\n"
+         "0,1,100.0,north,0.0\n", "line 3, column az_rad: 'north'"),
+        ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n\"0\n\",0,1,0.1,0.0\n"
+         "1,x,1,0.1,0.0\n", "line 4, column epoch_index"),
+    ])
+    def test_malformed_csv_names_line_and_column(self, tmp_path, csv_text, match):
+        csv_path, sidecar = self.write_pair(
+            tmp_path, csv_text,
+            [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},
+             {"id": 1, "location_m": [100, 0, 0], "kind": "3d"}])
+        with pytest.raises(ValueError, match=match):
+            read_batch(csv_path, sidecar)
+
+    def test_columns_found_by_header_name(self, tmp_path):
+        csv_text = ("el_rad,az_rad,rng_m,epoch_index,sensor_id\n"
+                    "0.0,0.1,100.0,0,0\n0.1,0.2,110.0,1,0\n"
+                    "0.0,0.3,100.0,0,1\n0.1,0.4,120.0,1,1\n")
+        csv_path, sidecar = self.write_pair(
+            tmp_path, csv_text,
+            [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},
+             {"id": 1, "location_m": [100, 0, 0], "kind": "3d"}])
+        batch = read_batch(csv_path, sidecar)
+        np.testing.assert_array_equal(batch.sensors[1].az, [0.3, 0.4])
+        np.testing.assert_array_equal(batch.sensors[1].rng, [100.0, 120.0])
+
     def test_mixed_range_cells(self, tmp_path):
         csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
                     "0,0,100.0,0.1,0.0\n0,1,,0.2,0.0\n"

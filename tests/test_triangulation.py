@@ -1,13 +1,20 @@
 """Tests for bearing-only position fixes."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensorreg.errors import IllConditionedError
 from sensorreg.geometry import cart_to_spherical, direction_from_angles
 from sensorreg.triangulation import (
+    CONDITION_LIMIT,
+    STATUS_ILL_CONDITIONED,
     STATUS_OK,
     BearingSet,
+    _ill_conditioned,
     bearing_residuals,
     initial_points,
     triangulate,
@@ -184,3 +191,98 @@ class TestTriangulateBatch:
         assert fix.status[0] == STATUS_OK
         # a few mRad of bearing noise moves a few-km fix tens of meters
         assert np.linalg.norm(fix.points[0] - target) < 100.0
+
+
+class TestConditionScreen:
+    """The trace/determinant screen flags exactly the matrices that
+    ``np.linalg.cond`` puts above ``CONDITION_LIMIT``."""
+
+    @staticmethod
+    def psd_stack(seed, specs):
+        # Q diag(lambda) Q^T with random Q: lambda_max = 10^log_scale,
+        # lambda_min = lambda_max / 10^log_cond (0 for rank-deficient specs),
+        # lambda_mid log-uniform in between
+        rng = np.random.default_rng(seed)
+        stack = []
+        for log_scale, log_cond, mid, rank in specs:
+            top = 10.0 ** log_scale
+            low = top / 10.0 ** log_cond
+            lam = np.array([top, top * (low / top) ** mid, low])
+            lam[rank:] = 0.0
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            stack.append((q * lam) @ q.T)
+        return np.array(stack)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           specs=st.lists(st.tuples(
+               st.floats(-8.0, 8.0),
+               st.one_of(st.floats(0.0, 16.0), st.floats(11.0, 13.0)),
+               st.floats(0.0, 1.0),
+               st.sampled_from([3, 3, 3, 2, 1, 0])), min_size=1, max_size=12))
+    def test_matches_cond_on_eigen_stacks(self, seed, specs):
+        m = self.psd_stack(seed, specs)
+        np.testing.assert_array_equal(_ill_conditioned(m),
+                                      np.linalg.cond(m) > CONDITION_LIMIT)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 16),
+           log_scale=st.floats(-8.0, 8.0), dependent=st.integers(0, 2),
+           tilt=st.sampled_from([0.0, 1e-9, 1e-6, 1e-5, 1e-3]))
+    def test_matches_cond_on_normal_matrices(self, seed, rows, log_scale,
+                                             dependent, tilt):
+        # J^T J as triangulate_batch forms it, with `dependent` columns of J
+        # tilted only slightly off the span of the others
+        rng = np.random.default_rng(seed)
+        j = rng.normal(size=(8, rows, 3)) * 10.0 ** (log_scale / 2.0)
+        for c in range(3 - dependent, 3):
+            j[..., c] = j[..., 0] * rng.normal() + tilt * j[..., c]
+        jtj = j.transpose(0, 2, 1) @ j
+        np.testing.assert_array_equal(_ill_conditioned(jtj),
+                                      np.linalg.cond(jtj) > CONDITION_LIMIT)
+
+
+@lru_cache(maxsize=None)
+def mixed_batch(n_sensors):
+    """Noisy bearings to 40 targets, one on the baseline of sensors 0 and 1
+    and one almost straight below sensor 0 (|el| > 85 deg)."""
+    rng = np.random.default_rng(25 + n_sensors)
+    locs = np.array([[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0],
+                     [2500.0, 4000.0, -300.0], [-1500.0, 2500.0, -200.0]])[:n_sensors]
+    targets = rng.uniform(-4000, 4000, size=(40, 3)) + [1500, 1500, -4000]
+    targets[7] = [9000.0, 0.0, 0.0]
+    targets[23] = [40.0, -30.0, -3000.0]
+    az = np.empty((n_sensors, 40))
+    el = np.empty((n_sensors, 40))
+    for i, t in enumerate(targets):
+        az[:, i], el[:, i] = exact_bearings(locs, t)
+    assert np.degrees(abs(el[0, 23])) > 85.0
+    # noise on every bearing but the baseline target's, whose rays stay parallel
+    noisy = np.arange(40) != 7
+    az[:, noisy] += 3e-3 * rng.normal(size=(n_sensors, 39))
+    el[:, noisy] += 3e-3 * rng.normal(size=(n_sensors, 39))
+    return locs, az, el, triangulate_batch(locs, az, el)
+
+
+class TestPerTargetIndependence:
+    """A target's fix does not depend on which other targets share the
+    batch, down to the last bit."""
+
+    def test_batch_mixes_outcomes(self):
+        _, _, _, fix = mixed_batch(2)
+        assert fix.status[7] == STATUS_ILL_CONDITIONED
+        assert np.sum(fix.status == STATUS_OK) >= 35
+        assert np.all(mixed_batch(4)[3].status == STATUS_OK)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_sensors=st.sampled_from([2, 3, 4]),
+           keep=st.lists(st.booleans(), min_size=40, max_size=40)
+           .filter(any))
+    def test_subset_fix_is_bit_identical(self, n_sensors, keep):
+        locs, az, el, full = mixed_batch(n_sensors)
+        keep = np.array(keep)
+        sub = triangulate_batch(locs, az[:, keep], el[:, keep])
+        np.testing.assert_array_equal(sub.points, full.points[keep])
+        np.testing.assert_array_equal(sub.status, full.status[keep])
+        np.testing.assert_array_equal(sub.iterations, full.iterations[keep])
+        np.testing.assert_array_equal(sub.cost, full.cost[keep])

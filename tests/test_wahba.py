@@ -88,6 +88,36 @@ class TestOptimality:
         np.testing.assert_allclose(weighted, repeated, atol=1e-10)
 
 
+def two_determinant_rotation(xs, ys):
+    """u diag(1, 1, det(u) det(vt)) vt, the textbook SVD solution."""
+    u, _, vt = np.linalg.svd(ys.T @ xs)
+    return u @ np.diag([1.0, 1.0, np.linalg.det(u) * np.linalg.det(vt)]) @ vt
+
+
+class TestReflection:
+    """When u vt is a reflection the solver flips the term of the smallest
+    singular value; the result must still be a proper rotation."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_mirrored_targets(self, n):
+        rng = np.random.default_rng(8 + n)
+        reflections = 0
+        for _ in range(50):
+            xs = rng.normal(size=(n, 3))
+            # the best orthogonal fit of mirrored targets is a reflection;
+            # n = 2 leaves B at rank 2, so det(u vt) is LAPACK's choice
+            ys = xs @ np.diag([1.0, 1.0, -1.0]) @ random_rotation(rng).T \
+                + 0.01 * rng.normal(size=(n, 3))
+            u, _, vt = np.linalg.svd(ys.T @ xs)
+            reflections += np.linalg.det(u @ vt) < 0.0
+            rot = solve_wahba(xs, ys)
+            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rot, two_determinant_rotation(xs, ys),
+                                       rtol=0, atol=1e-12)
+        assert reflections > 0
+
+
 class TestDegenerateInput:
     def test_collinear_raises(self):
         xs = np.outer([1.0, 2.0, -0.5], [1.0, 0.0, 0.0])
