@@ -4,8 +4,10 @@
 Same joint estimation idea as the ranging-network case, but none of
 the sensors measures range, so target positions are unknown too. The
 rotations and the target positions are solved for together by damped
-Gauss-Newton, started from a few triangulate-and-align sweeps; epochs
-whose warm-start triangulation fails are left out and counted.
+Gauss-Newton. It starts from two sweeps that intersect the rays in
+closed form and align the sensor pairs, then one Gauss-Newton
+triangulation; epochs whose triangulation fails are left out and
+counted.
 """
 
 import argparse

@@ -6,8 +6,8 @@ so that corrected local tracks, shifted to sensor locations, agree in a
 common frame.  3D (range + bearing) sensors are handled directly via
 alternating optimal-rotation updates.  Bearing-only (2D) networks are
 solved jointly for the rotations and the target positions by damped
-Gauss-Newton (bundle adjustment), started from a few
-triangulate-and-align sweeps.
+Gauss-Newton (bundle adjustment), started from two closed-form
+intersect-and-align sweeps and one triangulation.
 """
 
 import warnings
@@ -19,11 +19,12 @@ from .errors import DegenerateInputError, MissingRangeError, ZeroVectorError
 from .geometry import (cart_to_spherical, collinearity_ratio,
                        direction_from_angles, rotation_from_rotvec)
 from .triangulation import (LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, STATUS_OK,
-                            bearing_residuals, triangulate_batch)
+                            bearing_residuals, intersect_rays,
+                            triangulate_batch)
 from .wahba import solve_wahba
 
 COLLINEAR_WARN_RATIO = 0.01
-# triangulate-and-align sweeps that bring the bearing-only joint solver
+# intersect-and-align sweeps that bring the bearing-only joint solver
 # into the basin of the right minimum before it starts
 WARM_START_SWEEPS = 2
 # sightings this close to a sensor's pole (|el| above it) keep their
@@ -170,13 +171,15 @@ class CalibrationResult:
     alg1, alg3, alg4    m^2, total pairwise track disagreement
     alg2                squared unit-vector distance
     alg6, alg7          rad^2, sum of squared az/el residuals; the first
-                        entry is the cost at the warm start
+                        entry is the cost at the warm start (after its
+                        one Gauss-Newton triangulation)
     ==================  ==================================================
 
     ``gauge_ambiguous`` flags two-sensor absolute solutions, where any
     common rotation about the baseline fits equally well.
     ``dropped_indices`` counts the epochs left out of the bearing-only
-    joint solve because their warm-start triangulation failed.
+    joint solve because the warm start's final Gauss-Newton
+    triangulation failed for them.
     """
 
     estimates: list
@@ -322,10 +325,12 @@ def absolute_2d_pair(batch: MeasurementBatch,
     """Estimate both rotations of a bearing-only sensor pair.
 
     Ranges are not measured, so the target positions are estimated
-    jointly with the rotations (see ``absolute_2d``).  Shares the
-    two-sensor baseline ambiguity of the 3D pair case: the solver never
-    steps along the common rotation about the baseline, so that part of
-    the answer stays where the warm start left it.
+    jointly with the rotations, from the same warm start: two closed-form
+    intersect-and-align sweeps, then one Gauss-Newton triangulation (see
+    ``absolute_2d``).  Shares the two-sensor baseline ambiguity of the
+    3D pair case: the solver never steps along the common rotation about
+    the baseline, so that part of the answer stays where the warm start
+    left it.
     """
     _check_sensor_count(batch, 2)
     return _absolute_bearing(batch, stopping, gauge_ambiguous=True)
@@ -340,9 +345,11 @@ def absolute_2d(batch: MeasurementBatch,
     positions x_i at once, by Levenberg-Marquardt with a Schur
     complement over the 3x3 point blocks (bundle adjustment).  From
     identity rotations that solver can settle in a local minimum, so it
-    starts from two triangulate-and-align sweeps: triangulate every
-    epoch from bias-compensated bearings, then align each sensor pair's
-    tracks.  Epochs whose warm-start fix fails are left out.  Azimuths
+    starts from two intersect-and-align sweeps: intersect every epoch's
+    bias-compensated rays in closed form (``intersect_rays``), then
+    align each sensor pair's tracks.  One Gauss-Newton triangulation
+    (``triangulate_batch``) of the result gives the starting target
+    positions; epochs whose fix fails there are left out.  Azimuths
     of sightings within 10 degrees of a sensor's pole join the solve
     only once it has converged without them, so the cost trace may rise
     during that first phase.
@@ -381,7 +388,7 @@ def _absolute_bearing(batch, stopping, gauge_ambiguous) -> CalibrationResult:
         gauge = None if baseline is None else _gauge_complement(rotations, baseline)
         while lam <= LAMBDA_MAX:
             d_rot, d_pts = _damped_step(*normal, lam, gauge)
-            trial_rot = rotations @ np.stack([rotation_from_rotvec(w) for w in d_rot])
+            trial_rot = rotations @ rotation_from_rotvec(d_rot)
             trial_pts = points + d_pts
             trial_res, trial_jac = bearing_residuals(trial_pts, locations, az, el,
                                                      trial_rot)
@@ -412,31 +419,39 @@ def _absolute_bearing(batch, stopping, gauge_ambiguous) -> CalibrationResult:
 
 
 def _warm_start(batch):
-    """Triangulate-and-align sweeps, then one fix from the result.
+    """Intersect-and-align sweeps, then one triangulation from the result.
 
-    Returns the (S, 3, 3) rotations, the fixed points of the epochs that
-    triangulated and the mask of those epochs.
+    Each sweep intersects every epoch's bias-compensated rays in closed
+    form (``intersect_rays``) and aligns each sensor pair's tracks.  The
+    final Gauss-Newton fix (``triangulate_batch``) is where the joint
+    solve starts.  Returns the (S, 3, 3) rotations, the fixed points of
+    the epochs that triangulated and the mask of those epochs.
     """
     n_sensors = batch.n_sensors
     locations = batch.locations
     pairs = _pair_schedule(n_sensors)
     raw_dirs = np.stack([m.directions() for m in batch.sensors])
     rotations = np.stack([np.eye(3)] * n_sensors)
-    for sweep in range(WARM_START_SWEEPS + 1):
+    for _ in range(WARM_START_SWEEPS):
         comp_dirs = raw_dirs @ rotations.transpose(0, 2, 1)
-        bearings = cart_to_spherical(comp_dirs)
-        fix = triangulate_batch(locations, bearings.az, bearings.el)
-        ok = fix.status == STATUS_OK
-        if ok.sum() < 2:
-            raise DegenerateInputError(
-                "fewer than two targets could be triangulated")
-        if sweep == WARM_START_SWEEPS:
-            return rotations, fix.points[ok], ok
-        positions = [fix.ranges[s, ok][:, np.newaxis] * comp_dirs[s, ok]
+        points, ok = intersect_rays(locations, comp_dirs)
+        _check_usable(ok)
+        ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis, :], axis=-1)
+        positions = [ranges[s][:, np.newaxis] * comp_dirs[s, ok]
                      for s in range(n_sensors)]
         increments = [np.eye(3) for _ in range(n_sensors)]
         _als_sweep(increments, positions, locations, pairs)
         rotations = np.stack(increments) @ rotations
+    bearings = cart_to_spherical(raw_dirs @ rotations.transpose(0, 2, 1))
+    fix = triangulate_batch(locations, bearings.az, bearings.el)
+    ok = fix.status == STATUS_OK
+    _check_usable(ok)
+    return rotations, fix.points[ok], ok
+
+
+def _check_usable(ok):
+    if ok.sum() < 2:
+        raise DegenerateInputError("fewer than two targets could be triangulated")
 
 
 def _normal_equations(points, locations, rotations, res, jac):

@@ -135,20 +135,34 @@ def rotation_to_euler(rot) -> EulerAngles:
 
 
 def rotation_from_rotvec(rotvec) -> np.ndarray:
-    """Rotation matrix for a rotation vector (axis * angle, radians)."""
+    """Rotation matrix for a rotation vector (axis * angle, radians).
+
+    Broadcasts: a (..., 3) stack of vectors gives (..., 3, 3) matrices.
+    """
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = np.linalg.norm(rotvec)
-    if angle < 1e-12:
-        # first-order term only; higher orders are below double precision
-        return np.eye(3) + skew(rotvec)
-    k = skew(rotvec / angle)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    angle = np.linalg.norm(rotvec, axis=-1)[..., np.newaxis, np.newaxis]
+    k = skew(rotvec)
+    # below 1e-12 only the first-order term; higher orders are below
+    # double precision
+    small = angle < 1e-12
+    safe = np.where(small, 1.0, angle)
+    k_unit = k / safe
+    rot = np.eye(3) + np.sin(safe) * k_unit + (1.0 - np.cos(safe)) * (k_unit @ k_unit)
+    return np.where(small, np.eye(3) + k, rot)
 
 
 def skew(v) -> np.ndarray:
-    """Skew-symmetric cross-product matrix of a 3-vector."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric cross-product matrix of a 3-vector.
+
+    Broadcasts: a (..., 3) stack of vectors gives (..., 3, 3) matrices.
+    """
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1], out[..., 0, 2] = -z, y
+    out[..., 1, 0], out[..., 1, 2] = z, -x
+    out[..., 2, 0], out[..., 2, 1] = -y, x
+    return out
 
 
 def is_rotation_matrix(rot, tol: float = ROTATION_TOL) -> bool:

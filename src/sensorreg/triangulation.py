@@ -2,7 +2,9 @@
 
 Finds the point whose predicted azimuth/elevation at every sensor best
 matches the measured bearings (least squares over wrapped angle
-residuals), via Gauss-Newton with Levenberg damping.
+residuals), via Gauss-Newton with Levenberg damping.  ``intersect_rays``
+gives the closed-form point nearest to all rays instead, for callers
+that only need a rough fix.
 """
 
 from dataclasses import dataclass
@@ -158,18 +160,55 @@ def initial_points(locations, az, el) -> np.ndarray:
     return np.where(safe[:, np.newaxis], mid, fallback)
 
 
+def intersect_rays(locations, directions):
+    """Closed-form (midpoint) intersection of one ray per sensor, per epoch.
+
+    Each epoch's point minimizes the summed squared distance to its S
+    rays, i.e. solves sum_s (I - d_s d_s^T) x = sum_s (I - d_s d_s^T) l_s.
+
+    Parameters
+    ----------
+    locations : (S, 3) sensor locations, S >= 2.
+    directions : (S, n, 3) unit ray directions in the common frame.
+
+    Returns
+    -------
+    points : (n, 3); NaN where the normal matrix is ill-conditioned.
+    ok : (n,) True where the normal matrix passes the condition screen
+        and the point lies ahead of every sensor (d_s . (x - l_s) > 0).
+        Near-parallel and non-finite rays come back not ok.
+    """
+    locations = np.asarray(locations, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    n_sensors = locations.shape[0]
+    along = directions @ locations[:, :, np.newaxis]                 # (S, n, 1)
+    by_epoch = directions.transpose(1, 2, 0)                         # (n, 3, S)
+    normal = n_sensors * np.eye(3) - by_epoch @ by_epoch.transpose(0, 2, 1)
+    rhs = locations.sum(axis=0) - np.sum(directions * along, axis=0)  # (n, 3)
+    solvable = ~_ill_conditioned(normal)
+    points = np.full(rhs.shape, np.nan)
+    points[solvable] = np.linalg.solve(normal[solvable],
+                                       rhs[solvable, :, np.newaxis])[..., 0]
+    offsets = points - locations[:, np.newaxis, :]                   # (S, n, 3)
+    ahead = (np.sum(directions * offsets, axis=-1) > 0.0).all(axis=0)
+    return points, solvable & ahead
+
+
 def _ill_conditioned(jtj) -> np.ndarray:
     """``np.linalg.cond(jtj) > CONDITION_LIMIT`` for a stack of symmetric
-    positive semi-definite 3x3 matrices.
+    positive semi-definite 3x3 matrices; a matrix with a non-finite entry
+    counts as ill-conditioned.
 
     lambda_max <= trace and lambda_min >= det / trace^2, so cond <= trace^3 / det.
-    Only the matrices that bound does not clear (det <= 0, the zero matrix
-    and NaN among them) pay for the SVD inside ``np.linalg.cond``.
+    Only the finite matrices that bound does not clear (det <= 0 and the
+    zero matrix among them) pay for the SVD inside ``np.linalg.cond``.
     """
-    tr = jtj[:, 0, 0] + jtj[:, 1, 1] + jtj[:, 2, 2]
-    candidate = ~(tr ** 3 < CONDITION_LIMIT * np.linalg.det(jtj))
-    bad = np.zeros(len(jtj), dtype=bool)
-    if candidate.any():
+    bad = ~np.isfinite(jtj).all(axis=(1, 2))
+    finite = np.flatnonzero(~bad)
+    m = jtj[finite]
+    tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+    candidate = finite[~(tr ** 3 < CONDITION_LIMIT * np.linalg.det(m))]
+    if candidate.size:
         bad[candidate] = np.linalg.cond(jtj[candidate]) > CONDITION_LIMIT
     return bad
 
@@ -257,7 +296,7 @@ def triangulate(bearings: BearingSet, max_iterations: int = MAX_ITERATIONS) -> T
     ------
     IllConditionedError
         If the normal-equation condition number exceeds 1e12
-        (near-parallel rays).
+        (near-parallel rays) or a bearing is not finite.
     NoConvergenceError
         If the fit does not converge within ``max_iterations``.
     """
@@ -267,7 +306,7 @@ def triangulate(bearings: BearingSet, max_iterations: int = MAX_ITERATIONS) -> T
                             max_iterations=max_iterations)
     code = int(fix.status[0])
     if code == STATUS_ILL_CONDITIONED:
-        raise IllConditionedError("bearing rays are near-parallel")
+        raise IllConditionedError("bearing rays are near-parallel or not finite")
     if code != STATUS_OK:
         raise NoConvergenceError(f"no convergence in {max_iterations} iterations")
     local = fix.ranges[:, 0, np.newaxis] * direction_from_angles(bearings.az, bearings.el)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from sensorreg.errors import GimbalLockError, MissingRangeError, ZeroVectorError
@@ -201,6 +203,23 @@ class TestRotvec:
         np.testing.assert_allclose(rot - np.eye(3), skew(v), atol=1e-20)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+        st.sampled_from([1e-16, 1e-13, 0.999e-12, 1e-12, 1e-9, 1e-3, 1.0, 3.0])),
+        min_size=1, max_size=10))
+    def test_stack_matches_per_vector(self, rows):
+        vectors = [np.array(v) * scale for v, scale in rows]
+        # the zero vector and one below the small-angle threshold every time
+        vectors += [np.zeros(3), np.array([3e-13, -4e-13, 1e-13])]
+        stack = np.array(vectors)
+        one_by_one = np.array([rotation_from_rotvec(v) for v in vectors])
+        np.testing.assert_allclose(rotation_from_rotvec(stack), one_by_one,
+                                   rtol=0, atol=1e-15)
+        nested = rotation_from_rotvec(stack.reshape(1, -1, 3))
+        np.testing.assert_allclose(nested[0], one_by_one, rtol=0, atol=1e-15)
+
+
 class TestSkew:
     def test_cross_product_equivalence(self):
         rng = np.random.default_rng(12)
@@ -210,6 +229,12 @@ class TestSkew:
     def test_antisymmetric(self):
         m = skew([1.0, 2.0, 3.0])
         np.testing.assert_allclose(m, -m.T, atol=0)
+
+    def test_stack_gives_cross_products(self):
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(2, 2, 5, 3))
+        np.testing.assert_allclose((skew(a) @ b[..., np.newaxis])[..., 0],
+                                   np.cross(a, b), atol=1e-12)
 
 
 class TestIsRotationMatrix:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorreg.errors import IllConditionedError
+from sensorreg.errors import IllConditionedError, RegistrationError
 from sensorreg.geometry import cart_to_spherical, direction_from_angles
 from sensorreg.triangulation import (
     CONDITION_LIMIT,
@@ -17,6 +17,7 @@ from sensorreg.triangulation import (
     _ill_conditioned,
     bearing_residuals,
     initial_points,
+    intersect_rays,
     triangulate,
     triangulate_batch,
 )
@@ -138,6 +139,15 @@ class TestTriangulate:
         with pytest.raises(IllConditionedError):
             triangulate(BearingSet(locations=locs, az=az, el=el))
 
+    @pytest.mark.parametrize("field", ["az", "el"])
+    def test_non_finite_bearing_raises_registration_error(self, field):
+        locs = [[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]
+        az, el = exact_bearings(locs, [500.0, 500.0, 100.0])
+        bearings = {"az": az, "el": el}
+        bearings[field][1] = np.nan
+        with pytest.raises(RegistrationError):
+            triangulate(BearingSet(locations=locs, **bearings))
+
     def test_random_geometries_recover(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
@@ -191,6 +201,81 @@ class TestTriangulateBatch:
         assert fix.status[0] == STATUS_OK
         # a few mRad of bearing noise moves a few-km fix tens of meters
         assert np.linalg.norm(fix.points[0] - target) < 100.0
+
+
+def unit_rays(locations, targets):
+    """(S, n, 3) unit directions from each location to each target."""
+    offsets = np.asarray(targets)[np.newaxis] - np.asarray(locations)[:, np.newaxis]
+    return offsets / np.linalg.norm(offsets, axis=-1, keepdims=True)
+
+
+def random_network(seed, n_sensors, n_targets):
+    """Sensors spread over a low slab, targets well below them."""
+    rng = np.random.default_rng(seed)
+    locs = rng.uniform(-8000, 8000, size=(n_sensors, 3)) * [1, 1, 0.05]
+    targets = rng.uniform(-5000, 5000, size=(n_targets, 3)) + [0, 0, -5000]
+    return rng, locs, targets
+
+
+class TestIntersectRays:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 8),
+           n_targets=st.integers(1, 12))
+    def test_noise_free_rays_meet_at_the_target(self, seed, n_sensors, n_targets):
+        _, locs, targets = random_network(seed, n_sensors, n_targets)
+        points, ok = intersect_rays(locs, unit_rays(locs, targets))
+        assert ok.all()
+        offsets = targets[np.newaxis] - locs[:, np.newaxis]
+        scale = np.linalg.norm(offsets, axis=-1).min(axis=0)  # nearest sensor
+        assert np.all(np.linalg.norm(points - targets, axis=1) <= 1e-6 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_targets=st.integers(1, 12),
+           noise=st.sampled_from([0.0, 1e-3, 3e-2]))
+    def test_two_rays_give_the_common_perpendicular_midpoint(self, seed, n_targets,
+                                                             noise):
+        rng, locs, targets = random_network(seed, 2, n_targets)
+        s = cart_to_spherical(targets[np.newaxis] - locs[:, np.newaxis])
+        az = s.az + noise * rng.normal(size=s.az.shape)
+        el = s.el + noise * rng.normal(size=s.el.shape)
+        dirs = direction_from_angles(az, el)
+        sine = np.linalg.norm(np.cross(dirs[0], dirs[1]), axis=-1)
+        keep = sine > 0.05  # away from near-parallel rays
+        points, _ = intersect_rays(locs, dirs[:, keep])
+        expected = initial_points(locs, az[:, keep], el[:, keep])
+        scale = np.linalg.norm(expected - locs[0], axis=-1)
+        assert np.all(np.linalg.norm(points - expected, axis=-1) <= 1e-9 * scale)
+
+    def test_parallel_rays_are_not_ok(self):
+        locs = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0], [0.0, 0.0, 50.0]])
+        dirs = np.broadcast_to([1.0, 0.0, 0.0], (3, 1, 3))
+        _, ok = intersect_rays(locs, dirs)
+        assert not ok[0]
+        # a target on the baseline of two sensors: both rays point the same way
+        locs = locs[:2] * [1, 10, 1]
+        _, ok = intersect_rays(locs, unit_rays(locs, [[0.0, 9000.0, 0.0]]))
+        assert not ok[0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 8),
+           flipped=st.integers(0, 7))
+    def test_point_behind_a_sensor_is_not_ok(self, seed, n_sensors, flipped):
+        _, locs, targets = random_network(seed, n_sensors, 2)
+        dirs = unit_rays(locs, targets)
+        dirs[flipped % n_sensors, 1] *= -1.0  # its ray now points away
+        points, ok = intersect_rays(locs, dirs)
+        np.testing.assert_array_equal(ok, [True, False])
+        # the lines still meet at the target; only the ray direction is wrong
+        np.testing.assert_allclose(points[1], targets[1], atol=1e-6)
+
+    def test_non_finite_ray_is_not_ok(self):
+        _, locs, targets = random_network(5, 3, 4)
+        dirs = unit_rays(locs, targets)
+        clean, _ = intersect_rays(locs, dirs)
+        dirs[1, 2] = [np.nan, 0.0, 1.0]
+        points, ok = intersect_rays(locs, dirs)
+        np.testing.assert_array_equal(ok, [True, True, False, True])
+        np.testing.assert_array_equal(points[[0, 1, 3]], clean[[0, 1, 3]])
 
 
 class TestConditionScreen:
@@ -286,3 +371,21 @@ class TestPerTargetIndependence:
         np.testing.assert_array_equal(sub.status, full.status[keep])
         np.testing.assert_array_equal(sub.iterations, full.iterations[keep])
         np.testing.assert_array_equal(sub.cost, full.cost[keep])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_sensors=st.sampled_from([2, 3, 4]), target=st.integers(0, 39),
+           sensor=st.integers(0, 3), field=st.sampled_from(["az", "el"]),
+           value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_bearing_spoils_only_its_target(self, n_sensors, target,
+                                                       sensor, field, value):
+        locs, az, el, full = mixed_batch(n_sensors)
+        bearings = {"az": az.copy(), "el": el.copy()}
+        bearings[field][sensor % n_sensors, target] = value
+        with np.errstate(invalid="ignore"):  # numpy's warnings on cos(inf)
+            fix = triangulate_batch(locs, **bearings)
+        assert fix.status[target] != STATUS_OK
+        rest = np.arange(40) != target
+        np.testing.assert_array_equal(fix.points[rest], full.points[rest])
+        np.testing.assert_array_equal(fix.status[rest], full.status[rest])
+        np.testing.assert_array_equal(fix.iterations[rest], full.iterations[rest])
+        np.testing.assert_array_equal(fix.cost[rest], full.cost[rest])
