@@ -20,6 +20,7 @@ from .geometry import (cart_to_spherical, collinearity_ratio,
                        direction_from_angles, rotation_from_rotvec)
 from .triangulation import (LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, STATUS_OK,
                             bearing_residuals, intersect_rays,
+                            solve_positive_definite,
                             triangulate_batch)
 from .wahba import solve_wahba
 
@@ -376,25 +377,24 @@ def _absolute_bearing(batch, stopping, gauge_ambiguous) -> CalibrationResult:
     weights[:, 0::2] = (np.abs(el) < NEAR_POLE_EL).T
     gated = not weights.all()
 
-    res, jac = bearing_residuals(points, locations, az, el, rotations)
+    res, jac, jac_rot = bearing_residuals(points, locations, az, el, rotations)
     trace = [float(np.sum(res * res))]
     objective = float(np.sum((res * weights) ** 2))
     lam = LAMBDA_INIT
     converged = False
     iterations = 0
     for iterations in range(1, stopping.max_iterations + 1):
-        normal = _normal_equations(points, locations, rotations, res * weights,
-                                   jac * weights[..., np.newaxis])
+        normal = _normal_equations(res, jac, jac_rot, weights)
         gauge = None if baseline is None else _gauge_complement(rotations, baseline)
         while lam <= LAMBDA_MAX:
             d_rot, d_pts = _damped_step(*normal, lam, gauge)
             trial_rot = rotations @ rotation_from_rotvec(d_rot)
             trial_pts = points + d_pts
-            trial_res, trial_jac = bearing_residuals(trial_pts, locations, az, el,
-                                                     trial_rot)
-            trial_objective = float(np.sum((trial_res * weights) ** 2))
+            trial = bearing_residuals(trial_pts, locations, az, el, trial_rot)
+            trial_objective = float(np.sum((trial[0] * weights) ** 2))
             if trial_objective < objective:
-                rotations, points, res, jac = trial_rot, trial_pts, trial_res, trial_jac
+                rotations, points = trial_rot, trial_pts
+                res, jac, jac_rot = trial
                 lam = max(lam / 10.0, LAMBDA_MIN)
                 trace.append(float(np.sum(res * res)))
                 tol = GATED_REL_COST_TOL if gated else stopping.rel_cost_tol
@@ -454,28 +454,36 @@ def _check_usable(ok):
         raise DegenerateInputError("fewer than two targets could be triangulated")
 
 
-def _normal_equations(points, locations, rotations, res, jac):
+def _normal_equations(res, jac, jac_rot, weights):
     """Gauss-Newton blocks of the joint bearing-only problem.
 
-    With n epochs and S sensors, returns the point blocks V (n, 3, 3),
-    the rotation blocks U (S, 3, 3), the rotation-point blocks
-    W (n, S, 3, 3) and the descent right-hand sides for the rotations
-    (S, 3) and the points (n, 3).
+    Takes the residuals (n, 2S) and their point and rotation Jacobians
+    (n, 2S, 3) from ``bearing_residuals``, and the (n, 2S) weight of
+    each residual.  The rotation rows are the closed-form ones of
+    ``bearing_residuals``, in each sensor's own frame: with
+    d = A_s^T (x_i - l_s) and rho^2 = dx^2 + dy^2, azimuth
+    (-dx dz / rho^2, -dy dz / rho^2, 1) and elevation
+    (dy / rho, -dx / rho, 0).  Every row is weighted like its residual.
+    Returns the point blocks V (n, 3, 3), the rotation blocks
+    U (S, 3, 3), the rotation-point blocks W (n, S, 3, 3) and the
+    descent right-hand sides for the rotations (S, 3) and the points
+    (n, 3).
     """
-    n, n_sensors = points.shape[0], locations.shape[0]
-    jac_pts = jac.reshape(n, n_sensors, 2, 3)
-    r = res.reshape(n, n_sensors, 2)
-    # A_s <- A_s exp(w) moves the local offset d = A_s^T e to d + d x w,
-    # so a residual row j (per unit point shift) changes by
-    # (A_s^T (j x e)) . w, with e = x_i - l_s in the common frame
-    offsets = points[:, np.newaxis, np.newaxis, :] - locations[:, np.newaxis, :]
-    jac_rot = np.cross(jac_pts, offsets) @ rotations
-    v = jac.transpose(0, 2, 1) @ jac
-    by_sensor = jac_rot.transpose(1, 0, 2, 3).reshape(n_sensors, 2 * n, 3)
+    n, n_rows = res.shape
+    n_sensors = n_rows // 2
+    res = res * weights
+    jac = jac * weights[..., np.newaxis]
+    jac_rot = jac_rot * weights[..., np.newaxis]
+    jac_t = jac.transpose(0, 2, 1)
+    v = jac_t @ jac
+    b_pts = -(jac_t @ res[..., np.newaxis])[..., 0]
+    by_sensor = jac_rot.reshape(n, n_sensors, 2, 3).transpose(1, 0, 2, 3) \
+        .reshape(n_sensors, 2 * n, 3)
     u = by_sensor.transpose(0, 2, 1) @ by_sensor
-    w = jac_rot.transpose(0, 1, 3, 2) @ jac_pts
-    b_rot = -np.einsum("nskc,nsk->sc", jac_rot, r)
-    b_pts = -np.einsum("nkc,nk->nc", jac, res)
+    b_rot = -(res.T[:, np.newaxis, :] @ jac_rot.transpose(1, 0, 2)) \
+        .reshape(n_sensors, 2, 3).sum(axis=1)
+    w = jac_rot.reshape(n, n_sensors, 2, 3).transpose(0, 1, 3, 2) \
+        @ jac.reshape(n, n_sensors, 2, 3)
     return v, u, w, b_rot, b_pts
 
 
@@ -485,10 +493,13 @@ def _damped_step(v, u, w, b_rot, b_pts, lam, gauge):
     allowed rotation steps) confines the rotation step when given."""
     n, n_sensors = v.shape[0], u.shape[0]
     eye = np.eye(3)
-    v_inv = np.linalg.inv(v + lam * v * eye)
-    # one GEMM over (3S, 3n) layouts forms sum_i W_si V_i^-1 W_ti^T
-    y = (w @ v_inv[:, np.newaxis]).transpose(1, 2, 0, 3).reshape(3 * n_sensors, 3 * n)
+    damped_v = v + lam * v * eye
     w_mat = w.transpose(1, 2, 0, 3).reshape(3 * n_sensors, 3 * n)
+    # V_i is symmetric, so solving V_i Z_i = W_i^T gives Z_i^T = W_i V_i^-1;
+    # y holds the W_si V_i^-1 in w_mat's (3S, 3n) layout, so that one GEMM
+    # forms sum_i W_si V_i^-1 W_ti^T
+    y = solve_positive_definite(damped_v, w.transpose(0, 3, 1, 2).reshape(n, 3, -1)) \
+        .transpose(2, 0, 1).reshape(3 * n_sensors, 3 * n)
     reduced = -(y @ w_mat.T)
     blocks = reduced.reshape(n_sensors, 3, n_sensors, 3)
     diag = np.arange(n_sensors)
@@ -499,7 +510,7 @@ def _damped_step(v, u, w, b_rot, b_pts, lam, gauge):
     else:
         d_rot = gauge.T @ np.linalg.solve(gauge @ reduced @ gauge.T, gauge @ rhs)
     back = b_pts - (w_mat.T @ d_rot).reshape(n, 3)
-    d_pts = (v_inv @ back[..., np.newaxis])[..., 0]
+    d_pts = solve_positive_definite(damped_v, back)
     return d_rot.reshape(n_sensors, 3), d_pts
 
 

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IllConditionedError, NoConvergenceError
+from .errors import DegenerateInputError, IllConditionedError, NoConvergenceError
 from .geometry import direction_from_angles, wrap_angle
 
 MAX_ITERATIONS = 50
@@ -82,7 +82,7 @@ class BatchFix(NamedTuple):
 
 
 def bearing_residuals(points, locations, az, el, rotations=None):
-    """Wrapped bearing residuals and their Jacobian.
+    """Wrapped bearing residuals and their Jacobians.
 
     Parameters
     ----------
@@ -92,13 +92,20 @@ def bearing_residuals(points, locations, az, el, rotations=None):
     rotations : (S, 3, 3), optional
         Correcting rotation A_s of each sensor (local frame to common
         frame).  The bearings are then predicted in the sensor's own
-        frame, from A_s^T (point - location_s).  Default: identity.
+        frame, from the local offset d = A_s^T (point - location_s).
+        Default: identity.
 
     Returns
     -------
     res : (n, 2S) residuals, sensor-major (az_s, el_s) pairs, wrapped
         to (-pi, pi].
     jac : (n, 2S, 3) derivative of ``res`` with respect to the point.
+    jac_rot : (n, 2S, 3), only when ``rotations`` is given
+        Derivative of each residual with respect to its own sensor's
+        rotation step w under A_s <- A_s exp(w).  With
+        rho^2 = dx^2 + dy^2, the azimuth row is
+        (-dx dz / rho^2, -dy dz / rho^2, 1) and the elevation row
+        (dy / rho, -dx / rho, 0).
     """
     points = np.asarray(points, dtype=float)
     locations = np.asarray(locations, dtype=float)
@@ -118,19 +125,36 @@ def bearing_residuals(points, locations, az, el, rotations=None):
     res[:, 0::2] = wrap_angle(az - np.arctan2(dy, dx)).T
     res[:, 1::2] = wrap_angle(el - np.arctan2(dz, rho)).T
 
-    # residual = measured - predicted, so the Jacobian is -d(predicted)/dx
-    jac = np.empty((n, 2 * s, 3))
-    jac[:, 0::2, 0] = (dy / rho2).T
-    jac[:, 0::2, 1] = (-dx / rho2).T
-    jac[:, 0::2, 2] = 0.0
-    jac[:, 1::2, 0] = (dx * dz / (r2 * rho)).T
-    jac[:, 1::2, 1] = (dy * dz / (r2 * rho)).T
-    jac[:, 1::2, 2] = (-rho / r2).T
-    if rotations is not None:
-        # chain rule through the local frame: d(local)/d(point) = A_s^T
-        jac = (jac.reshape(n, s, 2, 3) @ rotations.transpose(0, 2, 1)) \
-            .reshape(n, 2 * s, 3)
-    return res, jac
+    # residual = measured - predicted, so the Jacobians are -d(predicted)/d(.);
+    # the local-frame point rows are az (ax, ay, 0) and el (ex, ey, ez)
+    ax, ay = dy / rho2, -dx / rho2
+    ex, ey, ez = dx * dz / (r2 * rho), dy * dz / (r2 * rho), -rho / r2
+    if rotations is None:
+        jac = np.empty((n, 2 * s, 3))
+        jac[:, 0::2, 0] = ax.T
+        jac[:, 0::2, 1] = ay.T
+        jac[:, 0::2, 2] = 0.0
+        jac[:, 1::2, 0] = ex.T
+        jac[:, 1::2, 1] = ey.T
+        jac[:, 1::2, 2] = ez.T
+        return res, jac
+
+    # rows[0, c, s, j, i]: point row j of sensor s and epoch i, component c;
+    # rows[1]: its rotation row
+    rows = np.empty((2, 3, s, 2, n))
+    # chain rule to the common frame: row . A_s^T = sum_k row_k A_s[:, k]
+    cols = rotations.transpose(2, 1, 0)[..., np.newaxis]  # cols[k][c, s] = A_s[c, k]
+    rows[0, :, :, 0] = ax * cols[0] + ay * cols[1]
+    rows[0, :, :, 1] = ex * cols[0] + ey * cols[1] + ez * cols[2]
+    # a step w moves d by d x w, so a rotation row is the local point row x d
+    rows[1, 0, :, 0] = ay * dz
+    rows[1, 1, :, 0] = -ax * dz
+    rows[1, 2, :, 0] = 1.0
+    rows[1, 0, :, 1] = dy / rho
+    rows[1, 1, :, 1] = -dx / rho
+    rows[1, 2, :, 1] = 0.0
+    jac, jac_rot = rows.transpose(0, 4, 2, 3, 1).reshape(2, n, 2 * s, 3)
+    return res, jac, jac_rot
 
 
 def initial_points(locations, az, el) -> np.ndarray:
@@ -187,11 +211,64 @@ def intersect_rays(locations, directions):
     rhs = locations.sum(axis=0) - np.sum(directions * along, axis=0)  # (n, 3)
     solvable = ~_ill_conditioned(normal)
     points = np.full(rhs.shape, np.nan)
-    points[solvable] = np.linalg.solve(normal[solvable],
-                                       rhs[solvable, :, np.newaxis])[..., 0]
+    points[solvable] = solve_positive_definite(normal[solvable], rhs[solvable])
     offsets = points - locations[:, np.newaxis, :]                   # (S, n, 3)
     ahead = (np.sum(directions * offsets, axis=-1) > 0.0).all(axis=0)
     return points, solvable & ahead
+
+
+def solve_positive_definite(m, b) -> np.ndarray:
+    """Solve m x = b for a stack of symmetric positive-definite 3x3 matrices.
+
+    Parameters
+    ----------
+    m : (n, 3, 3); only the upper triangle of each matrix is read.
+    b : (n, 3) or (n, 3, k) right-hand sides.
+
+    A closed-form LDL^T factorization and substitution, element-wise
+    over the stack: as accurate as Cholesky (the error is of order
+    cond(m) times the machine epsilon), and no solution depends on the
+    rest of the stack.
+
+    Raises
+    ------
+    DegenerateInputError
+        If a determinant is zero or not finite (a singular matrix, or a
+        non-finite entry), naming the first such matrix.
+    """
+    (l1, l2, l3), (d1, d2, d3), det = _ldl(m)
+    bad = ~np.isfinite(det) | (det == 0.0)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise DegenerateInputError(f"3x3 matrix {first} of {det.size} is singular "
+                                   f"or not finite (determinant {det[first]})")
+    if b.ndim == 3:
+        l1, l2, l3 = l1[:, np.newaxis], l2[:, np.newaxis], l3[:, np.newaxis]
+        d1, d2, d3 = d1[:, np.newaxis], d2[:, np.newaxis], d3[:, np.newaxis]
+    x = np.empty(b.shape)
+    y1 = b[:, 1] - l1 * b[:, 0]
+    x[:, 2] = (b[:, 2] - l2 * b[:, 0] - l3 * y1) / d3
+    x[:, 1] = y1 / d2 - l3 * x[:, 2]
+    x[:, 0] = b[:, 0] / d1 - l1 * x[:, 1] - l2 * x[:, 2]
+    return x
+
+
+def _ldl(m):
+    """Closed-form m = L D L^T of a stack of symmetric 3x3 matrices, from
+    their upper triangles: the below-diagonal entries of L (rows 1, 2, 2
+    of columns 0, 0, 1), the pivots (the diagonal of D) and the
+    determinants, each (n,).  A zero pivot makes the determinant zero
+    or NaN, without a warning."""
+    a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
+    d, e, f = m[:, 1, 1], m[:, 1, 2], m[:, 2, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        l1, l2 = b / a, c / a
+        d2 = d - l1 * b
+        t = e - l2 * b
+        l3 = t / d2
+        d3 = f - l2 * c - l3 * t
+        det = a * d2 * d3
+    return (l1, l2, l3), (a, d2, d3), det
 
 
 def _ill_conditioned(jtj) -> np.ndarray:
@@ -202,12 +279,14 @@ def _ill_conditioned(jtj) -> np.ndarray:
     lambda_max <= trace and lambda_min >= det / trace^2, so cond <= trace^3 / det.
     Only the finite matrices that bound does not clear (det <= 0 and the
     zero matrix among them) pay for the SVD inside ``np.linalg.cond``.
+    The determinant is the product of the LDL^T pivots; a zero leading
+    pivot makes it NaN, which the bound does not clear either.
     """
     bad = ~np.isfinite(jtj).all(axis=(1, 2))
     finite = np.flatnonzero(~bad)
     m = jtj[finite]
     tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
-    candidate = finite[~(tr ** 3 < CONDITION_LIMIT * np.linalg.det(m))]
+    candidate = finite[~(tr ** 3 < CONDITION_LIMIT * _ldl(m)[2])]
     if candidate.size:
         bad[candidate] = np.linalg.cond(jtj[candidate]) > CONDITION_LIMIT
     return bad
@@ -244,7 +323,7 @@ def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -
         j = jac[idx]
         jt = j.transpose(0, 2, 1)
         jtj = jt @ j
-        rhs = -(jt @ res[idx, :, np.newaxis])
+        rhs = -(jt @ res[idx, :, np.newaxis])[..., 0]
         bad = _ill_conditioned(jtj)
         if bad.any():
             status[idx[bad]] = STATUS_ILL_CONDITIONED
@@ -257,7 +336,7 @@ def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -
 
         diag = jtj * np.eye(3)
         damped = jtj + lam[idx, np.newaxis, np.newaxis] * diag
-        step = np.linalg.solve(damped, rhs)[..., 0]
+        step = solve_positive_definite(damped, rhs)
         trial = x[idx] + step
         res_t, jac_t = bearing_residuals(trial, locations, az[:, idx], el[:, idx])
         cost_t = np.sum(res_t * res_t, axis=1)

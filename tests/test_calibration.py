@@ -30,6 +30,7 @@ from sensorreg.geometry import (
     euler_to_rotation,
     geodesic_angle,
     is_rotation_matrix,
+    rotation_from_rotvec,
 )
 from sensorreg.scenario import (
     SensorTruth,
@@ -38,6 +39,7 @@ from sensorreg.scenario import (
     generate_trajectory,
     sample_biases,
 )
+from sensorreg.triangulation import bearing_residuals
 
 DEG = np.pi / 180.0
 
@@ -518,6 +520,62 @@ class TestAbsolute2d:
             # projected steps leave only second-order drift; without the
             # projection it reaches 1-6 mrad here
             assert solver_move <= min(warm_move, 2e-4)
+
+    def test_normal_equations_match_central_differences(self):
+        # every block of the joint solver's normal equations against a dense
+        # central-difference Jacobian of the weighted residuals, in the
+        # solver's parameters: A_s exp(w_s) for each sensor, x_i + dx_i for
+        # each point.  Two azimuth rows are gated out, so rotation rows left
+        # unweighted show up in U.
+        rng = np.random.default_rng(8)
+        n_sensors, n = 3, 6
+        locations = np.asarray(RING[:n_sensors])
+        points = make_targets(n, seed=3)
+        rotations = np.array([euler_to_rotation(b)
+                              for b in sample_biases(n_sensors, rng)])
+        seen = cart_to_spherical((points[np.newaxis] - locations[:, np.newaxis])
+                                 @ rotations)
+        az = seen.az + 2e-3 * rng.normal(size=seen.az.shape)
+        el = seen.el + 2e-3 * rng.normal(size=seen.el.shape)
+        weights = np.ones((n, 2 * n_sensors))
+        weights[[1, 4], [0, 4]] = 0.0
+
+        res, jac, jac_rot = bearing_residuals(points, locations, az, el, rotations)
+        v, u, w, b_rot, b_pts = calibration._normal_equations(res, jac, jac_rot,
+                                                              weights)
+
+        def weighted(rot_steps, point_steps):
+            trial = rotations @ rotation_from_rotvec(rot_steps)
+            r = bearing_residuals(points + point_steps, locations, az, el, trial)[0]
+            return (r * weights).ravel()
+
+        n_rot = 3 * n_sensors
+        dense = np.empty((2 * n_sensors * n, n_rot + 3 * n))
+        for k in range(dense.shape[1]):
+            step = np.zeros(dense.shape[1])
+            step[k] = 1e-6 if k < n_rot else 1e-3
+            hi = weighted(step[:n_rot].reshape(n_sensors, 3), step[n_rot:].reshape(n, 3))
+            lo = weighted(-step[:n_rot].reshape(n_sensors, 3), -step[n_rot:].reshape(n, 3))
+            dense[:, k] = (hi - lo) / (2 * step[k])
+        j_rot = dense[:, :n_rot].reshape(-1, n_sensors, 3).transpose(1, 0, 2)
+        j_pts = dense[:, n_rot:].reshape(-1, n, 3).transpose(1, 0, 2)
+        r = (res * weights).ravel()
+
+        def close(actual, expected):
+            np.testing.assert_allclose(actual, expected, rtol=1e-6,
+                                       atol=1e-6 * np.abs(expected).max())
+
+        close(u, j_rot.transpose(0, 2, 1) @ j_rot)
+        close(v, j_pts.transpose(0, 2, 1) @ j_pts)
+        close(w, np.einsum("sra,irb->isab", j_rot, j_pts))
+        close(b_rot, -(j_rot.transpose(0, 2, 1) @ r))
+        close(b_pts, -(j_pts.transpose(0, 2, 1) @ r))
+        # the rotation blocks are block-diagonal: a sensor's rotation moves
+        # only its own residuals
+        cross = np.einsum("sra,trb->stab", j_rot, j_rot)
+        off = ~np.eye(n_sensors, dtype=bool)
+        assert np.abs(cross[off]).max() <= 1e-9 * np.abs(u).max()
+
 
     def test_rejects_wrong_sensor_count(self):
         points = make_targets(10)

@@ -4,11 +4,14 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from sensorreg.errors import IllConditionedError, RegistrationError
-from sensorreg.geometry import cart_to_spherical, direction_from_angles
+from sensorreg.errors import (DegenerateInputError, IllConditionedError,
+                              RegistrationError)
+from sensorreg.geometry import (cart_to_spherical, direction_from_angles,
+                                rotation_from_rotvec)
 from sensorreg.triangulation import (
     CONDITION_LIMIT,
     STATUS_ILL_CONDITIONED,
@@ -18,6 +21,7 @@ from sensorreg.triangulation import (
     bearing_residuals,
     initial_points,
     intersect_rays,
+    solve_positive_definite,
     triangulate,
     triangulate_batch,
 )
@@ -75,6 +79,50 @@ class TestResidualsAndJacobian:
             fd = (rp - rm) / (2 * h)
             scale = np.maximum(np.abs(fd), 1e-6)
             np.testing.assert_array_less(np.abs(jac[:, :, axis] - fd) / scale, 1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 8),
+           max_el_deg=st.sampled_from([30.0, 60.0, 85.0]))
+    def test_rotation_path_matches_central_differences(self, seed, n_sensors,
+                                                       max_el_deg):
+        # target i sits at a random local bearing of sensor i mod S, with
+        # |el| up to max_el_deg; targets some other sensor sees above 85
+        # degrees are left out
+        rng = np.random.default_rng(seed)
+        locs = rng.uniform(-5000, 5000, size=(n_sensors, 3))
+        rotations = Rotation.random(n_sensors, rng=rng).as_matrix()
+        owner = np.arange(3 * n_sensors) % n_sensors
+        el_deg = rng.uniform(-max_el_deg, max_el_deg, owner.size)
+        el_deg[:n_sensors] = max_el_deg * np.sign(el_deg[:n_sensors])
+        local = rng.uniform(1000, 8000, owner.size)[:, None] * direction_from_angles(
+            rng.uniform(-np.pi, np.pi, owner.size), np.radians(el_deg))
+        points = locs[owner] + np.einsum("nij,nj->ni", rotations[owner], local)
+        seen = cart_to_spherical((points[None] - locs[:, None]) @ rotations)
+        points = points[(np.abs(seen.el) <= np.radians(85.0) + 1e-9).all(axis=0)]
+        assume(points.shape[0] > 0)
+        seen = cart_to_spherical((points[None] - locs[:, None]) @ rotations)
+        az = seen.az + 2e-3 * rng.normal(size=seen.az.shape)
+        el = seen.el + 2e-3 * rng.normal(size=seen.el.shape)
+
+        res, jac, jac_rot = bearing_residuals(points, locs, az, el, rotations)
+        assert jac.shape == jac_rot.shape == res.shape + (3,)
+        for axis in range(3):
+            unit = np.eye(3)[axis]
+            hi = bearing_residuals(points + 1e-3 * unit, locs, az, el, rotations)[0]
+            lo = bearing_residuals(points - 1e-3 * unit, locs, az, el, rotations)[0]
+            np.testing.assert_allclose(jac[:, :, axis], (hi - lo) / 2e-3,
+                                       rtol=1e-6, atol=1e-11)
+            # A_s <- A_s exp(w) for one sensor at a time moves only its rows
+            for s in range(n_sensors):
+                turn = np.stack([np.eye(3)] * n_sensors)
+                turn[s] = rotation_from_rotvec(1e-6 * unit)
+                hi = bearing_residuals(points, locs, az, el, rotations @ turn)[0]
+                turn[s] = turn[s].T
+                lo = bearing_residuals(points, locs, az, el, rotations @ turn)[0]
+                expected = np.zeros_like(res)
+                expected[:, 2 * s:2 * s + 2] = jac_rot[:, 2 * s:2 * s + 2, axis]
+                np.testing.assert_allclose(expected, (hi - lo) / 2e-6,
+                                           rtol=1e-6, atol=1e-8)
 
     def test_residuals_are_wrapped(self):
         locs = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
@@ -325,6 +373,89 @@ class TestConditionScreen:
         jtj = j.transpose(0, 2, 1) @ j
         np.testing.assert_array_equal(_ill_conditioned(jtj),
                                       np.linalg.cond(jtj) > CONDITION_LIMIT)
+
+
+class TestSolvePositiveDefinite:
+    """The closed-form LDL^T solve against ``np.linalg.solve``."""
+
+    @staticmethod
+    def spd_stack(seed, specs, rank=3):
+        m = TestConditionScreen.psd_stack(seed, [spec + (rank,) for spec in specs])
+        return 0.5 * (m + m.transpose(0, 2, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           specs=st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(0.0, 12.0),
+                                    st.floats(0.0, 1.0)), min_size=1, max_size=12),
+           columns=st.sampled_from([0, 1, 5]))
+    def test_matches_numpy_within_condition_times_epsilon(self, seed, specs,
+                                                          columns):
+        # cond from 1 to 1e12, the middle eigenvalue anywhere in between:
+        # a cofactor (Cramer's rule) solve misses this bound by factors up
+        # to 6e8 when two eigenvalues are small
+        m = self.spd_stack(seed, specs)
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(len(specs), 3, max(columns, 1)))
+        if columns == 0:
+            x = solve_positive_definite(m, b[..., 0])[..., np.newaxis]
+        else:
+            x = solve_positive_definite(m, b)
+        expected = np.linalg.solve(m, b)
+        error = np.linalg.norm(x - expected, axis=1) \
+            / np.linalg.norm(expected, axis=1)
+        bound = 8.0 * np.linalg.cond(m)[:, np.newaxis] * np.finfo(float).eps
+        assert np.all(error <= bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           keep=st.lists(st.booleans(), min_size=1, max_size=12).filter(any))
+    def test_each_solution_depends_on_its_own_matrix_only(self, seed, keep):
+        keep = np.array(keep)
+        rng = np.random.default_rng(seed)
+        specs = [(rng.uniform(-8, 8), rng.uniform(0, 12), rng.uniform())
+                 for _ in keep]
+        m = self.spd_stack(seed, specs)
+        b = rng.normal(size=(keep.size, 3))
+        x = solve_positive_definite(m, b)
+        np.testing.assert_array_equal(solve_positive_definite(m[keep], b[keep]),
+                                      x[keep])
+        first = int(np.argmax(keep))
+        np.testing.assert_array_equal(
+            solve_positive_definite(m[first:first + 1], b[first:first + 1]),
+            x[first:first + 1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           where=st.integers(0, 7),
+           flaw=st.sampled_from(["zero", "row 0", "row 1", "row 2",
+                                 np.nan, np.inf, -np.inf]),
+           entry=st.sampled_from([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]))
+    def test_singular_or_non_finite_matrix_raises(self, seed, n, where, flaw,
+                                                  entry):
+        rng = np.random.default_rng(seed)
+        m = self.spd_stack(seed, [(rng.uniform(-4, 4), rng.uniform(0, 6), 0.5)] * n)
+        bad = where % n
+        if flaw == "zero":
+            m[bad] = 0.0
+        elif isinstance(flaw, str):
+            row = int(flaw[-1])
+            m[bad, row, :] = m[bad, :, row] = 0.0
+        else:
+            m[bad, entry[0], entry[1]] = m[bad, entry[1], entry[0]] = flaw
+        with pytest.raises(DegenerateInputError, match=f"matrix {bad} of {n} "):
+            solve_positive_definite(m, rng.normal(size=(n, 3)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8.0, 8.0),
+           rank=st.sampled_from([1, 2]))
+    def test_rank_deficient_matrix_never_gives_nan(self, seed, log_scale, rank):
+        # singular only up to rounding: an error or a finite (huge) solution
+        m = self.spd_stack(seed, [(log_scale, 0.0, 0.5)], rank)
+        try:
+            x = solve_positive_definite(m, np.ones((1, 3)))
+        except DegenerateInputError:
+            return
+        assert np.isfinite(x).all()
 
 
 @lru_cache(maxsize=None)
