@@ -7,46 +7,31 @@ and target positions for bearing-only sensors.  Includes a
 flight-scenario simulator and a seeded Monte-Carlo experiment harness.
 """
 
-from .calibration import (CalibrationResult, MeasurementBatch,
-                          SensorMeasurements, StoppingCriteria, absolute_2d,
-                          absolute_2d_pair, absolute_3d, absolute_3d_pair,
-                          pairwise_cost, relative_3d, relative_hetero)
-from .errors import (ConfigError, DegenerateInputError, ExperimentError,
-                     GimbalLockError, IllConditionedError, MissingRangeError,
-                     NoConvergenceError, RegistrationError, TriangulationError,
-                     ZeroVectorError)
-from .experiments import (ErrorReport, ExperimentConfig, RunRecord,
-                          emit_reports, emit_sweep_reports, read_batch,
+# the names the README, the demos and the command line import
+from .calibration import (ALGORITHMS, MeasurementBatch, SensorMeasurements,
+                          StoppingCriteria, absolute_2d, absolute_3d,
+                          relative_3d, relative_hetero)
+from .errors import GimbalLockError, RegistrationError
+from .experiments import (SWEEP_AXES, ExperimentConfig, emit_reports,
+                          emit_sweep_reports, read_batch, realizations,
                           run_experiment, sweep, write_batch)
-from .geometry import (EulerAngles, Spherical, cart_to_spherical,
-                       collinearity_ratio, direction_from_angles,
-                       euler_to_rotation, geodesic_angle, is_rotation_matrix,
-                       rotation_from_rotvec, rotation_to_euler,
-                       spherical_to_cart, wrap_angle)
-from .scenario import (Leg, ScenarioTruth, SensorTruth, TrajectorySpec,
-                       build_batch, generate_trajectory, observe,
-                       sample_biases, sample_sensor_locations)
-from .triangulation import (BearingSet, TriangulationFix, bearing_residuals,
-                            triangulate, triangulate_batch)
+from .geometry import (EulerAngles, cart_to_spherical, euler_to_rotation,
+                       geodesic_angle, rotation_to_euler)
+from .scenario import (SensorTruth, TrajectorySpec, build_batch, sample_biases,
+                       sample_sensor_locations)
+from .triangulation import BearingSet, triangulate
 from .wahba import solve_wahba, wahba_cost
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BearingSet", "CalibrationResult", "ConfigError", "DegenerateInputError",
-    "ErrorReport", "EulerAngles", "ExperimentConfig", "ExperimentError",
-    "GimbalLockError", "IllConditionedError", "Leg", "MeasurementBatch",
-    "MissingRangeError", "NoConvergenceError", "RegistrationError",
-    "RunRecord", "ScenarioTruth", "SensorMeasurements", "SensorTruth",
-    "Spherical", "StoppingCriteria", "TrajectorySpec", "TriangulationError",
-    "TriangulationFix", "ZeroVectorError", "absolute_2d", "absolute_2d_pair",
-    "absolute_3d", "absolute_3d_pair", "bearing_residuals", "build_batch",
-    "cart_to_spherical", "collinearity_ratio", "direction_from_angles",
+    "ALGORITHMS", "BearingSet", "EulerAngles", "ExperimentConfig",
+    "GimbalLockError", "MeasurementBatch", "RegistrationError", "SWEEP_AXES",
+    "SensorMeasurements", "SensorTruth", "StoppingCriteria", "TrajectorySpec",
+    "absolute_2d", "absolute_3d", "build_batch", "cart_to_spherical",
     "emit_reports", "emit_sweep_reports", "euler_to_rotation",
-    "generate_trajectory", "geodesic_angle", "is_rotation_matrix", "observe",
-    "pairwise_cost", "read_batch", "relative_3d", "relative_hetero",
-    "rotation_from_rotvec", "rotation_to_euler", "run_experiment",
-    "sample_biases", "sample_sensor_locations", "solve_wahba",
-    "spherical_to_cart", "sweep", "triangulate", "triangulate_batch",
-    "wahba_cost", "wrap_angle", "write_batch",
+    "geodesic_angle", "read_batch", "realizations", "relative_3d",
+    "relative_hetero", "rotation_to_euler", "run_experiment", "sample_biases",
+    "sample_sensor_locations", "solve_wahba", "sweep", "triangulate",
+    "wahba_cost", "write_batch",
 ]

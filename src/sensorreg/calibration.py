@@ -22,7 +22,7 @@ from .triangulation import (LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, STATUS_OK,
                             bearing_residuals, intersect_rays,
                             solve_positive_definite,
                             triangulate_batch)
-from .wahba import solve_wahba
+from .wahba import solve_wahba, wahba_cost
 
 COLLINEAR_WARN_RATIO = 0.01
 # intersect-and-align sweeps that bring the bearing-only joint solver
@@ -131,10 +131,6 @@ class MeasurementBatch:
     def n_epochs(self) -> int:
         return self.sensors[0].n
 
-    @property
-    def all_3d(self) -> bool:
-        return all(m.is_3d for m in self.sensors)
-
     def local_positions(self) -> list:
         """Per-sensor (n, 3) Cartesian positions; requires 3D sensors."""
         return [m.local_positions() for m in self.sensors]
@@ -191,20 +187,14 @@ class CalibrationResult:
     dropped_indices: int = 0
 
 
-def pairwise_cost(rotations, batch: MeasurementBatch = None, *,
-                  local_positions=None, locations=None) -> float:
+def pairwise_cost(rotations, batch: MeasurementBatch) -> float:
     """Total squared disagreement between corrected sensor tracks.
 
     sum over sensor pairs (s < t) and targets i of
-    ||R_s p_s^i + l_s - (R_t p_t^i + l_t)||^2.
-
-    Positions come from ``batch`` (3D sensors) or, for bearing-only
-    data, from ``local_positions``/``locations`` directly.
+    ||R_s p_s^i + l_s - (R_t p_t^i + l_t)||^2, with the local positions
+    p_s^i of the batch's 3D sensors.
     """
-    if batch is not None:
-        local_positions = batch.local_positions()
-        locations = batch.locations
-    return _cost(rotations, local_positions, np.asarray(locations, dtype=float))
+    return _cost(rotations, batch.local_positions(), batch.locations)
 
 
 def _cost(rotations, positions, locations) -> float:
@@ -261,16 +251,21 @@ def relative_hetero(batch: MeasurementBatch) -> np.ndarray:
     ZeroVectorError
         If a target coincides with sensor 0's location.
     """
+    return solve_wahba(*_hetero_vectors(batch))
+
+
+def _hetero_vectors(batch):
+    """Sensor 0's line-of-sight directions and the unit directions to
+    sensor 1's positions from sensor 0's location, each (n, 3)."""
     _check_sensor_count(batch, 2)
     if not batch.sensors[1].is_3d:
         raise MissingRangeError("reference sensor must supply ranges")
-    q0 = batch.sensors[0].directions()
     shifted = batch.sensors[1].local_positions() \
         + (batch.locations[1] - batch.locations[0])
     norms = np.linalg.norm(shifted, axis=1)
     if np.any(norms < 1e-12):
         raise ZeroVectorError("a target coincides with sensor 0's location")
-    return solve_wahba(q0, shifted / norms[:, np.newaxis])
+    return batch.sensors[0].directions(), shifted / norms[:, np.newaxis]
 
 
 def absolute_3d_pair(batch: MeasurementBatch,
@@ -539,3 +534,57 @@ def _warn_if_collinear(locations):
         warnings.warn(
             f"sensor locations are nearly collinear (spread ratio {ratio:.2e}); "
             "rotation biases may not be fully observable", stacklevel=3)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One paper algorithm: ``solve(batch, stopping)`` and the batches it
+    accepts.  ``sensor_kind`` is "3d", "2d" or "hetero" (sensor 0
+    bearing-only, sensor 1 with ranges); a ``pair`` algorithm takes
+    exactly two sensors, the others three or more.  A ``relative`` one
+    trusts sensor 1 as an unbiased reference and estimates sensor 0."""
+
+    solve: object
+    sensor_kind: str
+    pair: bool
+    relative: bool = False
+
+    def accepts_count(self, count: int) -> bool:
+        return count == 2 if self.pair else count >= 3
+
+    def sensor_kinds(self, count: int) -> list:
+        """The kind, "3d" or "2d", of each of ``count`` sensors."""
+        return ["2d", "3d"] if self.sensor_kind == "hetero" else [self.sensor_kind] * count
+
+    def accepts(self, batch: MeasurementBatch) -> bool:
+        count = batch.n_sensors
+        return self.accepts_count(count) and self.sensor_kinds(count) == [
+            "3d" if m.is_3d else "2d" for m in batch.sensors]
+
+
+def _relative_result(rotation, cost) -> CalibrationResult:
+    return CalibrationResult(estimates=[rotation, np.eye(3)], cost_trace=[cost],
+                             iterations=1, converged=True)
+
+
+def _solve_alg1(batch, stopping) -> CalibrationResult:
+    rotation = relative_3d(batch)
+    return _relative_result(rotation, pairwise_cost([rotation, np.eye(3)], batch))
+
+
+def _solve_alg2(batch, stopping) -> CalibrationResult:
+    directions, unit = _hetero_vectors(batch)
+    rotation = solve_wahba(directions, unit)
+    return _relative_result(rotation, wahba_cost(rotation, directions, unit))
+
+
+# Every solver looks its entry point up on this module when it is called,
+# so a wrapped or patched module attribute is the one that runs.
+ALGORITHMS = {
+    "alg1": Algorithm(_solve_alg1, "3d", pair=True, relative=True),
+    "alg2": Algorithm(_solve_alg2, "hetero", pair=True, relative=True),
+    "alg3": Algorithm(lambda b, st: absolute_3d_pair(b, st), "3d", pair=True),
+    "alg4": Algorithm(lambda b, st: absolute_3d(b, st), "3d", pair=False),
+    "alg6": Algorithm(lambda b, st: absolute_2d_pair(b, st), "2d", pair=True),
+    "alg7": Algorithm(lambda b, st: absolute_2d(b, st), "2d", pair=False),
+}

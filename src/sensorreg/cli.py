@@ -1,6 +1,7 @@
 """Command-line front end: simulate, calibrate, experiment, sweep."""
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -8,14 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration
+from .calibration import ALGORITHMS, StoppingCriteria
 from .errors import GimbalLockError, RegistrationError
-from .experiments import (ALGORITHMS, ExperimentConfig, emit_reports,
-                          emit_sweep_reports, read_batch, run_experiment,
-                          sweep, write_batch, _draw_biases)
+from .experiments import (SWEEP_AXES, ExperimentConfig, emit_reports,
+                          emit_sweep_reports, read_batch, realizations,
+                          run_experiment, sweep, write_batch)
 from .geometry import rotation_to_euler
-from .scenario import SensorTruth, TrajectorySpec, build_batch, \
-    generate_trajectory, sample_sensor_locations
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -25,18 +24,10 @@ def _load_config(args) -> ExperimentConfig:
     else:
         cfg = ExperimentConfig()
     # flags beat file values
-    import dataclasses
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.algorithm is not None:
-        updates["algorithm"] = args.algorithm
-    if args.sensors is not None:
-        updates["sensor_count"] = args.sensors
-    if args.mc_runs is not None:
-        updates["mc_runs"] = args.mc_runs
-    if args.out_dir is not None:
-        updates["out_dir"] = args.out_dir
+    flags = {"seed": args.seed, "algorithm": args.algorithm,
+             "sensor_count": args.sensors, "mc_runs": args.mc_runs,
+             "out_dir": args.out_dir}
+    updates = {key: value for key, value in flags.items() if value is not None}
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -55,27 +46,7 @@ def cmd_simulate(args) -> int:
     out = Path(cfg.out_dir or "simulated")
     out.mkdir(parents=True, exist_ok=True)
 
-    spec = TrajectorySpec(duration=cfg.duration_s, sample_period=cfg.sample_period_s)
-    points = generate_trajectory(spec)
-    master = np.random.SeedSequence(cfg.seed)
-    placement_child, run_child = master.spawn(2)
-    if cfg.sensor_locations_m is not None:
-        locations = np.asarray(cfg.sensor_locations_m, dtype=float)
-    else:
-        locations = sample_sensor_locations(
-            cfg.sensor_count, placement_child,
-            center=points[:, :2].mean(axis=0),
-            box=tuple(1000.0 * v for v in cfg.placement_box_km))
-    bias_ss, noise_ss = run_child.spawn(2)
-    biases = _draw_biases(cfg, np.random.default_rng(bias_ss))
-    kinds = cfg.sensor_kinds()
-    sensors = [SensorTruth(location=tuple(locations[s]), kind=kinds[s],
-                           bias=biases[s],
-                           sigma_range=cfg.sigma_range_m,
-                           sigma_az=cfg.sigma_az_mrad / 1000.0,
-                           sigma_el=cfg.sigma_el_mrad / 1000.0)
-               for s in range(cfg.sensor_count)]
-    batch, truth = build_batch(points, sensors, noise_ss)
+    batch, truth = next(realizations(cfg, 1))
 
     write_batch(batch, out / "batch.csv", out / "sensors.json")
     truth_payload = {
@@ -83,7 +54,7 @@ def cmd_simulate(args) -> int:
             "id": s,
             "bias_deg": [math.degrees(a) for a in truth.biases[s]],
             "rotation": truth.rotations[s].tolist(),
-        } for s in range(len(sensors))],
+        } for s in range(batch.n_sensors)],
         "target_positions_m": truth.target_positions.tolist(),
     }
     with open(out / "truth.json", "w") as fh:
@@ -94,13 +65,11 @@ def cmd_simulate(args) -> int:
 
 
 def _infer_algorithm(batch) -> str:
-    kinds = [m.is_3d for m in batch.sensors]
-    if all(kinds):
-        return "alg3" if batch.n_sensors == 2 else "alg4"
-    if not any(kinds):
-        return "alg6" if batch.n_sensors == 2 else "alg7"
-    if batch.n_sensors == 2 and not kinds[0] and kinds[1]:
-        return "alg2"
+    """The first selector whose algorithm accepts the batch, absolute
+    algorithms before relative ones."""
+    for name, algorithm in sorted(ALGORITHMS.items(), key=lambda kv: kv[1].relative):
+        if algorithm.accepts(batch):
+            return name
     raise RegistrationError(
         "cannot infer an algorithm for this mix of sensor kinds; "
         "pass --algorithm explicitly")
@@ -109,10 +78,7 @@ def _infer_algorithm(batch) -> str:
 def cmd_calibrate(args) -> int:
     batch = read_batch(args.batch, args.sensors_file)
     algorithm = args.algorithm or _infer_algorithm(batch)
-    stopping = calibration.StoppingCriteria()
-
-    from .experiments import _run_algorithm
-    result = _run_algorithm(algorithm, batch, stopping)
+    result = ALGORITHMS[algorithm].solve(batch, StoppingCriteria())
 
     sensors = []
     for s, rot in enumerate(result.estimates):
@@ -199,7 +165,7 @@ def main(argv=None) -> int:
     p_swp = sub.add_parser("sweep", help="run experiments along one axis")
     _add_common(p_swp)
     p_swp.add_argument("--axis", required=True,
-                       choices=("sensor_count", "noise_std", "sample_count"))
+                       choices=SWEEP_AXES)
     p_swp.add_argument("--values", required=True,
                        help="comma-separated axis values, e.g. 1,2,3,4,5")
     p_swp.set_defaults(func=cmd_sweep)

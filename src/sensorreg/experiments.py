@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import calibration
-from .calibration import (CalibrationResult, MeasurementBatch,
-                          SensorMeasurements, StoppingCriteria, pairwise_cost)
+from .calibration import (ALGORITHMS, MeasurementBatch, SensorMeasurements,
+                          StoppingCriteria)
 from .errors import (ConfigError, DegenerateInputError, ExperimentError,
                      RegistrationError)
 from .geometry import (EulerAngles, geodesic_angle, rotation_to_euler,
@@ -26,19 +25,8 @@ from .geometry import (EulerAngles, geodesic_angle, rotation_to_euler,
 from .scenario import (SensorTruth, TrajectorySpec, build_batch,
                        generate_trajectory, sample_biases,
                        sample_sensor_locations)
-from .wahba import wahba_cost
 
 RAD_TO_MRAD = 1000.0
-
-# selector -> (solver kind, required sensor kind, sensor count constraint)
-ALGORITHMS = {
-    "alg1": ("relative", "3d", "=2"),      # one 3D sensor against a 3D reference
-    "alg2": ("relative", "hetero", "=2"),  # bearing-only sensor against a 3D reference
-    "alg3": ("absolute", "3d", "=2"),      # 3D pair, gauge-ambiguous
-    "alg4": ("absolute", "3d", ">=3"),     # 3D network
-    "alg6": ("absolute", "2d", "=2"),      # bearing-only pair, gauge-ambiguous
-    "alg7": ("absolute", "2d", ">=3"),     # bearing-only network
-}
 
 SWEEP_AXES = ("sensor_count", "noise_std", "sample_count")
 
@@ -93,15 +81,13 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose one of {sorted(ALGORITHMS)}")
-        _, kind, count = ALGORITHMS[self.algorithm]
-        if self.sensor_kind != kind:
-            raise ConfigError(f"{self.algorithm} needs sensor_kind={kind!r}, "
-                              f"got {self.sensor_kind!r}")
-        if count == "=2" and self.sensor_count != 2:
-            raise ConfigError(f"{self.algorithm} needs exactly 2 sensors, "
-                              f"got {self.sensor_count}")
-        if count == ">=3" and self.sensor_count < 3:
-            raise ConfigError(f"{self.algorithm} needs at least 3 sensors, "
+        algorithm = ALGORITHMS[self.algorithm]
+        if self.sensor_kind != algorithm.sensor_kind:
+            raise ConfigError(f"{self.algorithm} needs sensor_kind="
+                              f"{algorithm.sensor_kind!r}, got {self.sensor_kind!r}")
+        if not algorithm.accepts_count(self.sensor_count):
+            rule = "exactly 2" if algorithm.pair else "at least 3"
+            raise ConfigError(f"{self.algorithm} needs {rule} sensors, "
                               f"got {self.sensor_count}")
         if self.mc_runs < 1:
             raise ConfigError("mc_runs must be at least 1")
@@ -136,9 +122,7 @@ class ExperimentConfig:
         return cls(**d)
 
     def sensor_kinds(self) -> list:
-        if self.sensor_kind == "hetero":
-            return ["2d", "3d"]
-        return [self.sensor_kind] * self.sensor_count
+        return ALGORITHMS[self.algorithm].sensor_kinds(self.sensor_count)
 
     def stopping(self) -> StoppingCriteria:
         return StoppingCriteria(rel_cost_tol=self.rel_cost_tol,
@@ -175,22 +159,21 @@ class ErrorReport:
     success_rate: float
 
 
-def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
-    """Run the full seeded Monte-Carlo study described by ``cfg``.
+def realizations(cfg: ExperimentConfig, count: int):
+    """Yield the first ``count`` (MeasurementBatch, ScenarioTruth) pairs
+    of the study ``cfg`` describes.
 
-    Realizations are scored against the simulated truth: per-sensor
-    Euler-angle errors (wrapped), plus the geodesic rotation angle.
-    Failed realizations are recorded and skipped in the aggregates; the
-    experiment itself fails if fewer than 80% succeed.
+    Realization r depends only on the config and r: the config's seed
+    spawns one stream that places the sensors, then one per realization
+    for its biases and its noise.
     """
-    cfg.validate()
     spec = TrajectorySpec(duration=cfg.duration_s, sample_period=cfg.sample_period_s)
     points = generate_trajectory(spec)
     if cfg.sample_count is not None:
         points = points[_thin_indices(points.shape[0], cfg.sample_count)]
 
     master = np.random.SeedSequence(cfg.seed)
-    placement_child, *run_children = master.spawn(1 + cfg.mc_runs)
+    placement_child, *run_children = master.spawn(1 + count)
     if cfg.sensor_locations_m is not None:
         locations = np.asarray(cfg.sensor_locations_m, dtype=float)
     else:
@@ -200,9 +183,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
             center=points[:, :2].mean(axis=0), box=box)
 
     kinds = cfg.sensor_kinds()
-    stopping = cfg.stopping()
-    runs = []
-    for r, child in enumerate(run_children):
+    for child in run_children:
         bias_ss, noise_ss = child.spawn(2)
         biases = _draw_biases(cfg, np.random.default_rng(bias_ss))
         sensors = [
@@ -213,8 +194,21 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
                         sigma_el=cfg.sigma_el_mrad / RAD_TO_MRAD)
             for s in range(cfg.sensor_count)
         ]
-        batch, truth = build_batch(points, sensors, noise_ss)
-        runs.append(_score_run(r, cfg, batch, truth, stopping))
+        yield build_batch(points, sensors, noise_ss)
+
+
+def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
+    """Run the full seeded Monte-Carlo study described by ``cfg``.
+
+    Realizations are scored against the simulated truth: per-sensor
+    Euler-angle errors (wrapped), plus the geodesic rotation angle.
+    Failed realizations are recorded and skipped in the aggregates; the
+    experiment itself fails if fewer than 80% succeed.
+    """
+    cfg.validate()
+    stopping = cfg.stopping()
+    runs = [_score_run(r, cfg, batch, truth, stopping)
+            for r, (batch, truth) in enumerate(realizations(cfg, cfg.mc_runs))]
 
     ok = [rec for rec in runs if rec.ok]
     success_rate = len(ok) / cfg.mc_runs
@@ -235,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 
 def _score_run(r, cfg, batch, truth, stopping) -> RunRecord:
     try:
-        result = _run_algorithm(cfg.algorithm, batch, stopping)
+        result = ALGORITHMS[cfg.algorithm].solve(batch, stopping)
         n_sensors = batch.n_sensors
         errors = np.empty((n_sensors, 3))
         geodesic = np.empty(n_sensors)
@@ -257,32 +251,6 @@ def _score_run(r, cfg, batch, truth, stopping) -> RunRecord:
                          failure=f"{type(exc).__name__}: {exc}")
 
 
-def _run_algorithm(algorithm, batch, stopping) -> CalibrationResult:
-    if algorithm == "alg3":
-        return calibration.absolute_3d_pair(batch, stopping)
-    if algorithm == "alg4":
-        return calibration.absolute_3d(batch, stopping)
-    if algorithm == "alg6":
-        return calibration.absolute_2d_pair(batch, stopping)
-    if algorithm == "alg7":
-        return calibration.absolute_2d(batch, stopping)
-    if algorithm == "alg1":
-        rot = calibration.relative_3d(batch)
-        cost = pairwise_cost([rot, np.eye(3)], batch)
-        return CalibrationResult(estimates=[rot, np.eye(3)], cost_trace=[cost],
-                                 iterations=1, converged=True)
-    if algorithm == "alg2":
-        rot = calibration.relative_hetero(batch)
-        dirs = batch.sensors[0].directions()
-        shifted = batch.sensors[1].local_positions() \
-            + (batch.locations[1] - batch.locations[0])
-        unit = shifted / np.linalg.norm(shifted, axis=1)[:, np.newaxis]
-        cost = wahba_cost(rot, dirs, unit)
-        return CalibrationResult(estimates=[rot, np.eye(3)], cost_trace=[cost],
-                                 iterations=1, converged=True)
-    raise ConfigError(f"unknown algorithm {algorithm!r}")
-
-
 def _draw_biases(cfg, rng) -> list:
     if cfg.fixed_biases_deg is not None:
         return [EulerAngles(*(math.radians(v) for v in row))
@@ -290,7 +258,7 @@ def _draw_biases(cfg, rng) -> list:
     biases = sample_biases(cfg.sensor_count, rng,
                            low=math.radians(cfg.bias_low_deg),
                            high=math.radians(cfg.bias_high_deg))
-    if ALGORITHMS[cfg.algorithm][0] == "relative":
+    if ALGORITHMS[cfg.algorithm].relative:
         # the reference sensor is assumed unbiased by these algorithms
         biases[1] = EulerAngles(0.0, 0.0, 0.0)
     return biases
@@ -469,16 +437,9 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
 
     Columns are found by header name.  A malformed file raises
     ``ValueError`` naming the file, the line and, for a bad cell, the
-    column.
+    column; a malformed sidecar names the file and the sensor.
     """
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    try:
-        locations = {int(s["id"]): np.array(s["location_m"], dtype=float)
-                     for s in sidecar["sensors"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{sidecar_path}: expected {{\"sensors\": [{{\"id\": "
-                         f"..., \"location_m\": [x, y, z]}}, ...]}}") from exc
+    locations, kinds = _read_sidecar(sidecar_path)
 
     rows = {}
     with open(csv_path, newline="") as fh:
@@ -522,6 +483,9 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
         has_rng = [r is not None for r in ranges]
         if any(has_rng) and not all(has_rng):
             raise ValueError(f"sensor {s}: rng_m must be all present or all empty")
+        if kinds[s] is not None and (kinds[s] == "3d") != all(has_rng):
+            raise ValueError(f"{sidecar_path}: sensor {s} has kind {kinds[s]!r} but "
+                             f"its rng_m cells {'hold ranges' if all(has_rng) else 'are empty'}")
         try:
             sensors.append(SensorMeasurements(
                 az=np.array([e[2] for e in entries]),
@@ -533,6 +497,33 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
     return MeasurementBatch(
         sensors=tuple(sensors),
         locations=np.array([locations[s] for s in ordered], dtype=float))
+
+
+def _read_sidecar(path) -> tuple:
+    """Location and kind (None when not given) by sensor id of a sidecar."""
+    try:
+        with open(path) as fh:
+            sidecar = json.load(fh)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {exc}") from exc
+    try:
+        entries = [(int(s["id"]), np.array(s["location_m"], dtype=float),
+                    s.get("kind")) for s in sidecar["sensors"]]
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: expected {{\"sensors\": [{{\"id\": "
+                         f"..., \"location_m\": [x, y, z]}}, ...]}}") from exc
+    locations, kinds = {}, {}
+    for sid, location, kind in entries:
+        if sid in locations:
+            raise ValueError(f"{path}: sensor id {sid} appears more than once")
+        if location.shape != (3,):
+            raise ValueError(f"{path}: sensor {sid}: location_m must be "
+                             f"[x, y, z], got {location.tolist()}")
+        if kind not in (None, "2d", "3d"):
+            raise ValueError(f"{path}: sensor {sid}: kind must be \"2d\" or "
+                             f"\"3d\", got {kind!r}")
+        locations[sid], kinds[sid] = location, kind
+    return locations, kinds
 
 
 def _bad_cell(cells) -> str:

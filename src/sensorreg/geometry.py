@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GimbalLockError, MissingRangeError, ZeroVectorError
+from .errors import GimbalLockError, ZeroVectorError
 
 ZERO_NORM_TOL = 1e-12
 GIMBAL_TOL = 1e-9
@@ -20,8 +20,7 @@ ROTATION_TOL = 1e-9
 class Spherical(NamedTuple):
     """Spherical coordinates (range in meters, angles in radians).
 
-    ``rng`` is None for bearing-only (2D sensor) data.  Fields may hold
-    arrays when produced from stacked Cartesian input.
+    Fields hold arrays when produced from stacked Cartesian input.
     """
 
     rng: object
@@ -72,20 +71,6 @@ def cart_to_spherical(p) -> Spherical:
     if p.ndim == 1:
         return Spherical(float(rng), float(az), float(el))
     return Spherical(rng, az, el)
-
-
-def spherical_to_cart(s: Spherical) -> np.ndarray:
-    """Convert range/azimuth/elevation back to Cartesian coordinates.
-
-    Raises
-    ------
-    MissingRangeError
-        If ``s.rng`` is None (bearing-only data has no Cartesian point).
-    """
-    if s.rng is None:
-        raise MissingRangeError("range is required to form a Cartesian point")
-    rng = np.asarray(s.rng, dtype=float)
-    return rng[..., np.newaxis] * direction_from_angles(s.az, s.el)
 
 
 def direction_from_angles(az, el) -> np.ndarray:

@@ -149,26 +149,6 @@ class SensorTruth:
         return euler_to_rotation(self.bias)
 
 
-def observe(p0, sensor: SensorTruth, rng: np.random.Generator = None):
-    """Measure one true target position with one sensor.
-
-    Returns a Spherical measurement in the sensor's biased local frame;
-    ``rng=None`` gives a noiseless measurement.  Range is None for a
-    "2d" sensor.
-    """
-    rel = np.asarray(p0, dtype=float) - sensor.location_array
-    local = sensor.correcting_rotation.T @ rel
-    sph = cart_to_spherical(local)
-    if rng is None:
-        noise = np.zeros(3)
-    else:
-        noise = rng.normal(size=3)
-    r = sph.rng + sensor.sigma_range * noise[0]
-    az = float(wrap_angle(sph.az + sensor.sigma_az * noise[1]))
-    el = sph.el + sensor.sigma_el * noise[2]
-    return sph._replace(rng=r if sensor.kind == "3d" else None, az=az, el=el)
-
-
 @dataclass(frozen=True)
 class ScenarioTruth:
     """What the simulator knows and calibration must not see."""

@@ -133,10 +133,11 @@ class TestPairwiseCost:
         # common-frame tracks differ by (10, 0, 0) at epoch 0 and agree at 1
         positions = [np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]]),
                      np.array([[-80.0, 0.0, 0.0], [-100.0, 10.0, 0.0]])]
-        locations = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-        rotations = [np.eye(3), np.eye(3)]
-        cost = pairwise_cost(rotations, local_positions=positions,
-                             locations=locations)
+        sensors = [SensorMeasurements(az=sph.az, el=sph.el, rng=sph.rng)
+                   for sph in map(cart_to_spherical, positions)]
+        batch = MeasurementBatch(sensors=sensors,
+                                 locations=[[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
+        cost = pairwise_cost([np.eye(3), np.eye(3)], batch)
         assert cost == pytest.approx(100.0)
 
     def test_zero_at_truth(self):
@@ -147,17 +148,6 @@ class TestPairwiseCost:
         batch = noiseless_batch(points, locations, biases)
         truth = [euler_to_rotation(b) for b in biases]
         assert pairwise_cost(truth, batch) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_batch_and_kwargs(self):
-        points = make_targets(10)
-        locations = np.array([[0.0, 0.0, 0.0], [4000.0, 500.0, -100.0]])
-        biases = [EulerAngles(0.02, 0.01, -0.03)] * 2
-        batch = noiseless_batch(points, locations, biases)
-        rots = [np.eye(3), np.eye(3)]
-        by_batch = pairwise_cost(rots, batch)
-        by_kwargs = pairwise_cost(rots, local_positions=batch.local_positions(),
-                                  locations=locations)
-        assert by_batch == pytest.approx(by_kwargs, rel=1e-12)
 
 
 class TestRelative3d:

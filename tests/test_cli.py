@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 from sensorreg.calibration import MeasurementBatch, SensorMeasurements
 from sensorreg.cli import _infer_algorithm, main
 from sensorreg.errors import RegistrationError
-from sensorreg.experiments import BATCH_COLUMNS, read_batch, write_batch
+from sensorreg import experiments
+from sensorreg.experiments import (BATCH_COLUMNS, ExperimentConfig, read_batch,
+                                   run_experiment, write_batch)
 from sensorreg.scenario import SensorTruth, TrajectorySpec, build_batch
 
 RING = [[14500.0, 1700.0, -300.0], [2500.0, 8600.0, -600.0],
@@ -93,6 +96,39 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out1)]) == 0
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out2)]) == 0
         assert (out1 / "batch.csv").read_bytes() == (out2 / "batch.csv").read_bytes()
+
+    def test_sample_count(self, tmp_path):
+        cfg = write_config(tmp_path, sample_count=10)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        batch = read_batch(out / "batch.csv", out / "sensors.json")
+        assert batch.n_epochs == 10
+        truth = json.loads((out / "truth.json").read_text())
+        assert len(truth["target_positions_m"]) == 10
+
+    def test_writes_realization_zero(self, tmp_path, monkeypatch):
+        overrides = dict(sigma_az_mrad=3.0, sigma_el_mrad=3.0, sigma_range_m=10.0,
+                         fixed_biases_deg=None, sensor_locations_m=None,
+                         sample_count=20)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(write_config(tmp_path, **overrides)),
+                     "--out-dir", str(out)]) == 0
+
+        built = []
+        build_batch = experiments.build_batch
+        monkeypatch.setattr(experiments, "build_batch",
+                            lambda *a: built.append(build_batch(*a)) or built[-1])
+        run_experiment(ExperimentConfig.from_dict({**NOISELESS_CONFIG, **overrides}))
+        batch, truth = built[0]
+        write_batch(batch, tmp_path / "batch.csv", tmp_path / "sensors.json")
+        for name in ("batch.csv", "sensors.json"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        written = json.loads((out / "truth.json").read_text())
+        assert written["target_positions_m"] == truth.target_positions.tolist()
+        for sensor, rotation, bias in zip(written["sensors"], truth.rotations,
+                                          truth.biases):
+            assert sensor["rotation"] == rotation.tolist()
+            assert sensor["bias_deg"] == [math.degrees(a) for a in bias]
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, sigma_az_mrad=3.0, sigma_el_mrad=3.0,

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sensorreg import calibration
+from sensorreg.calibration import ALGORITHMS
 from sensorreg.errors import ConfigError, DegenerateInputError, ExperimentError
 from sensorreg.experiments import (
-    ALGORITHMS,
     SWEEP_AXES,
     ExperimentConfig,
     _score_run,
@@ -16,6 +16,7 @@ from sensorreg.experiments import (
     emit_reports,
     emit_sweep_reports,
     read_batch,
+    realizations,
     run_experiment,
     sweep,
     write_batch,
@@ -175,6 +176,18 @@ class TestRunExperiment:
         r3 = run_experiment(quiet_config(seed=1, **noisy))
         np.testing.assert_array_equal(r1.rms_mrad, r2.rms_mrad)
         assert not np.array_equal(r1.rms_mrad, r3.rms_mrad)
+
+    def test_realization_depends_only_on_its_index(self):
+        cfg = quiet_config(sigma_range_m=10.0, sigma_az_mrad=3.0,
+                           sigma_el_mrad=3.0, fixed_biases_deg=None)
+        short = list(realizations(cfg, 2))
+        long = list(realizations(cfg, 5))
+        for (batch, truth), (again, truth_again) in zip(short, long):
+            for m, m_again in zip(batch.sensors, again.sensors):
+                np.testing.assert_array_equal(m.az, m_again.az)
+                np.testing.assert_array_equal(m.rng, m_again.rng)
+            assert truth.biases == truth_again.biases
+        assert long[2][1].biases != long[1][1].biases
 
     def test_sample_count_thins_epochs(self):
         report = run_experiment(quiet_config(sample_count=10))
@@ -379,6 +392,43 @@ class TestBatchFiles:
             [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},
              {"id": 1, "location_m": [100, 0, 0], "kind": "3d"}])
         with pytest.raises(ValueError, match=match):
+            read_batch(csv_path, sidecar)
+
+    @pytest.mark.parametrize("sidecar, match", [
+        ('{"sensors": [{"id": 0, "location_m": [0, 0, 0]},'
+         ' {"id": 1, "location_m": [1, 2]}]}',
+         r"sensors.json: sensor 1: location_m must be \[x, y, z\], got \[1.0, 2.0\]"),
+        ('{"sensors": [{"id": 0, "location_m": [0, 0, 0]},'
+         ' {"id": 1, "location_m": [100, 0, 0]}, {"id": 0, "location_m": [5, 0, 0]}]}',
+         "sensors.json: sensor id 0 appears more than once"),
+        ('{"sensors": [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},'
+         ' {"id": 1, "location_m": [100, 0, 0], "kind": "2d"}]}',
+         "sensors.json: sensor 0 has kind '3d' but its rng_m cells are empty"),
+        ('{"sensors": [{"id": 0, "location_m": [0, 0, 0]}',
+         "sensors.json: Expecting"),
+        ('{"sensors": [{"id": Infinity, "location_m": [0, 0, 0]}]}',
+         "sensors.json: expected"),
+    ], ids=["short-location", "duplicate-id", "kind-3d-without-ranges",
+            "json-syntax", "infinite-id"])
+    def test_malformed_sidecar_names_file_and_sensor(self, tmp_path, sidecar, match):
+        csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
+                    "0,0,,0.1,0.0\n0,1,,0.2,0.0\n"
+                    "1,0,,0.1,0.0\n1,1,,0.2,0.0\n")
+        csv_path, sidecar_path = self.write_pair(tmp_path, csv_text, [])
+        sidecar_path.write_text(sidecar)
+        with pytest.raises(ValueError, match=match):
+            read_batch(csv_path, sidecar_path)
+
+    def test_sidecar_kind_must_match_ranges(self, tmp_path):
+        csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
+                    "0,0,100.0,0.1,0.0\n0,1,100.0,0.2,0.0\n"
+                    "1,0,100.0,0.1,0.0\n1,1,100.0,0.2,0.0\n")
+        csv_path, sidecar = self.write_pair(
+            tmp_path, csv_text,
+            [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},
+             {"id": 1, "location_m": [100, 0, 0], "kind": "2d"}])
+        with pytest.raises(ValueError, match="sensor 1 has kind '2d' but its "
+                                             "rng_m cells hold ranges"):
             read_batch(csv_path, sidecar)
 
     def test_columns_found_by_header_name(self, tmp_path):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from sensorreg.errors import GimbalLockError, MissingRangeError, ZeroVectorError
+from sensorreg.calibration import SensorMeasurements
+from sensorreg.errors import GimbalLockError, ZeroVectorError
 from sensorreg.geometry import (
     EulerAngles,
-    Spherical,
     cart_to_spherical,
     collinearity_ratio,
     direction_from_angles,
@@ -19,7 +19,6 @@ from sensorreg.geometry import (
     rotation_from_rotvec,
     rotation_to_euler,
     skew,
-    spherical_to_cart,
     wrap_angle,
 )
 
@@ -46,6 +45,11 @@ class TestWrapAngle:
         turns = rng.integers(-5, 6, 100)
         wrapped = wrap_angle(base + 2 * np.pi * turns)
         np.testing.assert_allclose(wrapped, base, atol=1e-9)
+
+
+def to_cart(rng, az, el):
+    """Cartesian positions of range/azimuth/elevation measurements."""
+    return SensorMeasurements(az=az, el=el, rng=rng).local_positions()
 
 
 class TestCartToSpherical:
@@ -86,27 +90,22 @@ class TestCartToSpherical:
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         p = rng.normal(scale=1000.0, size=(50, 3))
-        back = spherical_to_cart(cart_to_spherical(p))
+        back = to_cart(*cart_to_spherical(p))
         np.testing.assert_allclose(back, p, rtol=1e-12, atol=1e-9)
 
 
 class TestSphericalToCart:
     def test_known_direction(self):
         # az = el = 45 deg: x = y = 1/2, z = sqrt(2)/2 at unit range
-        p = spherical_to_cart(Spherical(1.0, np.pi / 4, np.pi / 4))
-        np.testing.assert_allclose(p, [0.5, 0.5, np.sqrt(2) / 2], atol=1e-15)
+        p = to_cart([1.0], [np.pi / 4], [np.pi / 4])
+        np.testing.assert_allclose(p, [[0.5, 0.5, np.sqrt(2) / 2]], atol=1e-15)
 
     def test_range_scales(self):
-        p = spherical_to_cart(Spherical(250.0, 0.0, 0.0))
-        np.testing.assert_allclose(p, [250.0, 0.0, 0.0], atol=1e-12)
-
-    def test_missing_range_raises(self):
-        with pytest.raises(MissingRangeError):
-            spherical_to_cart(Spherical(None, 0.1, 0.2))
+        p = to_cart([250.0], [0.0], [0.0])
+        np.testing.assert_allclose(p, [[250.0, 0.0, 0.0]], atol=1e-12)
 
     def test_array_fields(self):
-        s = Spherical(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
-        p = spherical_to_cart(s)
+        p = to_cart(np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(p, [[1, 0, 0], [2, 0, 0]], atol=1e-15)
 
 

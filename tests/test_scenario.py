@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from sensorreg.calibration import MeasurementBatch
 from sensorreg.geometry import EulerAngles, euler_to_rotation, geodesic_angle
@@ -15,7 +16,6 @@ from sensorreg.scenario import (
     TrajectorySpec,
     build_batch,
     generate_trajectory,
-    observe,
     sample_biases,
     sample_sensor_locations,
 )
@@ -106,41 +106,53 @@ class TestSensorTruth:
                               euler_to_rotation(bias)) < 1e-15
 
 
+def observe(points, sensor):
+    """Noiseless measurements of ``points`` by ``sensor``, from build_batch."""
+    reference = SensorTruth(location=(0.0, 0.0, -5000.0))
+    batch, _ = build_batch(np.atleast_2d(points), [sensor, reference], seed=0)
+    return batch.sensors[0]
+
+
 class TestObserve:
+    """What a sensor reports: build_batch's measurement model, noiseless."""
+
     def test_yaw_bias_sign_convention(self):
         # a sensor whose frame is yawed +10 degrees sees a target dead
         # north at azimuth -10 degrees
         sensor = SensorTruth(location=(0.0, 0.0, 0.0),
                              bias=EulerAngles(10 * DEG, 0.0, 0.0))
-        sph = observe([1000.0, 0.0, 0.0], sensor)
-        assert sph.az == pytest.approx(-10 * DEG)
-        assert sph.el == pytest.approx(0.0, abs=1e-12)
-        assert sph.rng == pytest.approx(1000.0)
+        m = observe([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]], sensor)
+        assert m.az[0] == pytest.approx(-10 * DEG)
+        assert m.el[0] == pytest.approx(0.0, abs=1e-12)
+        assert m.rng[0] == pytest.approx(1000.0)
 
     def test_unbiased_measurement(self):
         sensor = SensorTruth(location=(100.0, 200.0, -50.0))
-        sph = observe([1100.0, 200.0, -50.0], sensor)
-        assert sph.az == pytest.approx(0.0, abs=1e-12)
-        assert sph.rng == pytest.approx(1000.0)
+        m = observe([[1100.0, 200.0, -50.0], [100.0, 1200.0, -50.0]], sensor)
+        assert m.az[0] == pytest.approx(0.0, abs=1e-12)
+        assert m.rng[0] == pytest.approx(1000.0)
 
     def test_bearing_only_sensor_has_no_range(self):
         sensor = SensorTruth(location=(0.0, 0.0, 0.0), kind="2d")
-        sph = observe([500.0, 500.0, -100.0], sensor)
-        assert sph.rng is None
-        assert sph.az == pytest.approx(math.atan2(500.0, 500.0))
+        m = observe([[500.0, 500.0, -100.0], [500.0, -500.0, -100.0]], sensor)
+        assert m.rng is None and not m.is_3d
+        assert m.az[0] == pytest.approx(math.atan2(500.0, 500.0))
 
     def test_matches_build_batch_noiseless(self):
+        # scipy's intrinsic Z-Y-X rotation is the independent reference
         traj = generate_trajectory(TrajectorySpec())
-        sensor = SensorTruth(location=(3000.0, -2000.0, -100.0),
-                             bias=EulerAngles(2 * DEG, -1 * DEG, 3 * DEG))
-        batch, _ = build_batch(traj, [sensor,
-                                      SensorTruth(location=(0.0, 0.0, 0.0))],
-                               seed=0)
-        for i in (0, 17, 90):
-            sph = observe(traj[i], sensor)
-            assert batch.sensors[0].az[i] == pytest.approx(sph.az, abs=1e-12)
-            assert batch.sensors[0].el[i] == pytest.approx(sph.el, abs=1e-12)
-            assert batch.sensors[0].rng[i] == pytest.approx(sph.rng, abs=1e-9)
+        bias = EulerAngles(2 * DEG, -1 * DEG, 3 * DEG)
+        sensor = SensorTruth(location=(3000.0, -2000.0, -100.0), bias=bias)
+        m = observe(traj, sensor)
+        rot = Rotation.from_euler("ZYX", list(bias)).as_matrix()
+        local = (traj - sensor.location_array) @ rot
+        np.testing.assert_allclose(m.rng, np.linalg.norm(local, axis=1),
+                                   rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(m.az, np.arctan2(local[:, 1], local[:, 0]),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            m.el, np.arctan2(local[:, 2], np.hypot(local[:, 0], local[:, 1])),
+            rtol=0.0, atol=1e-12)
 
 
 class TestBuildBatch:
