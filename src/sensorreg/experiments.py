@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -437,11 +438,106 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
 
     Columns are found by header name.  A malformed file raises
     ``ValueError`` naming the file, the line and, for a bad cell, the
-    column; a malformed sidecar names the file and the sensor.
+    column; a malformed sidecar names the file and the sensor.  Plain
+    files are parsed in one vectorized pass; anything else goes row by
+    row, with the same result.
     """
     locations, kinds = _read_sidecar(sidecar_path)
+    columns = _parse_plain(csv_path)
+    if columns is None:
+        columns = _parse_rows(csv_path)
+    sid, epoch, rng, has_rng, az, el = columns
 
-    rows = {}
+    ordered = np.unique(sid).tolist()
+    if set(ordered) != set(locations):
+        raise ValueError(f"sensor ids {ordered} in {csv_path} do not match "
+                         f"the ids {sorted(locations)} in {sidecar_path}")
+    sensors = []
+    for s in ordered:
+        rows = np.flatnonzero(sid == s)
+        rows = rows[np.argsort(epoch[rows], kind="stable")]
+        if not np.array_equal(epoch[rows], np.arange(len(rows))):
+            raise ValueError(f"{csv_path}: sensor {s}: epoch indices must be "
+                             f"0..n-1")
+        present = has_rng[rows]
+        if present.any() and not present.all():
+            raise ValueError(f"{csv_path}: sensor {s}: rng_m must be all "
+                             f"present or all empty")
+        if kinds[s] is not None and (kinds[s] == "3d") != present.all():
+            raise ValueError(f"{sidecar_path}: sensor {s} has kind {kinds[s]!r} but "
+                             f"its rng_m cells {'hold ranges' if present.all() else 'are empty'}")
+        try:
+            sensors.append(SensorMeasurements(
+                az=az[rows], el=el[rows],
+                rng=rng[rows] if present.all() else None))
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"sensor {s}: {exc}") from exc
+    return MeasurementBatch(
+        sensors=tuple(sensors),
+        locations=np.array([locations[s] for s in ordered], dtype=float))
+
+
+# Bytes that csv and numpy's loadtxt split, and that int()/float() and
+# loadtxt's number parsers read, the same way: printable ASCII without
+# the quote, plus tab and line ends.  Non-ASCII text must never reach
+# loadtxt, whose integer parser can crash on it.
+_PLAIN_BYTES = bytes(range(32, 127)).replace(b'"', b"") + b"\t\r\n"
+# a line shorter than this holds no cell that csv's field size limit or
+# Python's int digit limit (640 digits at the least) could reject
+_PLAIN_LINE_LIMIT = 640
+# width of the text fields (rng_m and unused columns); a cell that fills
+# it may have been cut short, so the file goes row by row
+_TEXT_WIDTH = 32
+
+
+def _parse_plain(csv_path):
+    """The columns ``_parse_rows`` returns, parsed by one ``np.loadtxt``
+    call, or None when the file is not plain enough for it to be sure
+    of the same result (malformed files always give None)."""
+    with open(csv_path, "rb") as fh:
+        data = fh.read()
+    if data.translate(None, _PLAIN_BYTES) or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    lines = data.decode("ascii").split("\n")
+    if max(map(len, lines)) >= min(_PLAIN_LINE_LIMIT, csv.field_size_limit()):
+        return None
+    header = [cell.strip() for cell in lines[0].split(",")]
+    if not set(BATCH_COLUMNS) <= set(header):
+        return None
+    numeric = {"sensor_id": np.int64, "epoch_index": np.int64,
+               "az_rad": np.float64, "el_rad": np.float64}
+    try:
+        # one field per column, named by the header: np.dtype raises on
+        # a repeated name
+        dtype = np.dtype([(name, numeric.get(name, f"U{_TEXT_WIDTH}"))
+                          for name in header])
+        # as errors: an integer read through a float (a deprecation in
+        # older numpy), a file without rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines[1:], dtype=dtype, delimiter=",",
+                               comments=None, ndmin=1)
+        rng_text = table["rng_m"]
+        if np.char.str_len(rng_text).max() >= _TEXT_WIDTH:
+            return None
+        has_rng = rng_text != ""
+        rng = np.full(len(table), np.nan)
+        rng[has_rng] = rng_text[has_rng].astype(float)
+    except (ValueError, Warning):
+        return None
+    return (table["sensor_id"], table["epoch_index"], rng, has_rng,
+            table["az_rad"], table["el_rad"])
+
+
+def _parse_rows(csv_path) -> tuple:
+    """Sensor id, epoch index, range (NaN where empty), has-range mask,
+    azimuth and elevation of every data row, in file order.
+
+    Raises ``ValueError`` naming the file, the line and the column of
+    the first malformed row.
+    """
+    rows = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -462,41 +558,27 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
                                      f"{len(row)} cells, the header has {len(header)}")
                 sid, epoch, rng_cell, az, el = cells(row)
                 try:
-                    entry = (int(epoch), float(rng_cell) if rng_cell.strip() else None,
-                             float(az), float(el))
-                    s = int(sid)
+                    rows.append((int(sid), int(epoch),
+                                 float(rng_cell) if rng_cell.strip() else None,
+                                 float(az), float(el)))
                 except ValueError:
                     raise ValueError(f"{csv_path} line {line}, "
                                      f"{_bad_cell(cells(row))}") from None
-                rows.setdefault(s, []).append(entry)
         except csv.Error as exc:
             raise ValueError(f"{csv_path} line {reader.line_num}: {exc}") from exc
+    sid, epoch, rng, az, el = zip(*rows) if rows else ((),) * 5
+    return (_int_array(sid), _int_array(epoch),
+            np.array([math.nan if r is None else r for r in rng], dtype=float),
+            np.array([r is not None for r in rng], dtype=bool),
+            np.array(az, dtype=float), np.array(el, dtype=float))
 
-    if set(rows) != set(locations):
-        raise ValueError("sensor ids in CSV and sidecar JSON do not match")
-    sensors = []
-    for s in sorted(rows):
-        entries = sorted(rows[s])
-        if [e[0] for e in entries] != list(range(len(entries))):
-            raise ValueError(f"sensor {s}: epoch indices must be 0..n-1")
-        ranges = [e[1] for e in entries]
-        has_rng = [r is not None for r in ranges]
-        if any(has_rng) and not all(has_rng):
-            raise ValueError(f"sensor {s}: rng_m must be all present or all empty")
-        if kinds[s] is not None and (kinds[s] == "3d") != all(has_rng):
-            raise ValueError(f"{sidecar_path}: sensor {s} has kind {kinds[s]!r} but "
-                             f"its rng_m cells {'hold ranges' if all(has_rng) else 'are empty'}")
-        try:
-            sensors.append(SensorMeasurements(
-                az=np.array([e[2] for e in entries]),
-                el=np.array([e[3] for e in entries]),
-                rng=np.array(ranges, dtype=float) if all(has_rng) else None))
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(f"sensor {s}: {exc}") from exc
-    ordered = sorted(rows)
-    return MeasurementBatch(
-        sensors=tuple(sensors),
-        locations=np.array([locations[s] for s in ordered], dtype=float))
+
+def _int_array(values) -> np.ndarray:
+    """int64, or Python ints when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _read_sidecar(path) -> tuple:
@@ -507,13 +589,19 @@ def _read_sidecar(path) -> tuple:
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"{path}: {exc}") from exc
     try:
-        entries = [(int(s["id"]), np.array(s["location_m"], dtype=float),
+        entries = [(s["id"], np.array(s["location_m"], dtype=float),
                     s.get("kind")) for s in sidecar["sensors"]]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: expected {{\"sensors\": [{{\"id\": "
                          f"..., \"location_m\": [x, y, z]}}, ...]}}") from exc
     locations, kinds = {}, {}
-    for sid, location, kind in entries:
+    for entry, (sid, location, kind) in enumerate(entries):
+        # a JSON integer, or a string of decimal digits ("0")
+        if isinstance(sid, str) and sid.isascii() and sid.isdigit():
+            sid = int(sid)
+        elif not isinstance(sid, int) or isinstance(sid, bool):
+            raise ValueError(f"{path}: expected an integer id in sensor "
+                             f"entry {entry}, got {sid!r}")
         if sid in locations:
             raise ValueError(f"{path}: sensor id {sid} appears more than once")
         if location.shape != (3,):

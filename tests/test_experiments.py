@@ -362,8 +362,10 @@ class TestBatchFiles:
             tmp_path, csv_text,
             [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},
              {"id": 1, "location_m": [100, 0, 0], "kind": "3d"}])
-        with pytest.raises(ValueError, match="ids"):
+        with pytest.raises(ValueError, match="ids") as info:
             read_batch(csv_path, sidecar)
+        assert str(csv_path) in str(info.value)
+        assert str(sidecar) in str(info.value)
 
     def test_bad_epoch_indices(self, tmp_path):
         csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
@@ -373,7 +375,20 @@ class TestBatchFiles:
             tmp_path, csv_text,
             [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},
              {"id": 1, "location_m": [100, 0, 0], "kind": "3d"}])
-        with pytest.raises(ValueError, match="epoch"):
+        with pytest.raises(ValueError, match="epoch") as info:
+            read_batch(csv_path, sidecar)
+        assert str(info.value).startswith(f"{csv_path}: sensor 0: ")
+
+    def test_repeated_epoch_with_and_without_range(self, tmp_path):
+        # sorting such rows as tuples compared a range with None
+        csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
+                    "0,0,,0.1,0.0\n0,0,5.0,0.1,0.0\n"
+                    "1,0,,0.1,0.0\n1,1,,0.2,0.0\n")
+        csv_path, sidecar = self.write_pair(
+            tmp_path, csv_text,
+            [{"id": 0, "location_m": [0, 0, 0]},
+             {"id": 1, "location_m": [100, 0, 0]}])
+        with pytest.raises(ValueError, match="sensor 0: epoch indices"):
             read_batch(csv_path, sidecar)
 
     @pytest.mark.parametrize("csv_text, match", [
@@ -451,5 +466,33 @@ class TestBatchFiles:
             tmp_path, csv_text,
             [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},
              {"id": 1, "location_m": [100, 0, 0], "kind": "3d"}])
-        with pytest.raises(ValueError, match="rng_m"):
+        with pytest.raises(ValueError, match="rng_m") as info:
             read_batch(csv_path, sidecar)
+        assert str(info.value).startswith(f"{csv_path}: sensor 0: ")
+
+    ID_CSV = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
+              "0,0,,0.1,0.0\n0,1,,0.2,0.0\n1,0,,0.1,0.0\n1,1,,0.2,0.0\n")
+
+    @pytest.mark.parametrize("bad_id, shown", [
+        (1.9, "1.9"), (1.0, "1.0"), (True, "True"), ("1.9", "'1.9'"),
+        ("-1", "'-1'"), (None, "None"), ([1], "[1]"),
+    ], ids=["float", "integral-float", "boolean", "float-string",
+            "signed-string", "null", "list"])
+    def test_sidecar_id_must_be_an_integer(self, tmp_path, bad_id, shown):
+        csv_path, sidecar = self.write_pair(
+            tmp_path, self.ID_CSV,
+            [{"id": 0, "location_m": [0, 0, 0]},
+             {"id": bad_id, "location_m": [100, 0, 0]}])
+        with pytest.raises(ValueError) as info:
+            read_batch(csv_path, sidecar)
+        assert str(info.value) == (f"{sidecar}: expected an integer id in "
+                                   f"sensor entry 1, got {shown}")
+
+    def test_sidecar_id_may_be_a_digit_string(self, tmp_path):
+        csv_path, sidecar = self.write_pair(
+            tmp_path, self.ID_CSV,
+            [{"id": "1", "location_m": [100, 0, 0]},
+             {"id": "0", "location_m": [0, 0, 0]}])
+        batch = read_batch(csv_path, sidecar)
+        np.testing.assert_array_equal(batch.locations,
+                                      [[0, 0, 0], [100, 0, 0]])
