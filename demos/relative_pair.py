@@ -54,10 +54,12 @@ def main():
 
         batch, truth = build_batch(spec, sensors("3d", noisy), seed=args.seed)
         truth_rot = truth.rotations[0]
-        report(f"ranging sensor, {tag}:", relative_3d(batch), truth_rot)
+        report(f"ranging sensor, {tag}:", relative_3d(batch).estimates[0],
+               truth_rot)
 
         batch, _ = build_batch(spec, sensors("2d", noisy), seed=args.seed)
-        report(f"bearing-only sensor, {tag}:", relative_hetero(batch), truth_rot)
+        report(f"bearing-only sensor, {tag}:",
+               relative_hetero(batch).estimates[0], truth_rot)
         print()
 
 

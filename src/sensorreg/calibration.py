@@ -3,11 +3,13 @@
 Every sensor observes the same targets in its own, slightly rotated,
 local frame.  These routines estimate one correcting rotation per sensor
 so that corrected local tracks, shifted to sensor locations, agree in a
-common frame.  3D (range + bearing) sensors are handled directly via
-alternating optimal-rotation updates.  Bearing-only (2D) networks are
-solved jointly for the rotations and the target positions by damped
-Gauss-Newton (bundle adjustment), started from two closed-form
-intersect-and-align sweeps and one triangulation.
+common frame.  One solver per measurement model returns a
+``CalibrationResult``: ``relative_3d`` and ``relative_hetero`` fit sensor
+0 of a pair to reference sensor 1 in one shot; ``absolute_3d``
+(alternating optimal-rotation updates) and ``absolute_2d`` (damped
+Gauss-Newton over rotations and target positions, i.e. bundle
+adjustment, from closed-form intersect-and-align sweeps) take two or
+more sensors and flag a pair's baseline gauge themselves.
 """
 
 import warnings
@@ -141,8 +143,8 @@ class StoppingCriteria:
     """Stop when the cost changes by less than ``rel_cost_tol``
     (relative) between iterations, or after ``max_iterations``
     iterations.  A tolerance of zero disables the cost rule, so the
-    iteration runs the full budget, except that the bearing-only solver
-    also stops once no damped step lowers its cost (its fixed point)."""
+    iteration runs the full budget, except that ``absolute_2d`` also
+    stops once no damped step lowers its cost (its fixed point)."""
 
     rel_cost_tol: float = 1e-3
     max_iterations: int = 100
@@ -160,9 +162,10 @@ class CalibrationResult:
 
     estimates[s] maps sensor s's local coordinates into the common
     frame (apply then add the sensor location).  ``cost_trace`` holds
-    the cost per iteration; for the absolute algorithms its first entry
-    is the cost before the first iteration.  Its unit depends on the
-    algorithm family:
+    the cost per iteration; for ``absolute_3d`` and ``absolute_2d`` its
+    first entry is the cost before the first iteration, and the one-shot
+    relative fits report one iteration and one cost.  Its unit depends
+    on the algorithm family:
 
     ==================  ==================================================
     alg1, alg3, alg4    m^2, total pairwise track disagreement
@@ -174,7 +177,7 @@ class CalibrationResult:
 
     ``gauge_ambiguous`` flags two-sensor absolute solutions, where any
     common rotation about the baseline fits equally well.
-    ``dropped_indices`` counts the epochs left out of the bearing-only
+    ``dropped_indices`` counts the epochs left out of ``absolute_2d``'s
     joint solve because the warm start's final Gauss-Newton
     triangulation failed for them.
     """
@@ -228,36 +231,37 @@ def _stopped(prev: float, cur: float, tol: float) -> bool:
     return abs(prev - cur) < tol * prev
 
 
-def relative_3d(batch: MeasurementBatch) -> np.ndarray:
-    """Rotation of 3D sensor 0 relative to 3D sensor 1, one shot.
+def relative_3d(batch: MeasurementBatch) -> CalibrationResult:
+    """Rotation of 3D sensor 0 relative to 3D sensor 1, one shot (alg1).
 
-    Treats sensor 1 as the reference: returns the rotation R such that
-    R p_0^i + l_0 best matches p_1^i + l_1.
+    Treats sensor 1 as the reference: ``estimates`` is [R, I], where R
+    makes R p_0^i + l_0 best match p_1^i + l_1, and the one cost is
+    ``pairwise_cost`` at that answer.
     """
-    _check_sensor_count(batch, 2)
-    p0, p1 = batch.local_positions()
-    shifted = p1 + (batch.locations[1] - batch.locations[0])
-    return solve_wahba(p0, shifted)
+    if batch.n_sensors != 2:
+        raise ValueError(f"exactly 2 sensors required, got {batch.n_sensors}")
+    positions = batch.local_positions()
+    shifted = positions[1] + (batch.locations[1] - batch.locations[0])
+    rotation = solve_wahba(positions[0], shifted)
+    cost = _cost([rotation, np.eye(3)], positions, batch.locations)
+    return CalibrationResult(estimates=[rotation, np.eye(3)], cost_trace=[cost],
+                             iterations=1, converged=True)
 
 
-def relative_hetero(batch: MeasurementBatch) -> np.ndarray:
-    """Rotation of bearing-only sensor 0 relative to 3D sensor 1.
+def relative_hetero(batch: MeasurementBatch) -> CalibrationResult:
+    """Rotation of bearing-only sensor 0 relative to 3D sensor 1 (alg2).
 
     Matches sensor 0's unit line-of-sight directions against directions
-    to sensor 1's positions seen from sensor 0's location.
+    to sensor 1's positions seen from sensor 0's location; ``estimates``
+    is [R, I] and the one cost their squared distance after rotation.
 
     Raises
     ------
     ZeroVectorError
         If a target coincides with sensor 0's location.
     """
-    return solve_wahba(*_hetero_vectors(batch))
-
-
-def _hetero_vectors(batch):
-    """Sensor 0's line-of-sight directions and the unit directions to
-    sensor 1's positions from sensor 0's location, each (n, 3)."""
-    _check_sensor_count(batch, 2)
+    if batch.n_sensors != 2:
+        raise ValueError(f"exactly 2 sensors required, got {batch.n_sensors}")
     if not batch.sensors[1].is_3d:
         raise MissingRangeError("reference sensor must supply ranges")
     shifted = batch.sensors[1].local_positions() \
@@ -265,38 +269,26 @@ def _hetero_vectors(batch):
     norms = np.linalg.norm(shifted, axis=1)
     if np.any(norms < 1e-12):
         raise ZeroVectorError("a target coincides with sensor 0's location")
-    return batch.sensors[0].directions(), shifted / norms[:, np.newaxis]
-
-
-def absolute_3d_pair(batch: MeasurementBatch,
-                     stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
-    """Estimate both rotations of a 3D sensor pair by alternation.
-
-    Each iteration rotates one sensor's track onto the other's current
-    corrected track and vice versa; both updates are exact minimizers,
-    so the cost trace never increases.  The solution is only determined
-    up to a common rotation about the sensor baseline
-    (``gauge_ambiguous``): corrected tracks agree, but individual
-    rotations need not match any externally known truth.
-    """
-    _check_sensor_count(batch, 2)
-    return _absolute_cartesian(batch, stopping, gauge_ambiguous=True)
+    directions, unit = batch.sensors[0].directions(), shifted / norms[:, np.newaxis]
+    rotation = solve_wahba(directions, unit)
+    return CalibrationResult(estimates=[rotation, np.eye(3)],
+                             cost_trace=[wahba_cost(rotation, directions, unit)],
+                             iterations=1, converged=True)
 
 
 def absolute_3d(batch: MeasurementBatch,
                 stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
-    """Estimate all rotations of S >= 3 non-collinear 3D sensors.
+    """Estimate all rotations of two or more 3D sensors (alg3, alg4).
 
     Sweeps every sensor pair in a fixed order, aligning each sensor of
-    the pair to the other in turn.  With three or more non-collinear
-    sensors the baseline ambiguity of the two-sensor case is broken.
+    the pair to the other in turn; every update is an exact minimizer,
+    so the cost trace never increases.  Two sensors are only determined
+    up to a common rotation about their baseline (``gauge_ambiguous``):
+    corrected tracks agree, but individual rotations need not match any
+    externally known truth.  Three or more non-collinear sensors break
+    that ambiguity.
     """
-    _check_sensor_count(batch, 3, at_least=True)
-    _warn_if_collinear(batch.locations)
-    return _absolute_cartesian(batch, stopping, gauge_ambiguous=False)
-
-
-def _absolute_cartesian(batch, stopping, gauge_ambiguous) -> CalibrationResult:
+    gauge_ambiguous = _gauge_ambiguous(batch)
     positions = batch.local_positions()
     locations = batch.locations
     pairs = _pair_schedule(batch.n_sensors)
@@ -316,25 +308,9 @@ def _absolute_cartesian(batch, stopping, gauge_ambiguous) -> CalibrationResult:
                              gauge_ambiguous=gauge_ambiguous)
 
 
-def absolute_2d_pair(batch: MeasurementBatch,
-                     stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
-    """Estimate both rotations of a bearing-only sensor pair.
-
-    Ranges are not measured, so the target positions are estimated
-    jointly with the rotations, from the same warm start: two closed-form
-    intersect-and-align sweeps, then one Gauss-Newton triangulation (see
-    ``absolute_2d``).  Shares the two-sensor baseline ambiguity of the
-    3D pair case: the solver never steps along the common rotation about
-    the baseline, so that part of the answer stays where the warm start
-    left it.
-    """
-    _check_sensor_count(batch, 2)
-    return _absolute_bearing(batch, stopping, gauge_ambiguous=True)
-
-
 def absolute_2d(batch: MeasurementBatch,
                 stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
-    """Estimate all rotations of S >= 3 bearing-only sensors.
+    """Estimate all rotations of two or more bearing-only sensors (alg6, alg7).
 
     Minimizes the wrapped az/el residuals of every sensor's bearings
     against A_s^T (x_i - l_s) over all rotations A_s and target
@@ -348,14 +324,10 @@ def absolute_2d(batch: MeasurementBatch,
     positions; epochs whose fix fails there are left out.  Azimuths
     of sightings within 10 degrees of a sensor's pole join the solve
     only once it has converged without them, so the cost trace may rise
-    during that first phase.
+    during that first phase.  It never steps along a pair's common
+    rotation about the baseline, which stays where the warm start left it.
     """
-    _check_sensor_count(batch, 3, at_least=True)
-    _warn_if_collinear(batch.locations)
-    return _absolute_bearing(batch, stopping, gauge_ambiguous=False)
-
-
-def _absolute_bearing(batch, stopping, gauge_ambiguous) -> CalibrationResult:
+    gauge_ambiguous = _gauge_ambiguous(batch)
     locations = batch.locations
     rotations, points, ok = _warm_start(batch)
     az = np.stack([m.az[ok] for m in batch.sensors])
@@ -520,20 +492,19 @@ def _gauge_complement(rotations, baseline):
     return np.linalg.svd(direction)[2][1:]
 
 
-def _check_sensor_count(batch, count, at_least=False):
-    if at_least:
-        if batch.n_sensors < count:
-            raise ValueError(f"at least {count} sensors required, got {batch.n_sensors}")
-    elif batch.n_sensors != count:
-        raise ValueError(f"exactly {count} sensors required, got {batch.n_sensors}")
-
-
-def _warn_if_collinear(locations):
-    ratio = collinearity_ratio(locations)
+def _gauge_ambiguous(batch) -> bool:
+    """Whether the batch is a sensor pair, whose rotations are only
+    determined up to a common rotation about its baseline.  Three or
+    more sensors whose locations are nearly collinear get a warning,
+    raised at the solver's caller."""
+    if batch.n_sensors == 2:
+        return True
+    ratio = collinearity_ratio(batch.locations)
     if ratio < COLLINEAR_WARN_RATIO:
         warnings.warn(
             f"sensor locations are nearly collinear (spread ratio {ratio:.2e}); "
             "rotation biases may not be fully observable", stacklevel=3)
+    return False
 
 
 @dataclass(frozen=True)
@@ -541,8 +512,10 @@ class Algorithm:
     """One paper algorithm: ``solve(batch, stopping)`` and the batches it
     accepts.  ``sensor_kind`` is "3d", "2d" or "hetero" (sensor 0
     bearing-only, sensor 1 with ranges); a ``pair`` algorithm takes
-    exactly two sensors, the others three or more.  A ``relative`` one
-    trusts sensor 1 as an unbiased reference and estimates sensor 0."""
+    exactly two sensors, the others three or more.  That flag alone
+    tells alg3 from alg4 and alg6 from alg7: each pair shares its
+    solver.  A ``relative`` one trusts sensor 1 as an unbiased reference
+    and estimates sensor 0."""
 
     solve: object
     sensor_kind: str
@@ -562,29 +535,14 @@ class Algorithm:
             "3d" if m.is_3d else "2d" for m in batch.sensors]
 
 
-def _relative_result(rotation, cost) -> CalibrationResult:
-    return CalibrationResult(estimates=[rotation, np.eye(3)], cost_trace=[cost],
-                             iterations=1, converged=True)
-
-
-def _solve_alg1(batch, stopping) -> CalibrationResult:
-    rotation = relative_3d(batch)
-    return _relative_result(rotation, pairwise_cost([rotation, np.eye(3)], batch))
-
-
-def _solve_alg2(batch, stopping) -> CalibrationResult:
-    directions, unit = _hetero_vectors(batch)
-    rotation = solve_wahba(directions, unit)
-    return _relative_result(rotation, wahba_cost(rotation, directions, unit))
-
-
 # Every solver looks its entry point up on this module when it is called,
 # so a wrapped or patched module attribute is the one that runs.
 ALGORITHMS = {
-    "alg1": Algorithm(_solve_alg1, "3d", pair=True, relative=True),
-    "alg2": Algorithm(_solve_alg2, "hetero", pair=True, relative=True),
-    "alg3": Algorithm(lambda b, st: absolute_3d_pair(b, st), "3d", pair=True),
+    "alg1": Algorithm(lambda b, st: relative_3d(b), "3d", pair=True, relative=True),
+    "alg2": Algorithm(lambda b, st: relative_hetero(b), "hetero", pair=True,
+                      relative=True),
+    "alg3": Algorithm(lambda b, st: absolute_3d(b, st), "3d", pair=True),
     "alg4": Algorithm(lambda b, st: absolute_3d(b, st), "3d", pair=False),
-    "alg6": Algorithm(lambda b, st: absolute_2d_pair(b, st), "2d", pair=True),
+    "alg6": Algorithm(lambda b, st: absolute_2d(b, st), "2d", pair=True),
     "alg7": Algorithm(lambda b, st: absolute_2d(b, st), "2d", pair=False),
 }

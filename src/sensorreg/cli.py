@@ -28,6 +28,8 @@ def _load_config(args) -> ExperimentConfig:
              "sensor_count": args.sensors, "mc_runs": args.mc_runs,
              "out_dir": args.out_dir}
     updates = {key: value for key, value in flags.items() if value is not None}
+    if args.algorithm is not None:
+        updates["sensor_kind"] = ALGORITHMS[args.algorithm].sensor_kind
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -69,6 +70,7 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        self.validate()
         self.placement_box_km = tuple(float(v) for v in self.placement_box_km)
         if self.fixed_biases_deg is not None:
             self.fixed_biases_deg = [[float(v) for v in row]
@@ -76,9 +78,22 @@ class ExperimentConfig:
         if self.sensor_locations_m is not None:
             self.sensor_locations_m = [[float(v) for v in row]
                                        for row in self.sensor_locations_m]
-        self.validate()
 
     def validate(self):
+        # types first, so that the rules below compare numbers
+        for key in ("seed", "mc_runs", "sensor_count", "sample_count",
+                    "max_iterations"):
+            value = getattr(self, key)
+            if not _is_integer(value) and not (key == "sample_count" and value is None):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        for key in ("sigma_range_m", "sigma_az_mrad", "sigma_el_mrad",
+                    "bias_low_deg", "bias_high_deg", "duration_s",
+                    "sample_period_s", "rel_cost_tol"):
+            if not _is_real(getattr(self, key)):
+                raise ConfigError(f"{key} must be a number, got {getattr(self, key)!r}")
+        if not _is_sequence(self.placement_box_km, 3, _is_real):
+            raise ConfigError(f"placement_box_km must be 3 numbers [x, y, z] km, "
+                              f"got {self.placement_box_km!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose one of {sorted(ALGORITHMS)}")
@@ -96,16 +111,12 @@ class ExperimentConfig:
             raise ConfigError("noise sigmas must be nonnegative")
         if not 0 <= self.bias_low_deg <= self.bias_high_deg:
             raise ConfigError("bias bounds must satisfy 0 <= low <= high")
-        if self.fixed_biases_deg is not None:
-            if len(self.fixed_biases_deg) != self.sensor_count or \
-                    any(len(row) != 3 for row in self.fixed_biases_deg):
-                raise ConfigError("fixed_biases_deg must be sensor_count rows of "
-                                  "[yaw, pitch, roll] degrees")
-        if self.sensor_locations_m is not None:
-            if len(self.sensor_locations_m) != self.sensor_count or \
-                    any(len(row) != 3 for row in self.sensor_locations_m):
-                raise ConfigError("sensor_locations_m must be sensor_count rows "
-                                  "of [x, y, z] meters")
+        for key, row in (("fixed_biases_deg", "[yaw, pitch, roll] degrees"),
+                         ("sensor_locations_m", "[x, y, z] meters")):
+            rows = getattr(self, key)
+            if rows is not None and not _is_sequence(
+                    rows, self.sensor_count, lambda r: _is_sequence(r, 3, _is_real)):
+                raise ConfigError(f"{key} must be sensor_count rows of {row}")
         if self.sample_count is not None and self.sample_count < 2:
             raise ConfigError("sample_count must be at least 2")
 
@@ -128,6 +139,23 @@ class ExperimentConfig:
     def stopping(self) -> StoppingCriteria:
         return StoppingCriteria(rel_cost_tol=self.rel_cost_tol,
                                 max_iterations=self.max_iterations)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_sequence(values, length, item_ok) -> bool:
+    """Whether ``values`` is a sequence of ``length`` items that pass
+    ``item_ok``."""
+    try:
+        return len(values) == length and all(map(item_ok, values))
+    except TypeError:  # not a sequence
+        return False
 
 
 @dataclass
@@ -471,7 +499,7 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
                 az=az[rows], el=el[rows],
                 rng=rng[rows] if present.all() else None))
         except DegenerateInputError as exc:
-            raise DegenerateInputError(f"sensor {s}: {exc}") from exc
+            raise DegenerateInputError(f"{csv_path}: sensor {s}: {exc}") from exc
     return MeasurementBatch(
         sensors=tuple(sensors),
         locations=np.array([locations[s] for s in ordered], dtype=float))

@@ -292,7 +292,7 @@ def _ill_conditioned(jtj) -> np.ndarray:
     return bad
 
 
-def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -> BatchFix:
+def triangulate_batch(locations, az, el) -> BatchFix:
     """Fix n targets at once from per-sensor bearing arrays.
 
     Parameters
@@ -316,7 +316,7 @@ def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -
     iterations = np.zeros(n, dtype=int)
     active = np.ones(n, dtype=bool)
 
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if not active.any():
             break
         idx = np.flatnonzero(active)
@@ -368,7 +368,7 @@ def triangulate_batch(locations, az, el, max_iterations: int = MAX_ITERATIONS) -
     return BatchFix(points=x, ranges=ranges, cost=cost, iterations=iterations, status=status)
 
 
-def triangulate(bearings: BearingSet, max_iterations: int = MAX_ITERATIONS) -> TriangulationFix:
+def triangulate(bearings: BearingSet) -> TriangulationFix:
     """Fix a single target from a BearingSet.
 
     Raises
@@ -377,17 +377,16 @@ def triangulate(bearings: BearingSet, max_iterations: int = MAX_ITERATIONS) -> T
         If the normal-equation condition number exceeds 1e12
         (near-parallel rays) or a bearing is not finite.
     NoConvergenceError
-        If the fit does not converge within ``max_iterations``.
+        If the fit does not converge within ``MAX_ITERATIONS``.
     """
     fix = triangulate_batch(bearings.locations,
                             bearings.az[:, np.newaxis],
-                            bearings.el[:, np.newaxis],
-                            max_iterations=max_iterations)
+                            bearings.el[:, np.newaxis])
     code = int(fix.status[0])
     if code == STATUS_ILL_CONDITIONED:
         raise IllConditionedError("bearing rays are near-parallel or not finite")
     if code != STATUS_OK:
-        raise NoConvergenceError(f"no convergence in {max_iterations} iterations")
+        raise NoConvergenceError(f"no convergence in {MAX_ITERATIONS} iterations")
     local = fix.ranges[:, 0, np.newaxis] * direction_from_angles(bearings.az, bearings.el)
     return TriangulationFix(point=fix.points[0],
                             local_positions=local,

@@ -11,7 +11,6 @@ from sensorreg.calibration import (
     StoppingCriteria,
     absolute_2d,
     absolute_3d,
-    absolute_3d_pair,
 )
 from sensorreg.errors import RegistrationError
 from sensorreg.experiments import (
@@ -88,7 +87,7 @@ def test_criterion_1_pair_cost_never_increases(trajectory):
                                sigma_range=10.0, sigma_az=sigma, sigma_el=sigma)
                    for s in range(2)]
         batch, _ = build_batch(trajectory, sensors, seed=int(rng.integers(2**31)))
-        trace = np.asarray(absolute_3d_pair(batch).cost_trace)
+        trace = np.asarray(absolute_3d(batch).cost_trace)
         diffs = np.diff(trace)
         steps += diffs.size
         worst = max(worst, float(diffs.max()))

@@ -202,6 +202,7 @@ class TestCalibrate:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"sensor {sensor}" in err and f"epoch {epoch}" in err
+        assert str(csv_path) in err
         assert not (tmp_path / "result.json").exists()
 
     def test_missing_batch_file(self, tmp_path, capsys):
@@ -366,6 +367,37 @@ class TestExperiment:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["mc_runs"] == 3
         assert len(summary["iterations"]) == 3
+
+    def test_algorithm_flag_sets_sensor_kind(self, tmp_path):
+        # the default config is alg4 with 3D sensors; the flag alone must
+        # be enough to run a bearing-only study
+        out = tmp_path / "results"
+        rc = main(["experiment", "--algorithm", "alg7", "--sensors", "3",
+                   "--mc-runs", "2", "--out-dir", str(out)])
+        assert rc == 0
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert (config["algorithm"], config["sensor_kind"]) == ("alg7", "2d")
+
+    @pytest.mark.parametrize("key, value", [
+        ("sensor_count", 3.0),
+        ("mc_runs", 2.5),
+        ("mc_runs", True),
+        ("sample_count", 10.5),
+        ("max_iterations", 2.5),
+        ("seed", "x"),
+        ("sigma_az_mrad", "3"),
+        ("rel_cost_tol", None),
+        ("sensor_locations_m", [RING[0], RING[1], [None, 0.0, 0.0]]),
+        ("fixed_biases_deg", [[2.0, -1.0, 1.0], [0.0, 0.0, 0.0], 5]),
+        ("placement_box_km", [1, 2]),
+    ])
+    def test_mistyped_config_value(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{key: value})
+        rc = main(["experiment", "--config", str(path),
+                   "--out-dir", str(tmp_path / "results")])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and key in line
 
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"
