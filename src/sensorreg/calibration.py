@@ -12,6 +12,7 @@ adjustment, from closed-form intersect-and-align sweeps) take two or
 more sensors and flag a pair's baseline gauge themselves.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -197,32 +198,41 @@ def pairwise_cost(rotations, batch: MeasurementBatch) -> float:
     ||R_s p_s^i + l_s - (R_t p_t^i + l_t)||^2, with the local positions
     p_s^i of the batch's 3D sensors.
     """
-    return _cost(rotations, batch.local_positions(), batch.locations)
+    return _cost(rotations, np.stack(batch.local_positions()), batch.locations,
+                 np.triu_indices(batch.n_sensors, 1))
 
 
-def _cost(rotations, positions, locations) -> float:
-    common = [positions[s] @ np.asarray(rotations[s], dtype=float).T + locations[s]
-              for s in range(len(positions))]
-    total = 0.0
-    for t in range(len(common)):
-        for s in range(t + 1, len(common)):
-            diff = common[t] - common[s]
-            total += float(np.sum(diff * diff))
-    return total
+def _cost(rotations, positions, locations, pair_index) -> float:
+    """``pairwise_cost`` of the (S, n, 3) ``positions``, over the pairs
+    whose two index arrays are ``pair_index``."""
+    common = positions @ np.transpose(rotations, (0, 2, 1))
+    common += locations[:, np.newaxis]
+    diff = common[pair_index[0]]
+    diff -= common[pair_index[1]]
+    return float(np.sum(diff * diff))
 
 
-def _pair_schedule(n_sensors: int) -> list:
-    return [(t, s) for t in range(n_sensors - 1) for s in range(t + 1, n_sensors)]
+def _pair_moments(positions, locations):
+    """Wahba inputs of every ordered pair update, two (S, S, 4, 3) arrays.
+    Aligning sensor a to b has the profile matrix sum_i (R_b p_b^i + l_b - l_a)
+    p_a^iT = R_b P_b^T P_a + (l_b - l_a) c_a^T, with c_a = sum_i p_a^i: that of
+    the four pairs xs[a, b] = [P_b^T P_a; c_a^T], ys[a, b] = [R_b^T; (l_b - l_a)^T].
+    ``_als_sweep`` writes R_b^T into ys[a, b, :3] before each solve."""
+    padded = np.concatenate([positions, np.ones(positions.shape[:2] + (1,))], axis=2)
+    xs = padded.transpose(0, 2, 1)[np.newaxis] @ positions[:, np.newaxis]
+    ys = np.empty_like(xs)
+    ys[:, :, 3] = locations[np.newaxis] - locations[:, np.newaxis]
+    return xs, ys
 
 
-def _als_sweep(rotations, positions, locations, pairs):
+def _als_sweep(rotations, xs, ys):
     # Gauss-Seidel: each update uses the freshest estimate of its partner,
     # and each is an exact minimizer with the partner held fixed.
-    for t, s in pairs:
-        target = positions[s] @ rotations[s].T + (locations[s] - locations[t])
-        rotations[t] = solve_wahba(positions[t], target)
-        target = positions[t] @ rotations[t].T + (locations[t] - locations[s])
-        rotations[s] = solve_wahba(positions[s], target)
+    for t, s in itertools.combinations(range(len(rotations)), 2):
+        ys[t, s, :3] = rotations[s].T
+        rotations[t] = solve_wahba(xs[t, s], ys[t, s])
+        ys[s, t, :3] = rotations[t].T
+        rotations[s] = solve_wahba(xs[s, t], ys[s, t])
 
 
 def _stopped(prev: float, cur: float, tol: float) -> bool:
@@ -243,7 +253,7 @@ def relative_3d(batch: MeasurementBatch) -> CalibrationResult:
     positions = batch.local_positions()
     shifted = positions[1] + (batch.locations[1] - batch.locations[0])
     rotation = solve_wahba(positions[0], shifted)
-    cost = _cost([rotation, np.eye(3)], positions, batch.locations)
+    cost = pairwise_cost([rotation, np.eye(3)], batch)
     return CalibrationResult(estimates=[rotation, np.eye(3)], cost_trace=[cost],
                              iterations=1, converged=True)
 
@@ -289,21 +299,22 @@ def absolute_3d(batch: MeasurementBatch,
     that ambiguity.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
-    positions = batch.local_positions()
+    positions = np.stack(batch.local_positions())
     locations = batch.locations
-    pairs = _pair_schedule(batch.n_sensors)
-    rotations = [np.eye(3) for _ in range(batch.n_sensors)]
-    trace = [_cost(rotations, positions, locations)]
+    pair_index = np.triu_indices(batch.n_sensors, 1)
+    xs, ys = _pair_moments(positions, locations)
+    rotations = np.stack([np.eye(3)] * batch.n_sensors)
+    trace = [_cost(rotations, positions, locations, pair_index)]
     converged = False
     iterations = 0
     for iterations in range(1, stopping.max_iterations + 1):
-        _als_sweep(rotations, positions, locations, pairs)
-        cur = _cost(rotations, positions, locations)
+        _als_sweep(rotations, xs, ys)
+        cur = _cost(rotations, positions, locations, pair_index)
         trace.append(cur)
         if _stopped(trace[-2], cur, stopping.rel_cost_tol):
             converged = True
             break
-    return CalibrationResult(estimates=rotations, cost_trace=trace,
+    return CalibrationResult(estimates=list(rotations), cost_trace=trace,
                              iterations=iterations, converged=converged,
                              gauge_ambiguous=gauge_ambiguous)
 
@@ -396,7 +407,6 @@ def _warm_start(batch):
     """
     n_sensors = batch.n_sensors
     locations = batch.locations
-    pairs = _pair_schedule(n_sensors)
     raw_dirs = np.stack([m.directions() for m in batch.sensors])
     rotations = np.stack([np.eye(3)] * n_sensors)
     for _ in range(WARM_START_SWEEPS):
@@ -404,11 +414,10 @@ def _warm_start(batch):
         points, ok = intersect_rays(locations, comp_dirs)
         _check_usable(ok)
         ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis, :], axis=-1)
-        positions = [ranges[s][:, np.newaxis] * comp_dirs[s, ok]
-                     for s in range(n_sensors)]
-        increments = [np.eye(3) for _ in range(n_sensors)]
-        _als_sweep(increments, positions, locations, pairs)
-        rotations = np.stack(increments) @ rotations
+        increments = np.stack([np.eye(3)] * n_sensors)
+        positions = ranges[..., np.newaxis] * comp_dirs[:, ok]
+        _als_sweep(increments, *_pair_moments(positions, locations))
+        rotations = increments @ rotations
     bearings = cart_to_spherical(raw_dirs @ rotations.transpose(0, 2, 1))
     fix = triangulate_batch(locations, bearings.az, bearings.el)
     ok = fix.status == STATUS_OK

@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,19 +81,21 @@ class ExperimentConfig:
                                        for row in self.sensor_locations_m]
 
     def validate(self):
-        # types first, so that the rules below compare numbers
-        for key in ("seed", "mc_runs", "sensor_count", "sample_count",
-                    "max_iterations"):
-            value = getattr(self, key)
-            if not _is_integer(value) and not (key == "sample_count" and value is None):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        for key in ("sigma_range_m", "sigma_az_mrad", "sigma_el_mrad",
-                    "bias_low_deg", "bias_high_deg", "duration_s",
-                    "sample_period_s", "rel_cost_tol"):
-            if not _is_real(getattr(self, key)):
-                raise ConfigError(f"{key} must be a number, got {getattr(self, key)!r}")
+        # types first, so that the rules below compare finite numbers
+        for keys, ok, kind in (
+                (("seed", "mc_runs", "sensor_count", "sample_count", "max_iterations"),
+                 _is_integer, "an integer"),
+                (("sigma_range_m", "sigma_az_mrad", "sigma_el_mrad", "bias_low_deg",
+                  "bias_high_deg", "duration_s", "sample_period_s", "rel_cost_tol"),
+                 _is_real, "a finite number"),
+                (("algorithm", "sensor_kind", "out_dir"), lambda v: isinstance(v, str),
+                 "a string")):
+            for key in keys:
+                value = getattr(self, key)
+                if not ok(value) and not (key in ("sample_count", "out_dir") and value is None):
+                    raise ConfigError(f"{key} must be {kind}, got {value!r}")
         if not _is_sequence(self.placement_box_km, 3, _is_real):
-            raise ConfigError(f"placement_box_km must be 3 numbers [x, y, z] km, "
+            raise ConfigError(f"placement_box_km must be 3 finite numbers [x, y, z] km, "
                               f"got {self.placement_box_km!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
@@ -105,6 +108,8 @@ class ExperimentConfig:
             rule = "exactly 2" if algorithm.pair else "at least 3"
             raise ConfigError(f"{self.algorithm} needs {rule} sensors, "
                               f"got {self.sensor_count}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.mc_runs < 1:
             raise ConfigError("mc_runs must be at least 1")
         if min(self.sigma_range_m, self.sigma_az_mrad, self.sigma_el_mrad) < 0:
@@ -146,7 +151,9 @@ def _is_integer(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether ``value`` is a real number that converts to a finite float."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 def _is_sequence(values, length, item_ok) -> bool:

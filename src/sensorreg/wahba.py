@@ -35,8 +35,10 @@ def solve_wahba(xs, ys, weights=None) -> np.ndarray:
         values of B both vanish relative to the largest (collinear data:
         the rotation is not unique).
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim < 2 or ys.ndim < 2:  # as a single pair, like np.atleast_2d
+        xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
     if xs.shape != ys.shape or xs.shape[1] != 3:
         raise ValueError(f"paired (n, 3) arrays required, got {xs.shape} and {ys.shape}")
     n = xs.shape[0]
@@ -61,7 +63,9 @@ def solve_wahba(xs, ys, weights=None) -> np.ndarray:
     # u diag(1, 1, det(u vt)) vt: on a reflection, flip the term of the
     # smallest singular value
     rot = u @ vt
-    if np.linalg.det(rot) < 0.0:
+    r0, r1, r2 = rot.tolist()  # det(rot) = r0 . (r1 x r2), +-1 up to rounding
+    if (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1]) + r0[1] * (r1[2] * r2[0] - r1[0] * r2[2])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])) < 0.0:
         rot -= 2.0 * np.outer(u[:, 2], vt[2])
     return rot
 

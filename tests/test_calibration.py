@@ -1,5 +1,7 @@
 """Tests for rotation-bias estimation (relative, absolute, 2D, 3D)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,7 @@ from sensorreg.scenario import (
     sample_biases,
 )
 from sensorreg.triangulation import bearing_residuals
+from sensorreg.wahba import solve_wahba
 
 DEG = np.pi / 180.0
 
@@ -395,6 +398,58 @@ class TestAbsolute3d:
             absolute_3d(batch, StoppingCriteria(max_iterations=2))
         # the warning names the line that called the solver
         assert record[0].filename == __file__
+
+
+def n_pair_absolute_3d(batch, stopping):
+    """``absolute_3d`` as it was before its pair updates went through
+    3x3 moments: every update solves Wahba's problem on all n target
+    pairs, and the cost sums the pairs one by one."""
+    positions, locations = batch.local_positions(), batch.locations
+    n_sensors = batch.n_sensors
+    rotations = [np.eye(3)] * n_sensors
+
+    def cost():
+        common = [positions[s] @ rotations[s].T + locations[s] for s in range(n_sensors)]
+        return sum(float(np.sum((common[t] - common[s]) ** 2))
+                   for t in range(n_sensors) for s in range(t + 1, n_sensors))
+
+    trace = [cost()]
+    for iterations in range(1, stopping.max_iterations + 1):
+        for t in range(n_sensors - 1):
+            for s in range(t + 1, n_sensors):
+                target = positions[s] @ rotations[s].T + (locations[s] - locations[t])
+                rotations[t] = solve_wahba(positions[t], target)
+                target = positions[t] @ rotations[t].T + (locations[t] - locations[s])
+                rotations[s] = solve_wahba(positions[s], target)
+        trace.append(cost())
+        if trace[-2] <= 0.0 or abs(trace[-2] - trace[-1]) < stopping.rel_cost_tol * trace[-2]:
+            return rotations, trace, iterations, True
+    return rotations, trace, iterations, False
+
+
+class TestMomentSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 6),
+           n=st.integers(5, 120), tol=st.sampled_from([0.0, 1e-6, 1e-3]))
+    def test_matches_n_pair_sweep(self, seed, n_sensors, n, tol):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-20000.0, 20000.0, size=(n, 3)) + [0.0, 0.0, -5000.0]
+        locations = rng.uniform(-20000.0, 20000.0, size=(n_sensors, 3))
+        biases = [EulerAngles(*(rng.uniform(-5, 5, 3) * DEG)) for _ in range(n_sensors)]
+        exact = noiseless_batch(points, locations, biases)
+        batch = MeasurementBatch(sensors=tuple(SensorMeasurements(
+            az=m.az + 3e-3 * rng.normal(size=n), el=m.el + 3e-3 * rng.normal(size=n),
+            rng=m.rng + 10.0 * rng.normal(size=n)) for m in exact.sensors),
+            locations=locations)
+        stopping = StoppingCriteria(rel_cost_tol=tol, max_iterations=25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # near-collinear draws
+            result = absolute_3d(batch, stopping)
+        rotations, trace, iterations, converged = n_pair_absolute_3d(batch, stopping)
+        assert (result.iterations, result.converged) == (iterations, converged)
+        np.testing.assert_allclose(result.cost_trace, trace, rtol=1e-11, atol=0)
+        for got, want in zip(result.estimates, rotations):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestAbsolute2d:

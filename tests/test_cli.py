@@ -390,6 +390,10 @@ class TestExperiment:
         ("sensor_locations_m", [RING[0], RING[1], [None, 0.0, 0.0]]),
         ("fixed_biases_deg", [[2.0, -1.0, 1.0], [0.0, 0.0, 0.0], 5]),
         ("placement_box_km", [1, 2]),
+        ("algorithm", ["alg4"]),
+        ("sensor_kind", 3),
+        ("out_dir", 5),
+        pytest.param("duration_s", 10**400, id="duration_s-beyond-float"),
     ])
     def test_mistyped_config_value(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, **{key: value})
@@ -398,6 +402,34 @@ class TestExperiment:
         assert rc == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and key in line
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", [
+        "sigma_range_m", "sigma_az_mrad", "sigma_el_mrad", "bias_low_deg",
+        "bias_high_deg", "duration_s", "sample_period_s", "rel_cost_tol",
+        "placement_box_km", "fixed_biases_deg", "sensor_locations_m"])
+    def test_non_finite_config_value(self, tmp_path, capsys, key, value):
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        cells = {"placement_box_km": [20.0, value, 1.0],
+                 "fixed_biases_deg": [[2.0, -1.0, 1.0], [0.0, 0.0, value],
+                                      [1.0, 1.0, 2.0]],
+                 "sensor_locations_m": [RING[0], [value, 0.0, 0.0], RING[2]]}
+        path = write_config(tmp_path, **{key: cells.get(key, value)})
+        rc = main(["experiment", "--config", str(path),
+                   "--out-dir", str(tmp_path / "results")])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and key in line
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed(self, tmp_path, capsys, source):
+        argv = ["experiment", "--mc-runs", "2", "--out-dir", str(tmp_path / "results")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            argv += ["--config", str(write_config(tmp_path, seed=-1))]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be nonnegative, got -1"]
 
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sensorreg.errors import DegenerateInputError
 from sensorreg.geometry import EulerAngles, euler_to_rotation, is_rotation_matrix
@@ -161,3 +163,98 @@ class TestCost:
         ys = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
         # first pair residual norm^2 = 2, second = 0
         assert wahba_cost(np.eye(3), xs, ys, weights=[3.0, 5.0]) == pytest.approx(6.0)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def conditioned(xs, ys, floor):
+    """Whether B = ys^T xs pins the rotation down well: the smallest sum
+    of two singular values, which bounds its sensitivity, is above
+    ``floor`` times the largest."""
+    sv = np.linalg.svd(ys.T @ xs, compute_uv=False)
+    return sv[1] + sv[2] > floor * sv[0]
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, n=st.integers(2, 9),
+           kind=st.sampled_from(["generic", "coplanar", "mirrored"]))
+    def test_proper_and_equal_to_reference(self, seed, n, kind):
+        rng = np.random.default_rng(seed)
+        xs = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e4)
+        if kind == "coplanar":
+            # targets in a plane through the origin leave B at rank 2
+            xs[:, 2] = 0.0
+        mirror = np.diag([1.0, 1.0, -1.0]) if kind == "mirrored" else np.eye(3)
+        ys = xs @ mirror @ random_rotation(rng).T \
+            + rng.uniform(0.0, 0.1) * np.abs(xs).max() * rng.normal(size=(n, 3))
+        assume(conditioned(xs, ys, 1e-6))
+        rot = solve_wahba(xs, ys)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rot, two_determinant_rotation(xs, ys),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=SEEDS, n=st.integers(2, 200),
+           track_m=st.floats(1.0, 2e4), offset_m=st.floats(0.0, 2e4))
+    def test_four_pair_form_of_a_pair_update(self, seed, n, track_m, offset_m):
+        # aligning sensor a to sensor b: the n pairs (p_a^i, R_b p_b^i + d)
+        # and the four pairs ([P_b^T P_a; c_a^T], [R_b^T; d^T]) share
+        # their profile matrix R_b P_b^T P_a + d c_a^T
+        rng = np.random.default_rng(seed)
+        p_a = rng.uniform(-track_m, track_m, size=(n, 3))
+        p_b = p_a @ random_rotation(rng).T + rng.uniform(-offset_m, offset_m, 3) \
+            + 0.01 * track_m * rng.normal(size=(n, 3))
+        r_b = random_rotation(rng)
+        d = rng.uniform(-offset_m, offset_m, 3)
+        xs, ys = p_a, p_b @ r_b.T + d
+        assume(conditioned(xs, ys, 1e-2))
+        four_xs = np.vstack([p_b.T @ p_a, p_a.sum(axis=0)])
+        four_ys = np.vstack([r_b.T, d])
+        np.testing.assert_allclose(solve_wahba(four_xs, four_ys),
+                                   solve_wahba(xs, ys), rtol=0, atol=1e-12)
+
+
+def shape_error(xs, ys):
+    """The input error the solver has always raised for these arrays, if
+    any: a 0-d or 1-d input counts as one pair (np.atleast_2d)."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    if xs.shape != ys.shape or xs.shape[1] != 3:
+        return ValueError(f"paired (n, 3) arrays required, got {xs.shape} and {ys.shape}")
+    if xs.shape[0] < 2:
+        return DegenerateInputError("at least two vector pairs are required")
+    return None
+
+
+SHAPES = st.lists(st.integers(0, 4), max_size=2).map(tuple)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("xs, ys, error, message", [
+        (1.0, 1.0, ValueError, "got (1, 1) and (1, 1)"),
+        ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], DegenerateInputError,
+         "at least two vector pairs are required"),
+        (np.ones((4, 2)), np.ones((4, 2)), ValueError, "got (4, 2) and (4, 2)"),
+        (np.ones((3, 3)), np.ones((4, 3)), ValueError, "got (3, 3) and (4, 3)"),
+        (np.ones((1, 3)), np.ones((1, 3)), DegenerateInputError,
+         "at least two vector pairs are required"),
+        (np.ones(3), np.ones((2, 3)), ValueError, "got (1, 3) and (2, 3)"),
+    ])
+    def test_message(self, xs, ys, error, message):
+        with pytest.raises(error) as exc:
+            solve_wahba(xs, ys)
+        assert type(exc.value) is error and message in str(exc.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=SEEDS, x_shape=SHAPES, y_shape=SHAPES)
+    def test_same_error_for_any_shape(self, seed, x_shape, y_shape):
+        rng = np.random.default_rng(seed)
+        xs, ys = rng.normal(size=x_shape), rng.normal(size=y_shape)
+        expected = shape_error(xs, ys)
+        assume(expected is not None)
+        with pytest.raises(type(expected)) as exc:
+            solve_wahba(xs, ys)
+        assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
