@@ -17,7 +17,7 @@ import numpy as np
 
 from sensorreg.calibration import StoppingCriteria, absolute_2d
 from sensorreg.geometry import geodesic_angle, rotation_to_euler
-from sensorreg.scenario import (SensorTruth, TrajectorySpec, build_batch,
+from sensorreg.scenario import (SensorTruth, build_batch, generate_trajectory,
                                 sample_biases, sample_sensor_locations)
 
 
@@ -37,7 +37,7 @@ def main():
                            sigma_az=sigma, sigma_el=sigma)
                for loc, b in zip(locations, biases)]
 
-    batch, truth = build_batch(TrajectorySpec(), sensors, seed=args.seed + 1)
+    batch, truth = build_batch(generate_trajectory(), sensors, seed=args.seed + 1)
     stopping = StoppingCriteria(rel_cost_tol=1e-6,
                                 max_iterations=args.max_iterations)
     result = absolute_2d(batch, stopping)

@@ -16,7 +16,7 @@ import numpy as np
 
 from sensorreg.calibration import StoppingCriteria, absolute_3d
 from sensorreg.geometry import geodesic_angle, rotation_to_euler
-from sensorreg.scenario import (SensorTruth, TrajectorySpec, build_batch,
+from sensorreg.scenario import (SensorTruth, build_batch, generate_trajectory,
                                 sample_biases, sample_sensor_locations)
 
 
@@ -35,7 +35,7 @@ def main():
     sensors = [SensorTruth(tuple(loc), bias=b, **sigma)
                for loc, b in zip(locations, biases)]
 
-    batch, truth = build_batch(TrajectorySpec(), sensors, seed=args.seed + 1)
+    batch, truth = build_batch(generate_trajectory(), sensors, seed=args.seed + 1)
     result = absolute_3d(batch, StoppingCriteria(rel_cost_tol=1e-6, max_iterations=200))
 
     trace = result.cost_trace

@@ -15,7 +15,7 @@ import numpy as np
 
 from sensorreg.calibration import relative_3d, relative_hetero
 from sensorreg.geometry import EulerAngles, geodesic_angle, rotation_to_euler
-from sensorreg.scenario import SensorTruth, TrajectorySpec, build_batch
+from sensorreg.scenario import SensorTruth, build_batch, generate_trajectory
 
 BIAS = EulerAngles(math.radians(2.0), math.radians(-1.5), math.radians(1.0))
 REF_LOCATION = (12000.0, -2000.0, -50.0)
@@ -35,8 +35,9 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    spec = TrajectorySpec()
-    print(f"flight: {spec.n_samples} samples over {spec.duration:.0f} s")
+    duration = 900.0
+    points = generate_trajectory(duration)
+    print(f"flight: {len(points)} samples over {duration:.0f} s")
     print(f"true bias of sensor 0: yaw {math.degrees(BIAS.psi):.1f}"
           f"  pitch {math.degrees(BIAS.theta):.1f}"
           f"  roll {math.degrees(BIAS.phi):.1f} deg\n")
@@ -52,12 +53,12 @@ def main():
     for noisy in (False, True):
         tag = "noisy (10 m, 2 mrad)" if noisy else "noiseless"
 
-        batch, truth = build_batch(spec, sensors("3d", noisy), seed=args.seed)
+        batch, truth = build_batch(points, sensors("3d", noisy), seed=args.seed)
         truth_rot = truth.rotations[0]
         report(f"ranging sensor, {tag}:", relative_3d(batch).estimates[0],
                truth_rot)
 
-        batch, _ = build_batch(spec, sensors("2d", noisy), seed=args.seed)
+        batch, _ = build_batch(points, sensors("2d", noisy), seed=args.seed)
         report(f"bearing-only sensor, {tag}:",
                relative_hetero(batch).estimates[0], truth_rot)
         print()

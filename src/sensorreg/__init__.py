@@ -17,8 +17,8 @@ from .experiments import (SWEEP_AXES, ExperimentConfig, emit_reports,
                           run_experiment, sweep, write_batch)
 from .geometry import (EulerAngles, cart_to_spherical, euler_to_rotation,
                        geodesic_angle, rotation_to_euler)
-from .scenario import (SensorTruth, TrajectorySpec, build_batch, sample_biases,
-                       sample_sensor_locations)
+from .scenario import (SensorTruth, build_batch, generate_trajectory,
+                       sample_biases, sample_sensor_locations)
 from .triangulation import BearingSet, triangulate
 from .wahba import solve_wahba, wahba_cost
 
@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "BearingSet", "EulerAngles", "ExperimentConfig",
     "GimbalLockError", "MeasurementBatch", "RegistrationError", "SWEEP_AXES",
-    "SensorMeasurements", "SensorTruth", "StoppingCriteria", "TrajectorySpec",
-    "absolute_2d", "absolute_3d", "build_batch", "cart_to_spherical",
-    "emit_reports", "emit_sweep_reports", "euler_to_rotation",
+    "SensorMeasurements", "SensorTruth", "StoppingCriteria", "absolute_2d",
+    "absolute_3d", "build_batch", "cart_to_spherical", "emit_reports",
+    "emit_sweep_reports", "euler_to_rotation", "generate_trajectory",
     "geodesic_angle", "read_batch", "realizations", "relative_3d",
     "relative_hetero", "rotation_to_euler", "run_experiment", "sample_biases",
     "sample_sensor_locations", "solve_wahba", "sweep", "triangulate",

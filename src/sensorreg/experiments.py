@@ -25,7 +25,7 @@ from .errors import (ConfigError, DegenerateInputError, ExperimentError,
                      RegistrationError)
 from .geometry import (EulerAngles, geodesic_angle, rotation_to_euler,
                        wrap_angle)
-from .scenario import (SensorTruth, TrajectorySpec, build_batch,
+from .scenario import (SensorTruth, build_batch, epoch_count,
                        generate_trajectory, sample_biases,
                        sample_sensor_locations)
 
@@ -122,6 +122,11 @@ class ExperimentConfig:
             if rows is not None and not _is_sequence(
                     rows, self.sensor_count, lambda r: _is_sequence(r, 3, _is_real)):
                 raise ConfigError(f"{key} must be sensor_count rows of {row}")
+        try:
+            epoch_count(self.duration_s, self.sample_period_s)
+        except ValueError as exc:
+            key = "duration_s" if self.sample_period_s > 0 else "sample_period_s"
+            raise ConfigError(f"{key}: {exc}") from None
         if self.sample_count is not None and self.sample_count < 2:
             raise ConfigError("sample_count must be at least 2")
 
@@ -203,8 +208,7 @@ def realizations(cfg: ExperimentConfig, count: int):
     spawns one stream that places the sensors, then one per realization
     for its biases and its noise.
     """
-    spec = TrajectorySpec(duration=cfg.duration_s, sample_period=cfg.sample_period_s)
-    points = generate_trajectory(spec)
+    points = generate_trajectory(cfg.duration_s, cfg.sample_period_s)
     if cfg.sample_count is not None:
         points = points[_thin_indices(points.shape[0], cfg.sample_count)]
 
@@ -642,6 +646,9 @@ def _read_sidecar(path) -> tuple:
         if location.shape != (3,):
             raise ValueError(f"{path}: sensor {sid}: location_m must be "
                              f"[x, y, z], got {location.tolist()}")
+        if not np.isfinite(location).all():
+            raise ValueError(f"{path}: location_m of sensor {sid} must be "
+                             f"finite, got {location.tolist()}")
         if kind not in (None, "2d", "3d"):
             raise ValueError(f"{path}: sensor {sid}: kind must be \"2d\" or "
                              f"\"3d\", got {kind!r}")

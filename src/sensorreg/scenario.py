@@ -1,9 +1,9 @@
 """Synthetic flight scenario and sensor measurement generation.
 
-A single target flies a climbing racetrack: constant-speed straight
-legs alternating with constant-rate coordinated turns, at a steady
-climb.  Sensors at fixed locations observe it through their own biased
-local frames with additive Gaussian measurement noise.
+A single target flies one fixed climbing racetrack of straight legs and
+constant-rate turns; only its duration and sample period can be chosen.
+Sensors at fixed locations observe it through their own biased local
+frames with additive Gaussian measurement noise.
 """
 
 import math
@@ -18,100 +18,70 @@ from .geometry import (EulerAngles, cart_to_spherical, collinearity_ratio,
 MIN_SPREAD_RATIO = 0.01
 PLACEMENT_POOL = 10
 
-
-@dataclass(frozen=True)
-class Leg:
-    """One trajectory segment: fly straight or turn at a constant rate."""
-
-    kind: str                # "straight" | "turn"
-    duration: float          # seconds
-    turn_rate: float = 0.0   # rad/s, only used for "turn"
-
-    def __post_init__(self):
-        if self.kind not in ("straight", "turn"):
-            raise ValueError(f"unknown leg kind {self.kind!r}")
-        if self.duration <= 0.0:
-            raise ValueError("leg duration must be positive")
+# the racetrack as (duration s, turn rate rad/s) legs, flown in a loop from
+# START along +x: 120 s out, a 180-degree turn in 60 s, 120 s back, the
+# same turn again; coordinates are NED, so the climb decreases z
+LEGS = ((120.0, 0.0), (60.0, math.pi / 60.0), (120.0, 0.0), (60.0, math.pi / 60.0))
+SPEED = 100.0       # m/s, horizontal
+CLIMB_RATE = 10.0   # m/s
+START = (0.0, 0.0, -1000.0)
+# far beyond any study (the default flight spans 90 periods), but it stops
+# a typo such as a 1e300 s duration before numpy fails to allocate it
+MAX_PERIODS = 10**6
 
 
-# 120 s out, 180-degree turn in 60 s, 120 s back, turn again: a racetrack
-DEFAULT_LEGS = (
-    Leg("straight", 120.0),
-    Leg("turn", 60.0, math.pi / 60.0),
-    Leg("straight", 120.0),
-    Leg("turn", 60.0, math.pi / 60.0),
-)
+def epoch_count(duration, sample_period) -> int:
+    """Samples of ``generate_trajectory``: one at time 0 and one after each of
+    the 1 to ``MAX_PERIODS`` whole sample periods that ``duration`` must span."""
+    if not sample_period > 0.0:
+        raise ValueError(f"sample period must be positive, got {sample_period}")
+    ratio = duration / sample_period
+    if not 1.0 <= ratio <= MAX_PERIODS:
+        raise ValueError(f"duration must be 1 to {MAX_PERIODS} sample periods, got {ratio:g}")
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise ValueError(f"duration must be a whole number of sample periods, got {ratio:g}")
+    return int(round(ratio)) + 1
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Climbing racetrack parameters.
-
-    Coordinates are NED, so a positive ``vertical_speed`` climbs by
-    decreasing z.  ``legs`` repeat cyclically until ``duration`` is
-    filled; sampling is uniform at ``sample_period``.
-    """
-
-    vertical_speed: float = 10.0
-    horizontal_speed: float = 100.0
-    duration: float = 900.0
-    sample_period: float = 10.0
-    legs: tuple = DEFAULT_LEGS
-    start: tuple = (0.0, 0.0, -1000.0)
-    initial_heading: float = 0.0
-
-    def __post_init__(self):
-        if self.horizontal_speed <= 0.0 or self.sample_period <= 0.0:
-            raise ValueError("horizontal_speed and sample_period must be positive")
-        ratio = self.duration / self.sample_period
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("duration must be an integer number of sample periods")
-
-    @property
-    def n_samples(self) -> int:
-        return int(round(self.duration / self.sample_period)) + 1
-
-
-def generate_trajectory(spec: TrajectorySpec) -> np.ndarray:
-    """Sample the trajectory, returning (n, 3) positions in meters.
+def generate_trajectory(duration=900.0, sample_period=10.0) -> np.ndarray:
+    """Sample the racetrack uniformly, returning (n, 3) positions in meters.
 
     Horizontal motion integrates each leg exactly (line segments and
-    circular arcs), so ground speed is ``horizontal_speed`` at every
-    instant; vertical motion is a constant climb.
+    circular arcs), so ground speed is ``SPEED`` at every instant;
+    vertical motion is a constant climb.  ``epoch_count`` gives n.
     """
-    n = spec.n_samples
-    v = spec.horizontal_speed
+    n = epoch_count(duration, sample_period)
     out = np.empty((n, 3))
-    out[0, :2] = spec.start[:2]
+    out[0, :2] = START[:2]
 
-    x, y = float(spec.start[0]), float(spec.start[1])
-    heading = float(spec.initial_heading)
+    x, y = START[0], START[1]
+    heading = 0.0
     leg_idx = 0
-    leg_left = spec.legs[0].duration
+    leg_left = LEGS[0][0]
     for k in range(1, n):
-        remaining = spec.sample_period
+        remaining = sample_period
         while remaining > 1e-9:
             dt = min(remaining, leg_left)
-            leg = spec.legs[leg_idx]
-            if leg.kind == "turn" and abs(leg.turn_rate) > 1e-12:
-                radius = v / leg.turn_rate
-                new_heading = heading + leg.turn_rate * dt
+            turn_rate = LEGS[leg_idx][1]
+            if turn_rate:
+                radius = SPEED / turn_rate
+                new_heading = heading + turn_rate * dt
                 x += radius * (math.sin(new_heading) - math.sin(heading))
                 y -= radius * (math.cos(new_heading) - math.cos(heading))
                 heading = new_heading
             else:
-                x += v * dt * math.cos(heading)
-                y += v * dt * math.sin(heading)
+                x += SPEED * dt * math.cos(heading)
+                y += SPEED * dt * math.sin(heading)
             remaining -= dt
             leg_left -= dt
             if leg_left <= 1e-9:
-                leg_idx = (leg_idx + 1) % len(spec.legs)
-                leg_left = spec.legs[leg_idx].duration
+                leg_idx = (leg_idx + 1) % len(LEGS)
+                leg_left = LEGS[leg_idx][0]
         out[k, 0] = x
         out[k, 1] = y
 
-    times = np.arange(n) * spec.sample_period
-    out[:, 2] = spec.start[2] - spec.vertical_speed * times
+    times = np.arange(n) * sample_period
+    out[:, 2] = START[2] - CLIMB_RATE * times
     return out
 
 
@@ -163,8 +133,8 @@ def build_batch(trajectory, sensors, seed) -> tuple:
 
     Parameters
     ----------
-    trajectory : TrajectorySpec or (n, 3) array
-        Target positions, generated first when a TrajectorySpec is given.
+    trajectory : (n, 3) array
+        Target positions, such as ``generate_trajectory()``.
     sensors : sequence of SensorTruth
     seed : int or numpy SeedSequence
         Each sensor draws its noise from an independent child stream,
@@ -174,10 +144,7 @@ def build_batch(trajectory, sensors, seed) -> tuple:
     -------
     (MeasurementBatch, ScenarioTruth)
     """
-    if isinstance(trajectory, TrajectorySpec):
-        points = generate_trajectory(trajectory)
-    else:
-        points = np.asarray(trajectory, dtype=float)
+    points = np.asarray(trajectory, dtype=float)
     n = points.shape[0]
     seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = seed.spawn(len(sensors))

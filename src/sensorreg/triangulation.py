@@ -58,16 +58,9 @@ class BearingSet:
 
 @dataclass(frozen=True)
 class TriangulationFix:
-    """Result of a bearing-only fix.
-
-    ``local_positions[s]`` is the target position in sensor s's own
-    frame: the measured bearing scaled by the fitted range, so it is
-    always consistent with that sensor's az/el.
-    """
+    """Result of a bearing-only fix."""
 
     point: np.ndarray
-    local_positions: np.ndarray
-    residual_cost: float
     iterations: int
 
 
@@ -75,8 +68,6 @@ class BatchFix(NamedTuple):
     """Vectorized fixes for n targets: see ``triangulate_batch``."""
 
     points: np.ndarray      # (n, 3)
-    ranges: np.ndarray      # (S, n), ||point - location_s||
-    cost: np.ndarray        # (n,) final sum of squared residuals, rad^2
     iterations: np.ndarray  # (n,)
     status: np.ndarray      # (n,) STATUS_* codes
 
@@ -364,8 +355,7 @@ def triangulate_batch(locations, az, el) -> BatchFix:
         res[idx[moved]] = res_t[moved]
         jac[idx[moved]] = jac_t[moved]
 
-    ranges = np.linalg.norm(x[np.newaxis, :, :] - locations[:, np.newaxis, :], axis=-1)
-    return BatchFix(points=x, ranges=ranges, cost=cost, iterations=iterations, status=status)
+    return BatchFix(points=x, iterations=iterations, status=status)
 
 
 def triangulate(bearings: BearingSet) -> TriangulationFix:
@@ -387,8 +377,4 @@ def triangulate(bearings: BearingSet) -> TriangulationFix:
         raise IllConditionedError("bearing rays are near-parallel or not finite")
     if code != STATUS_OK:
         raise NoConvergenceError(f"no convergence in {MAX_ITERATIONS} iterations")
-    local = fix.ranges[:, 0, np.newaxis] * direction_from_angles(bearings.az, bearings.el)
-    return TriangulationFix(point=fix.points[0],
-                            local_positions=local,
-                            residual_cost=float(fix.cost[0]),
-                            iterations=int(fix.iterations[0]))
+    return TriangulationFix(point=fix.points[0], iterations=int(fix.iterations[0]))

@@ -1,7 +1,7 @@
 """Optimal rotation between two vector sets (Wahba's problem).
 
-Finds the proper rotation R minimizing sum_i w_i ||R x_i - y_i||^2 via
-the SVD of the weighted attitude profile matrix B = sum_i w_i y_i x_i^T.
+Finds the proper rotation R minimizing sum_i ||R x_i - y_i||^2 via
+the SVD of the attitude profile matrix B = sum_i y_i x_i^T.
 """
 
 import numpy as np
@@ -11,7 +11,7 @@ from .errors import DegenerateInputError
 SINGULAR_RATIO_TOL = 1e-12
 
 
-def solve_wahba(xs, ys, weights=None) -> np.ndarray:
+def solve_wahba(xs, ys) -> np.ndarray:
     """Solve for the rotation best mapping ``xs`` onto ``ys``.
 
     Parameters
@@ -19,14 +19,11 @@ def solve_wahba(xs, ys, weights=None) -> np.ndarray:
     xs, ys : array_like, shape (n, 3)
         Paired vectors, n >= 2.  Need not be unit length; longer vectors
         simply carry more weight, exactly as in the least-squares cost.
-    weights : array_like, shape (n,), optional
-        Nonnegative per-pair weights.  Defaults to 1.
 
     Returns
     -------
     ndarray, shape (3, 3)
-        Proper rotation (determinant +1) minimizing
-        sum_i w_i ||R x_i - y_i||^2.
+        Proper rotation (determinant +1) minimizing sum_i ||R x_i - y_i||^2.
 
     Raises
     ------
@@ -41,18 +38,9 @@ def solve_wahba(xs, ys, weights=None) -> np.ndarray:
         xs, ys = np.atleast_2d(xs), np.atleast_2d(ys)
     if xs.shape != ys.shape or xs.shape[1] != 3:
         raise ValueError(f"paired (n, 3) arrays required, got {xs.shape} and {ys.shape}")
-    n = xs.shape[0]
-    if n < 2:
+    if xs.shape[0] < 2:
         raise DegenerateInputError("at least two vector pairs are required")
-    if weights is None:
-        b = ys.T @ xs
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValueError(f"weights must have shape ({n},), got {weights.shape}")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        b = (weights[:, np.newaxis] * ys).T @ xs
+    b = ys.T @ xs
 
     u, sv, vt = np.linalg.svd(b)
     # sv is sorted descending; two vanishing singular values mean the data
@@ -70,12 +58,9 @@ def solve_wahba(xs, ys, weights=None) -> np.ndarray:
     return rot
 
 
-def wahba_cost(rot, xs, ys, weights=None) -> float:
-    """Evaluate sum_i w_i ||R x_i - y_i||^2 for a candidate rotation."""
+def wahba_cost(rot, xs, ys) -> float:
+    """Evaluate sum_i ||R x_i - y_i||^2 for a candidate rotation."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     resid = xs @ np.asarray(rot, dtype=float).T - ys
-    sq = np.sum(resid * resid, axis=1)
-    if weights is not None:
-        sq = sq * np.asarray(weights, dtype=float)
-    return float(np.sum(sq))
+    return float(np.sum(np.sum(resid * resid, axis=1)))

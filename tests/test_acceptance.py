@@ -27,7 +27,6 @@ from sensorreg.geometry import (
 )
 from sensorreg.scenario import (
     SensorTruth,
-    TrajectorySpec,
     build_batch,
     generate_trajectory,
 )
@@ -53,7 +52,7 @@ def _line(ok: bool, criterion: int, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def trajectory():
-    return generate_trajectory(TrajectorySpec())
+    return generate_trajectory()
 
 
 @pytest.fixture(scope="module")

@@ -222,3 +222,17 @@ def test_non_ascii_cell_does_not_crash(tmp_path):
         env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"})
     assert proc.returncode == 0, proc.stderr
     assert "line 2, column sensor_id" in proc.stdout
+
+
+def test_non_finite_sidecar_location_names_file_and_id():
+    ids = [5, 6, 7, 8]
+    text = HEADER + "\n" + "".join(f"{sid},{epoch},,0.1,0.2\n"
+                                   for sid in ids for epoch in (0, 1))
+    sidecar = {"sensors": [{"id": sid, "location_m": [100.0 * sid, 0.0, 0.0]}
+                           for sid in ids]}
+    sidecar["sensors"][1]["location_m"][1] = float("nan")
+    for plain in (True, False):
+        kind, message = outcome(text, json.dumps(sidecar), plain)
+        assert kind is ValueError
+        assert message == (f"{Path('<tmp>', 'sensors.json')}: location_m of "
+                           f"sensor 6 must be finite, got [600.0, nan, 0.0]")

@@ -34,7 +34,6 @@ from sensorreg.geometry import (
 )
 from sensorreg.scenario import (
     SensorTruth,
-    TrajectorySpec,
     build_batch,
     generate_trajectory,
     sample_biases,
@@ -514,7 +513,7 @@ class TestAbsolute2d:
     def test_stops_at_its_fixed_point(self):
         # the default tolerance must leave the estimate where a much
         # tighter one would, not part-way along a slow approach
-        trajectory = generate_trajectory(TrajectorySpec())
+        trajectory = generate_trajectory()
         rng = np.random.default_rng(4)
         worst = 0.0
         for seed in range(8):
@@ -555,7 +554,7 @@ class TestAbsolute2d:
         # any common rotation about the baseline fits a pair equally well:
         # the relative rotation must match the truth, and the solver must
         # not move the common rotation further than the warm start did
-        trajectory = generate_trajectory(TrajectorySpec())
+        trajectory = generate_trajectory()
         locations = np.asarray(RING[:2])
         baseline = (locations[1] - locations[0]) \
             / np.linalg.norm(locations[1] - locations[0])

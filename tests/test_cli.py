@@ -24,7 +24,7 @@ from sensorreg.errors import RegistrationError
 from sensorreg import experiments
 from sensorreg.experiments import (BATCH_COLUMNS, ExperimentConfig, read_batch,
                                    run_experiment, write_batch)
-from sensorreg.scenario import SensorTruth, TrajectorySpec, build_batch
+from sensorreg.scenario import SensorTruth, build_batch, generate_trajectory
 
 RING = [[14500.0, 1700.0, -300.0], [2500.0, 8600.0, -600.0],
         [2500.0, -5100.0, -150.0]]
@@ -236,7 +236,7 @@ def valid_batch():
     """Header and rows of a simulated 3-sensor, 6-epoch batch file, as
     tuples of cells, and its sidecar JSON text."""
     sensors = [SensorTruth(location=loc) for loc in RING]
-    batch, _ = build_batch(TrajectorySpec(duration=50.0), sensors, seed=3)
+    batch, _ = build_batch(generate_trajectory(50.0), sensors, seed=3)
     with tempfile.TemporaryDirectory() as tmp:
         write_batch(batch, Path(tmp) / "batch.csv", Path(tmp) / "sensors.json")
         with open(Path(tmp) / "batch.csv", newline="") as fh:

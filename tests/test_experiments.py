@@ -21,7 +21,7 @@ from sensorreg.experiments import (
     sweep,
     write_batch,
 )
-from sensorreg.scenario import SensorTruth, TrajectorySpec, build_batch
+from sensorreg.scenario import SensorTruth, build_batch, generate_trajectory
 
 RING = [[14500.0, 1700.0, -300.0], [2500.0, 8600.0, -600.0],
         [2500.0, -5100.0, -150.0], [-1500.0, 1700.0, -450.0]]
@@ -77,6 +77,22 @@ class TestExperimentConfig:
             ExperimentConfig(bias_low_deg=5.0, bias_high_deg=1.0)
         with pytest.raises(ConfigError):
             ExperimentConfig(sample_count=1)
+
+    @pytest.mark.parametrize("duration, sample_period, key", [
+        (900.0, 0.0, "sample_period_s"),
+        (900.0, -10.0, "sample_period_s"),
+        (0.0, 10.0, "duration_s"),
+        (-5.0, 10.0, "duration_s"),
+        (905.0, 10.0, "duration_s"),
+        (1e7 + 10.0, 10.0, "duration_s"),
+        (1e300, 10.0, "duration_s"),
+    ])
+    def test_duration_and_sample_period(self, duration, sample_period, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(duration_s=duration, sample_period_s=sample_period)
+        # the largest flight the cap allows, and the finest sampling in use
+        ExperimentConfig(duration_s=1e7, sample_period_s=10.0)
+        ExperimentConfig(duration_s=900.0, sample_period_s=2.0)
 
     def test_fixed_arrays_must_match_sensor_count(self):
         with pytest.raises(ConfigError):
@@ -319,7 +335,7 @@ class TestBatchFiles:
                    SensorTruth(location=(8000.0, 1000.0, -200.0),
                                sigma_range=10.0, sigma_az=3e-3,
                                sigma_el=3e-3)]
-        batch, _ = build_batch(TrajectorySpec(duration=100.0), sensors, seed=5)
+        batch, _ = build_batch(generate_trajectory(100.0), sensors, seed=5)
         return batch
 
     def test_round_trip(self, tmp_path):

@@ -1,10 +1,13 @@
 """Package boundaries: no module reaches into another's private names,
-and ``sensorreg.__all__`` is the public API the demos use."""
+``sensorreg.__all__`` is the public API the demos use, and the README's
+example runs."""
 
 import ast
+import re
 from pathlib import Path
 
 import sensorreg
+from sensorreg.geometry import geodesic_angle
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "sensorreg").glob("*.py"))
@@ -71,3 +74,14 @@ def test_all_covers_demo_imports():
     names = demo_imports()
     assert names
     assert sorted(names - set(sensorreg.__all__)) == []
+
+
+def test_readme_quick_start_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                          flags=re.DOTALL)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    # one line per sensor, each estimate close to the truth it was simulated from
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    for est, rot in zip(scope["result"].estimates, scope["truth"].rotations, strict=True):
+        assert geodesic_angle(est, rot) < 2e-3

@@ -9,11 +9,8 @@ from scipy.spatial.transform import Rotation
 from sensorreg.calibration import MeasurementBatch
 from sensorreg.geometry import EulerAngles, euler_to_rotation, geodesic_angle
 from sensorreg.scenario import (
-    DEFAULT_LEGS,
-    Leg,
     ScenarioTruth,
     SensorTruth,
-    TrajectorySpec,
     build_batch,
     generate_trajectory,
     sample_biases,
@@ -23,35 +20,26 @@ from sensorreg.scenario import (
 DEG = np.pi / 180.0
 
 
-class TestLegAndSpecValidation:
-    def test_leg_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Leg("spiral", 60.0)
-
-    def test_leg_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            Leg("straight", 0.0)
-
-    def test_spec_rejects_nonpositive_speed(self):
-        with pytest.raises(ValueError):
-            TrajectorySpec(horizontal_speed=0.0)
-
-    def test_spec_rejects_ragged_duration(self):
-        with pytest.raises(ValueError):
-            TrajectorySpec(duration=905.0, sample_period=10.0)
-
-    def test_default_sample_count(self):
-        assert TrajectorySpec().n_samples == 91
-
-
 class TestGenerateTrajectory:
     def setup_method(self):
-        self.spec = TrajectorySpec()
-        self.traj = generate_trajectory(self.spec)
+        self.traj = generate_trajectory()
 
     def test_shape_and_start(self):
         assert self.traj.shape == (91, 3)
         np.testing.assert_allclose(self.traj[0], [0.0, 0.0, -1000.0])
+
+    def test_rejects_ragged_duration(self):
+        for duration, sample_period in [(905.0, 10.0), (-10.0, 10.0), (900.0, 0.0),
+                                        (900.0, -10.0), (math.nan, 10.0), (1e300, 10.0)]:
+            with pytest.raises(ValueError):
+                generate_trajectory(duration, sample_period)
+
+    def test_sample_count(self):
+        # a finer sampling of the same flight passes through the same
+        # points: legs are integrated exactly, not stepped
+        fine = generate_trajectory(900.0, 2.0)
+        assert fine.shape == (451, 3)
+        np.testing.assert_allclose(fine[::5], self.traj, rtol=0.0, atol=1e-6)
 
     def test_constant_climb(self):
         # 10 m/s up in NED: z drops 100 m per 10 s sample
@@ -84,12 +72,6 @@ class TestGenerateTrajectory:
         assert self.traj[:, 0].min() == pytest.approx(-radius)
         assert self.traj[:, 1].max() == pytest.approx(2.0 * radius)
         assert self.traj[:, 1].min() == pytest.approx(0.0, abs=1e-9)
-
-    def test_custom_legs(self):
-        spec = TrajectorySpec(legs=(Leg("straight", 60.0),), duration=60.0,
-                              sample_period=10.0, vertical_speed=0.0)
-        traj = generate_trajectory(spec)
-        np.testing.assert_allclose(traj[-1], [6000.0, 0.0, -1000.0], atol=1e-9)
 
 
 class TestSensorTruth:
@@ -140,7 +122,7 @@ class TestObserve:
 
     def test_matches_build_batch_noiseless(self):
         # scipy's intrinsic Z-Y-X rotation is the independent reference
-        traj = generate_trajectory(TrajectorySpec())
+        traj = generate_trajectory()
         bias = EulerAngles(2 * DEG, -1 * DEG, 3 * DEG)
         sensor = SensorTruth(location=(3000.0, -2000.0, -100.0), bias=bias)
         m = observe(traj, sensor)
@@ -159,7 +141,7 @@ class TestBuildBatch:
     def test_returns_batch_and_truth(self):
         sensors = [SensorTruth(location=(0.0, 0.0, 0.0)),
                    SensorTruth(location=(5000.0, 0.0, -100.0), kind="2d")]
-        batch, truth = build_batch(TrajectorySpec(), sensors, seed=1)
+        batch, truth = build_batch(generate_trajectory(), sensors, seed=1)
         assert isinstance(batch, MeasurementBatch)
         assert isinstance(truth, ScenarioTruth)
         assert batch.n_sensors == 2 and batch.n_epochs == 91
@@ -171,7 +153,7 @@ class TestBuildBatch:
         bias = EulerAngles(4 * DEG, -2 * DEG, 1 * DEG)
         sensors = [SensorTruth(location=(2000.0, 1000.0, -300.0), bias=bias),
                    SensorTruth(location=(0.0, 0.0, 0.0))]
-        batch, truth = build_batch(TrajectorySpec(), sensors, seed=3)
+        batch, truth = build_batch(generate_trajectory(), sensors, seed=3)
         # correcting the local positions with the true rotation must
         # reproduce the trajectory exactly
         corrected = (batch.sensors[0].local_positions()
@@ -210,9 +192,9 @@ class TestBuildBatch:
         sensors = [SensorTruth(location=(0.0, 0.0, 0.0), sigma_az=3e-3,
                                sigma_el=3e-3, sigma_range=10.0),
                    SensorTruth(location=(5000.0, 0.0, 0.0), sigma_az=3e-3)]
-        b1, _ = build_batch(TrajectorySpec(), sensors, seed=42)
-        b2, _ = build_batch(TrajectorySpec(), sensors, seed=42)
-        b3, _ = build_batch(TrajectorySpec(), sensors, seed=43)
+        b1, _ = build_batch(generate_trajectory(), sensors, seed=42)
+        b2, _ = build_batch(generate_trajectory(), sensors, seed=42)
+        b3, _ = build_batch(generate_trajectory(), sensors, seed=43)
         np.testing.assert_array_equal(b1.sensors[0].az, b2.sensors[0].az)
         np.testing.assert_array_equal(b1.sensors[0].rng, b2.sensors[0].rng)
         np.testing.assert_array_equal(b1.sensors[1].az, b2.sensors[1].az)
@@ -266,10 +248,3 @@ class TestSampleBiases:
         biases = sample_biases(50, rng, low=0.1, high=0.2)
         mags = np.abs(np.array([list(b) for b in biases]))
         assert np.all(mags >= 0.1) and np.all(mags <= 0.2)
-
-
-class TestDefaultLegs:
-    def test_racetrack_structure(self):
-        kinds = [leg.kind for leg in DEFAULT_LEGS]
-        assert kinds == ["straight", "turn", "straight", "turn"]
-        assert sum(leg.duration for leg in DEFAULT_LEGS) == pytest.approx(360.0)

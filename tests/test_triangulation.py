@@ -158,17 +158,6 @@ class TestTriangulate:
         az, el = exact_bearings(locs, target)
         fix = triangulate(BearingSet(locations=locs, az=az, el=el))
         np.testing.assert_allclose(fix.point, target, atol=1e-6)
-        assert fix.residual_cost < 1e-18
-
-    def test_local_positions_match_ranges(self):
-        locs = np.array([[0.0, 0.0, 0.0], [2000.0, 500.0, -100.0],
-                         [-500.0, 1500.0, -300.0]])
-        target = np.array([800.0, 900.0, -1200.0])
-        az, el = exact_bearings(locs, target)
-        fix = triangulate(BearingSet(locations=locs, az=az, el=el))
-        expected = np.linalg.norm(target - locs, axis=1)[:, None] \
-            * direction_from_angles(az, el)
-        np.testing.assert_allclose(fix.local_positions, expected, atol=1e-5)
 
     def test_three_sensor_overdetermined(self):
         locs = np.array([[0.0, 0.0, 0.0], [3000.0, 0.0, 0.0],
@@ -177,7 +166,6 @@ class TestTriangulate:
         az, el = exact_bearings(locs, target)
         fix = triangulate(BearingSet(locations=locs, az=az, el=el))
         np.testing.assert_allclose(fix.point, target, atol=1e-6)
-        assert fix.residual_cost < 1e-18
 
     def test_collinear_rays_ill_conditioned(self):
         # target on the sensor baseline: all rays point the same way
@@ -220,9 +208,6 @@ class TestTriangulateBatch:
         fix = triangulate_batch(locs, az, el)
         assert np.all(fix.status == STATUS_OK)
         np.testing.assert_allclose(fix.points, targets, atol=1e-6)
-        expected_ranges = np.linalg.norm(
-            targets[None, :, :] - locs[:, None, :], axis=-1)
-        np.testing.assert_allclose(fix.ranges, expected_ranges, rtol=1e-9)
 
     def test_one_bad_target_does_not_abort(self):
         locs = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]])
@@ -501,7 +486,6 @@ class TestPerTargetIndependence:
         np.testing.assert_array_equal(sub.points, full.points[keep])
         np.testing.assert_array_equal(sub.status, full.status[keep])
         np.testing.assert_array_equal(sub.iterations, full.iterations[keep])
-        np.testing.assert_array_equal(sub.cost, full.cost[keep])
 
     @settings(max_examples=60, deadline=None)
     @given(n_sensors=st.sampled_from([2, 3, 4]), target=st.integers(0, 39),
@@ -519,4 +503,3 @@ class TestPerTargetIndependence:
         np.testing.assert_array_equal(fix.points[rest], full.points[rest])
         np.testing.assert_array_equal(fix.status[rest], full.status[rest])
         np.testing.assert_array_equal(fix.iterations[rest], full.iterations[rest])
-        np.testing.assert_array_equal(fix.cost[rest], full.cost[rest])
