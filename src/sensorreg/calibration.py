@@ -13,6 +13,8 @@ more sensors and flag a pair's baseline gauge themselves.
 """
 
 import itertools
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -145,14 +147,19 @@ class StoppingCriteria:
     (relative) between iterations, or after ``max_iterations``
     iterations.  A tolerance of zero disables the cost rule, so the
     iteration runs the full budget, except that ``absolute_2d`` also
-    stops once no damped step lowers its cost (its fixed point)."""
+    stops once no damped step lowers its cost (its fixed point).  The
+    tolerance must be finite and the budget a positive integer."""
 
     rel_cost_tol: float = 1e-3
     max_iterations: int = 100
 
     def __post_init__(self):
-        if self.rel_cost_tol < 0.0:
-            raise ValueError("rel_cost_tol must be non-negative")
+        if not 0.0 <= self.rel_cost_tol < math.inf:
+            raise ValueError("rel_cost_tol must be finite and non-negative, "
+                             f"got {self.rel_cost_tol!r}")
+        if isinstance(self.max_iterations, bool) \
+                or not isinstance(self.max_iterations, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -1,5 +1,6 @@
 """Tests for rotation-bias estimation (relative, absolute, 2D, 3D)."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from sensorreg.errors import (
     MissingRangeError,
     ZeroVectorError,
 )
-from sensorreg.experiments import ExperimentConfig, run_experiment
+from sensorreg.experiments import ExperimentConfig, realizations, run_experiment
 from sensorreg.geometry import (
     EulerAngles,
     cart_to_spherical,
@@ -126,6 +127,19 @@ class TestDataStructures:
             StoppingCriteria(rel_cost_tol=-1e-3)
         with pytest.raises(ValueError):
             StoppingCriteria(max_iterations=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rel_cost_tol", float("nan"), "rel_cost_tol must be finite and non-negative"),
+        ("rel_cost_tol", float("inf"), "rel_cost_tol must be finite and non-negative"),
+        ("rel_cost_tol", -float("inf"), "rel_cost_tol must be finite and non-negative"),
+        ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+        ("max_iterations", 3.0, "max_iterations must be an integer, got 3.0"),
+        ("max_iterations", True, "max_iterations must be an integer, got True"),
+    ])
+    def test_stopping_criteria_names_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            StoppingCriteria(**{field: value})
+        StoppingCriteria(rel_cost_tol=np.float64(0.5), max_iterations=np.int64(3))
 
 
 class TestPairwiseCost:
@@ -449,6 +463,49 @@ class TestMomentSweep:
         np.testing.assert_allclose(result.cost_trace, trace, rtol=1e-11, atol=0)
         for got, want in zip(result.estimates, rotations):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# criterion 4's constellation (tests/test_acceptance.py)
+RING_8 = RING + [[10500.0, 8600.0, -750.0], [10500.0, -5100.0, -900.0],
+                 [6500.0, 9700.0, -500.0], [6500.0, -6300.0, -250.0]]
+
+
+class TestClosedFormSweep:
+    @pytest.mark.parametrize("algorithm, kind, count, solve", [
+        ("alg4", "3d", 4, lambda batch: absolute_3d(batch)),
+        ("alg7", "2d", 8, lambda batch: calibration._warm_start(batch)),
+    ])
+    def test_no_sweep_call_falls_back(self, monkeypatch, algorithm, kind, count, solve):
+        # a Wahba call that the closed form declines pays for the SVD as
+        # well: the sweeps of absolute_3d and of absolute_2d's warm start
+        # must never get there on criterion-4 data
+        svd = np.linalg.svd
+        from_wahba = []
+
+        def counting_svd(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "sensorreg.wahba":
+                from_wahba.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        solves = []
+
+        def counting_solve(xs, ys):
+            solves.append(len(xs))
+            return solve_wahba(xs, ys)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(calibration, "solve_wahba", counting_solve)
+        # the counter sees a declined call: a half turn goes to the SVD
+        xs = np.eye(3)
+        solve_wahba(xs, xs @ np.diag([1.0, -1.0, -1.0]))
+        assert from_wahba == [(3, 3)]
+        from_wahba.clear()
+        cfg = ExperimentConfig(algorithm=algorithm, sensor_kind=kind, sensor_count=count,
+                               seed=0, mc_runs=4, sensor_locations_m=RING_8[:count])
+        for batch, _ in realizations(cfg, cfg.mc_runs):
+            solve(batch)
+        assert len(solves) >= 4 * count * (count - 1)
+        assert from_wahba == []
 
 
 class TestAbsolute2d:

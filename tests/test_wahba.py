@@ -1,12 +1,17 @@
 """Tests for the optimal-rotation (orthogonal Procrustes) solver."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sensorreg import wahba
 from sensorreg.errors import DegenerateInputError
-from sensorreg.geometry import EulerAngles, euler_to_rotation, is_rotation_matrix
+from sensorreg.geometry import (EulerAngles, euler_to_rotation, is_rotation_matrix,
+                                rotation_from_rotvec)
 from sensorreg.wahba import solve_wahba, wahba_cost
 
 
@@ -236,3 +241,154 @@ class TestInputErrors:
         with pytest.raises(type(expected)) as exc:
             solve_wahba(xs, ys)
         assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
+
+
+def svd_path(xs, ys):
+    """What the SVD path alone gives for these vector pairs: the rotation,
+    or the exception it raises."""
+    try:
+        return wahba._svd_rotation(np.asarray(xs, dtype=float),
+                                   np.asarray(ys, dtype=float))
+    except DegenerateInputError as exc:
+        return exc
+
+
+def closed_form(xs, ys):
+    """The QUEST kernel's answer, or None, on B formed as ``solve_wahba``
+    forms it."""
+    if len(xs) > wahba.LOOP_PROFILE_MAX_PAIRS:
+        return wahba._quaternion_rotation(*(ys.T @ xs).ravel().tolist())
+    return wahba._quaternion_rotation(*wahba._profile(xs.tolist(), ys.tolist()))
+
+
+def assert_matches_svd_path(xs, ys):
+    """``solve_wahba`` gives the SVD path's exception, type and message, or
+    a proper rotation within 1e-12 of it, and no warning; a call the
+    closed form declines gives the SVD path's rotation bit for bit."""
+    expected = svd_path(xs, ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as exc:
+                solve_wahba(xs, ys)
+            assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
+            return
+        rot = solve_wahba(xs, ys)
+    assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(rot.T @ rot, np.eye(3), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rot, expected, rtol=0, atol=1e-12)
+    if closed_form(xs, ys) is None:
+        np.testing.assert_array_equal(rot, expected)
+
+
+def rotation_by(angle, axis):
+    return rotation_from_rotvec(angle * axis / np.linalg.norm(axis))
+
+
+KINDS = ["moment", "mirrored", "coplanar", "near_half_turn", "collinear"]
+
+
+def kernel_problem(seed, kind):
+    """Vector pairs of one kind: a sweep's four-pair moment form, mirrored
+    targets, coplanar targets, a rotation of 160 to 180 degrees, and
+    collinear (rank-1) data."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    if kind == "moment":
+        # aligning sensor a to sensor b: both track the same points, from
+        # their own locations and rotated by biases of up to 5 degrees
+        points = rng.uniform(-2e4, 2e4, size=(20 * n, 3))
+        l_a, l_b = rng.uniform(-2e4, 2e4, size=(2, 3))
+        a_a, a_b = (rotation_by(np.radians(rng.uniform(0.0, 5.0)), rng.normal(size=3))
+                    for _ in range(2))
+        p_a = (points - l_a) @ a_a + 10.0 * rng.normal(size=points.shape)
+        p_b = (points - l_b) @ a_b + 10.0 * rng.normal(size=points.shape)
+        return (np.vstack([p_b.T @ p_a, p_a.sum(axis=0)]),
+                np.vstack([a_b.T, l_b - l_a]))
+    xs = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e4)
+    truth = random_rotation(rng)
+    noise_free = False
+    if kind == "mirrored":
+        truth = truth @ np.diag([1.0, 1.0, -1.0])
+    elif kind == "coplanar":
+        xs[:, 2] = 0.0
+    elif kind == "near_half_turn":
+        # 1e-9 to 20 degrees short of a half turn, exact data half the time
+        truth = rotation_by(np.radians(180.0 - 10.0 ** rng.uniform(-9.0, 1.3)),
+                            rng.normal(size=3))
+        noise_free = rng.integers(2) == 1
+    elif kind == "collinear":
+        xs = np.outer(rng.normal(size=n), rng.normal(size=3))
+        noise_free = True
+    noise = rng.uniform(0.0, 0.1) * np.abs(xs).max() * rng.normal(size=xs.shape)
+    return xs, xs @ truth.T + (0.0 if noise_free else noise)
+
+
+class TestClosedForm:
+    """The QUEST kernel and its gate: every call matches the SVD path."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(seed=SEEDS, kind=st.sampled_from(KINDS))
+    def test_matches_svd_path(self, seed, kind):
+        xs, ys = kernel_problem(seed, kind)
+        if kind != "collinear":
+            assume(conditioned(xs, ys, 1e-6))
+        assert_matches_svd_path(xs, ys)
+
+    def test_gate_clears_and_declines(self):
+        # the property above sees both sides of the gate: the sweep's
+        # moment form and small rotations clear it, half turns and
+        # collinear data do not
+        def cleared(kind, seeds):
+            return [closed_form(*kernel_problem(seed, kind)) is not None for seed in seeds]
+
+        assert all(cleared("moment", range(50)))
+        assert not any(cleared("collinear", range(20)))
+        xs = np.random.default_rng(3).normal(size=(6, 3))
+        axis = np.array([1.0, 2.0, -0.5])
+        for degrees, expected in ((5.0, True), (150.0, True), (175.0, False),
+                                  (180.0, False)):
+            ys = xs @ rotation_by(np.radians(degrees), axis).T
+            assert (closed_form(xs, ys) is not None) is expected, degrees
+            assert_matches_svd_path(xs, ys)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, n, value):
+        # every cell of either array, on both ways of forming B
+        rng = np.random.default_rng(n)
+        xs = rng.normal(size=(n, 3))
+        ys = xs @ random_rotation(rng).T
+        for which, i, j in itertools.product(range(2), range(n), range(3)):
+            bad = [xs.copy(), ys.copy()]
+            bad[which][i, j] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateInputError,
+                                   match="must be finite, got NaN or inf"):
+                    solve_wahba(*bad)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_profile_scale(self, n):
+        # B from 1e-150 to 1e150, where tiny B is zero to the SVD path; and
+        # the kernel alone from 1e-300 to 1e300, where it answers only in
+        # its safe range and raises no float error (ZeroDivisionError,
+        # OverflowError) anywhere
+        rng = np.random.default_rng(20 + n)
+        xs = rng.normal(size=(n, 3))
+        ys = xs @ random_rotation(rng).T + 0.01 * rng.normal(size=(n, 3))
+        for exponent in range(-150, 151, 10):
+            scale = 10.0 ** (exponent / 2)
+            assert_matches_svd_path(scale * xs, scale * ys)
+        rot = solve_wahba(xs, ys)
+        for exponent in range(-300, 301, 10):
+            b = (ys.T @ xs * 10.0 ** exponent).ravel().tolist()
+            scaled = wahba._quaternion_rotation(*b)
+            assert scaled is None or np.abs(scaled - rot).max() < 1e-12
+
+    def test_overflowing_profile(self):
+        xs = np.array([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0], [0.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="overflows"):
+                solve_wahba(xs, xs)
