@@ -25,7 +25,6 @@ def main():
 
     cfg = ExperimentConfig(
         algorithm=args.algorithm,
-        sensor_kind="2d" if args.algorithm == "alg7" else "3d",
         sensor_count=args.sensors,
         mc_runs=args.mc_runs,
         seed=args.seed,

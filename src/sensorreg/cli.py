@@ -1,7 +1,6 @@
 """Command-line front end: simulate, calibrate, experiment, sweep."""
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -18,19 +17,17 @@ from .geometry import rotation_to_euler
 
 
 def _load_config(args) -> ExperimentConfig:
+    values = {}
     if args.config:
         with open(args.config) as fh:
-            cfg = ExperimentConfig.from_dict(json.load(fh))
-    else:
-        cfg = ExperimentConfig()
+            values = json.load(fh)
+        ExperimentConfig.from_dict(values)  # a bad file value fails even under a flag
     # flags beat file values
     flags = {"seed": args.seed, "algorithm": args.algorithm,
              "sensor_count": args.sensors, "mc_runs": args.mc_runs,
              "out_dir": args.out_dir}
-    updates = {key: value for key, value in flags.items() if value is not None}
-    if args.algorithm is not None:
-        updates["sensor_kind"] = ALGORITHMS[args.algorithm].sensor_kind
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    return ExperimentConfig.from_dict(values)
 
 
 def _add_common(parser):
@@ -127,10 +124,17 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _axis_values(text) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [float(v) for v in args.values.split(",")]
-    results = sweep(cfg, args.axis, values)
+    results = sweep(cfg, args.axis, args.values)
     out = cfg.out_dir or "results"
     paths = emit_sweep_reports(results, args.axis, out)
     for value, report in results:
@@ -168,7 +172,7 @@ def main(argv=None) -> int:
     _add_common(p_swp)
     p_swp.add_argument("--axis", required=True,
                        choices=SWEEP_AXES)
-    p_swp.add_argument("--values", required=True,
+    p_swp.add_argument("--values", required=True, type=_axis_values,
                        help="comma-separated axis values, e.g. 1,2,3,4,5")
     p_swp.set_defaults(func=cmd_sweep)
 

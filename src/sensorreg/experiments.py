@@ -31,7 +31,12 @@ from .scenario import (SensorTruth, build_batch, epoch_count,
 
 RAD_TO_MRAD = 1000.0
 
-SWEEP_AXES = ("sensor_count", "noise_std", "sample_count")
+# each sweep axis: the type of its values and the config keys a value sets
+SWEEP_AXES = {
+    "sensor_count": (int, ("sensor_count",)),
+    "noise_std": (float, ("sigma_az_mrad", "sigma_el_mrad")),
+    "sample_count": (int, ("sample_count",)),
+}
 
 # the batch CSV header; ``read_batch`` finds the columns by these names
 BATCH_COLUMNS = ("sensor_id", "epoch_index", "rng_m", "az_rad", "el_rad")
@@ -42,7 +47,8 @@ class ExperimentConfig:
     """Everything needed to reproduce one Monte-Carlo study.
 
     Key names carry explicit units.  ``sensor_kind`` is "3d", "2d", or
-    "hetero" (sensor 0 bearing-only, sensor 1 with ranges).  Leave
+    "hetero" (sensor 0 bearing-only, sensor 1 with ranges); left None,
+    it is the kind the algorithm needs.  Leave
     ``sensor_locations_m`` None to draw a seeded random constellation in
     a ``placement_box_km`` box around the trajectory; leave
     ``fixed_biases_deg`` None to redraw biases per realization from
@@ -54,7 +60,7 @@ class ExperimentConfig:
     seed: int = 0
     mc_runs: int = 50
     sensor_count: int = 4
-    sensor_kind: str = "3d"
+    sensor_kind: str | None = None
     sigma_range_m: float = 10.0
     sigma_az_mrad: float = 3.0
     sigma_el_mrad: float = 3.0
@@ -72,6 +78,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.validate()
+        if self.sensor_kind is None:
+            self.sensor_kind = ALGORITHMS[self.algorithm].sensor_kind
         self.placement_box_km = tuple(float(v) for v in self.placement_box_km)
         if self.fixed_biases_deg is not None:
             self.fixed_biases_deg = [[float(v) for v in row]
@@ -92,7 +100,8 @@ class ExperimentConfig:
                  "a string")):
             for key in keys:
                 value = getattr(self, key)
-                if not ok(value) and not (key in ("sample_count", "out_dir") and value is None):
+                if not ok(value) and not (key in ("sample_count", "sensor_kind", "out_dir")
+                                          and value is None):
                     raise ConfigError(f"{key} must be {kind}, got {value!r}")
         if not _is_sequence(self.placement_box_km, 3, _is_real):
             raise ConfigError(f"placement_box_km must be 3 finite numbers [x, y, z] km, "
@@ -101,7 +110,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose one of {sorted(ALGORITHMS)}")
         algorithm = ALGORITHMS[self.algorithm]
-        if self.sensor_kind != algorithm.sensor_kind:
+        if self.sensor_kind not in (None, algorithm.sensor_kind):
             raise ConfigError(f"{self.algorithm} needs sensor_kind="
                               f"{algorithm.sensor_kind!r}, got {self.sensor_kind!r}")
         if not algorithm.accepts_count(self.sensor_count):
@@ -318,18 +327,14 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     constellations for different sensor counts are nested subsets.
     """
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    results = []
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {list(SWEEP_AXES)}")
+    kind, keys = SWEEP_AXES[axis]
+    points = []
     for value in values:
-        if axis == "sensor_count":
-            point = dataclasses.replace(cfg, sensor_count=int(value))
-        elif axis == "noise_std":
-            point = dataclasses.replace(cfg, sigma_az_mrad=float(value),
-                                        sigma_el_mrad=float(value))
-        else:
-            point = dataclasses.replace(cfg, sample_count=int(value))
-        results.append((value, run_experiment(point)))
-    return results
+        if kind is int and not float(value).is_integer():
+            raise ConfigError(f"sweep axis {axis} takes whole numbers, got {value!r}")
+        points.append((value, dataclasses.replace(cfg, **dict.fromkeys(keys, kind(value)))))
+    return [(value, run_experiment(point)) for value, point in points]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 Finds the point whose predicted azimuth/elevation at every sensor best
 matches the measured bearings (least squares over wrapped angle
-residuals), via Gauss-Newton with Levenberg damping.  ``intersect_rays``
-gives the closed-form point nearest to all rays instead, for callers
-that only need a rough fix.
+residuals), via Gauss-Newton with Levenberg damping, started from
+``intersect_rays``: the closed-form point nearest to all rays (Hartley
+and Sturm 1997), which callers that only need a rough fix use alone.
 """
 
 from dataclasses import dataclass
@@ -148,33 +148,6 @@ def bearing_residuals(points, locations, az, el, rotations=None):
     return res, jac, jac_rot
 
 
-def initial_points(locations, az, el) -> np.ndarray:
-    """Starting guesses: midpoint of the common perpendicular of the
-    first two rays, or the sensor centroid pushed 1 km along the mean
-    ray when those rays are near-parallel."""
-    locations = np.asarray(locations, dtype=float)
-    d1 = direction_from_angles(az[0], el[0])  # (n, 3)
-    d2 = direction_from_angles(az[1], el[1])
-    w0 = locations[0] - locations[1]
-    b = np.sum(d1 * d2, axis=-1)
-    d = d1 @ w0
-    e = d2 @ w0
-    denom = 1.0 - b * b
-    safe = denom > 1e-9
-    denom = np.where(safe, denom, 1.0)
-    t = (b * e - d) / denom
-    u = (e - b * d) / denom
-    mid = 0.5 * (locations[0] + t[:, np.newaxis] * d1
-                 + locations[1] + u[:, np.newaxis] * d2)
-    if np.all(safe):
-        return mid
-    mean_dir = direction_from_angles(az, el).mean(axis=0)  # (n, 3)
-    norm = np.linalg.norm(mean_dir, axis=-1, keepdims=True)
-    mean_dir = mean_dir / np.where(norm < 1e-12, 1.0, norm)
-    fallback = locations.mean(axis=0) + 1000.0 * mean_dir
-    return np.where(safe[:, np.newaxis], mid, fallback)
-
-
 def intersect_rays(locations, directions):
     """Closed-form (midpoint) intersection of one ray per sensor, per epoch.
 
@@ -291,15 +264,20 @@ def triangulate_batch(locations, az, el) -> BatchFix:
     locations : (S, 3) sensor locations, S >= 2.
     az, el : (S, n) bearings in radians.
 
-    Per-target failures are reported through ``status`` rather than
-    raised, so one bad geometry does not abort the batch.
+    Each fix starts from ``intersect_rays``.  Per-target failures are
+    reported through ``status`` rather than raised, so one bad geometry
+    does not abort the batch: rays with no intersection (near-parallel or
+    not finite) are ill-conditioned at iteration 1, with a NaN point.
     """
     locations = np.asarray(locations, dtype=float)
-    az = np.atleast_2d(np.asarray(az, dtype=float))
-    el = np.atleast_2d(np.asarray(el, dtype=float))
+    az = np.asarray(az, dtype=float)
+    el = np.asarray(el, dtype=float)
+    if az.ndim != 2 or az.shape != el.shape or az.shape[0] != locations.shape[0]:
+        raise ValueError(f"az and el must be (S, n) to match locations "
+                         f"{locations.shape}, got {az.shape} and {el.shape}")
     n = az.shape[1]
 
-    x = initial_points(locations, az, el)
+    x = intersect_rays(locations, direction_from_angles(az, el))[0]
     res, jac = bearing_residuals(x, locations, az, el)
     cost = np.sum(res * res, axis=1)
     lam = np.full(n, LAMBDA_INIT)
@@ -315,27 +293,21 @@ def triangulate_batch(locations, az, el) -> BatchFix:
         jt = j.transpose(0, 2, 1)
         jtj = jt @ j
         rhs = -(jt @ res[idx, :, np.newaxis])[..., 0]
+        iterations[idx] = it
         bad = _ill_conditioned(jtj)
         if bad.any():
             status[idx[bad]] = STATUS_ILL_CONDITIONED
             active[idx[bad]] = False
-            iterations[idx[bad]] = it
-            idx = idx[~bad]
-            if idx.size == 0:
-                continue
-            jtj, rhs = jtj[~bad], rhs[~bad]
+            idx, jtj, rhs = idx[~bad], jtj[~bad], rhs[~bad]
 
-        diag = jtj * np.eye(3)
-        damped = jtj + lam[idx, np.newaxis, np.newaxis] * diag
+        damped = jtj + lam[idx, np.newaxis, np.newaxis] * (jtj * np.eye(3))
         step = solve_positive_definite(damped, rhs)
         trial = x[idx] + step
         res_t, jac_t = bearing_residuals(trial, locations, az[:, idx], el[:, idx])
         cost_t = np.sum(res_t * res_t, axis=1)
 
         better = cost_t <= cost[idx]
-        acc = idx[better]
-        rej = idx[~better]
-        iterations[idx] = it
+        acc, rej = idx[better], idx[~better]
 
         decrease = cost[acc] - cost_t[better]
         x[acc] = trial[better]
@@ -346,9 +318,8 @@ def triangulate_batch(locations, az, el) -> BatchFix:
         status[acc[done]] = STATUS_OK
         active[acc[done]] = False
 
-        lam[rej] = lam[rej] * 10.0
-        stuck = lam[rej] > LAMBDA_MAX
-        active[rej[stuck]] = False
+        lam[rej] *= 10.0
+        active[rej[lam[rej] > LAMBDA_MAX]] = False
 
         # the trial residuals of a moved target are its residuals at x now
         moved = np.flatnonzero(better)[~done]

@@ -213,8 +213,10 @@ def _svd_rotation(xs, ys):
 
 
 def wahba_cost(rot, xs, ys) -> float:
-    """Evaluate sum_i ||R x_i - y_i||^2 for a candidate rotation."""
+    """Evaluate sum_i ||R x_i - y_i||^2 for a candidate rotation; NaN or
+    inf in a vector raises ``DegenerateInputError``."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    _check_finite(xs, ys)
     resid = xs @ np.asarray(rot, dtype=float).T - ys
     return float(np.sum(np.sum(resid * resid, axis=1)))

@@ -378,6 +378,14 @@ class TestExperiment:
         config = json.loads((out / "summary.json").read_text())["config"]
         assert (config["algorithm"], config["sensor_kind"]) == ("alg7", "2d")
 
+    def test_config_file_with_only_the_algorithm(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"algorithm": "alg7"}))
+        out = tmp_path / "simulated"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 0
+        sensors = json.loads((out / "sensors.json").read_text())["sensors"]
+        assert [s["kind"] for s in sensors] == ["2d"] * 4
+
     @pytest.mark.parametrize("key, value", [
         ("sensor_count", 3.0),
         ("mc_runs", 2.5),
@@ -451,6 +459,23 @@ class TestSweep:
         assert len(lines) == 3
         payload = json.loads((out / "sweep_summary.json").read_text())
         assert payload["values"] == [1.0, 3.0]
+
+    @pytest.mark.parametrize("axis, values", [("sensor_count", "3.7,4"),
+                                              ("sample_count", "10.9")])
+    def test_integer_axis_rejects_fractions(self, tmp_path, capsys, axis, values):
+        rc = main(["sweep", "--axis", axis, "--values", values, "--mc-runs", "1",
+                   "--out-dir", str(tmp_path / "results")])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and axis in line
+        assert not (tmp_path / "results").exists()
+
+    def test_empty_value_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis", "noise_std", "--values", "1,,2"])
+        assert exc.value.code == 2
+        assert "argument --values: expected comma-separated numbers, got '1,,2'" \
+            in capsys.readouterr().err
 
     def test_axis_choices_enforced(self, tmp_path):
         with pytest.raises(SystemExit):

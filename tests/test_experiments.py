@@ -43,7 +43,7 @@ class TestAlgorithmTable:
     def test_selectors(self):
         assert sorted(ALGORITHMS) == ["alg1", "alg2", "alg3", "alg4",
                                       "alg6", "alg7"]
-        assert SWEEP_AXES == ("sensor_count", "noise_std", "sample_count")
+        assert list(SWEEP_AXES) == ["sensor_count", "noise_std", "sample_count"]
 
 
 class TestExperimentConfig:
@@ -111,6 +111,14 @@ class TestExperimentConfig:
         d["sigma_az"] = 3.0
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(d)
+
+    def test_sensor_kind_follows_the_algorithm(self):
+        assert ExperimentConfig(algorithm="alg7").sensor_kind == "2d"
+        assert ExperimentConfig.from_dict({"algorithm": "alg6", "sensor_count": 2}
+                                          ).to_dict()["sensor_kind"] == "2d"
+        assert ExperimentConfig().to_dict()["sensor_kind"] == "3d"
+        with pytest.raises(ConfigError, match="alg7 needs sensor_kind='2d', got '3d'"):
+            ExperimentConfig(algorithm="alg7", sensor_kind="3d")
 
     def test_sensor_kinds(self):
         assert quiet_config().sensor_kinds() == ["3d", "3d", "3d"]
@@ -271,6 +279,14 @@ class TestSweep:
     def test_sample_count_axis(self):
         results = sweep(quiet_config(), "sample_count", [10, 91])
         assert results[0][1].config.sample_count == 10
+
+    @pytest.mark.parametrize("axis", ["sensor_count", "sample_count"])
+    def test_integer_axis_rejects_fractions(self, axis, monkeypatch):
+        monkeypatch.setattr("sensorreg.experiments.run_experiment", None)  # no run starts
+        with pytest.raises(ConfigError, match=f"sweep axis {axis} takes whole numbers, "
+                                              "got 10.9"):
+            sweep(quiet_config(sensor_locations_m=None, fixed_biases_deg=None), axis,
+                  [4, 10.9])
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):

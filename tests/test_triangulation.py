@@ -1,5 +1,6 @@
 """Tests for bearing-only position fixes."""
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -19,7 +20,6 @@ from sensorreg.triangulation import (
     BearingSet,
     _ill_conditioned,
     bearing_residuals,
-    initial_points,
     intersect_rays,
     solve_positive_definite,
     triangulate,
@@ -134,23 +134,6 @@ class TestResidualsAndJacobian:
         assert np.max(np.abs(res)) < 1e-9
 
 
-class TestInitialPoints:
-    def test_crossing_rays_hit_midpoint(self):
-        locs = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]])
-        target = np.array([500.0, 500.0, 0.0])
-        az, el = exact_bearings(locs, target)
-        guess = initial_points(locs, az[:, None], el[:, None])
-        np.testing.assert_allclose(guess[0], target, atol=1e-6)
-
-    def test_parallel_rays_use_fallback(self):
-        locs = np.array([[0.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
-        az = np.zeros((2, 1))
-        el = np.zeros((2, 1))
-        guess = initial_points(locs, az, el)
-        assert np.all(np.isfinite(guess))
-        np.testing.assert_allclose(guess[0], [1000.0, 50.0, 0.0], atol=1e-6)
-
-
 class TestTriangulate:
     def test_two_sensor_exact(self):
         locs = [[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]
@@ -222,6 +205,31 @@ class TestTriangulateBatch:
         assert fix.status[1] != STATUS_OK
         np.testing.assert_allclose(fix.points[0], good, atol=1e-6)
 
+    def test_parallel_epoch_is_ill_conditioned_at_the_start(self):
+        locs = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 0.0, -10.0]])
+        targets = np.array([[500.0, 800.0, -300.0],
+                            [9000.0, 0.0, 0.0],
+                            [-400.0, 600.0, -900.0]])
+        az = np.empty((3, 3))
+        el = np.empty((3, 3))
+        for i, target in enumerate(targets):
+            az[:, i], el[:, i] = exact_bearings(locs, target)
+        az[:, 1] = el[:, 1] = 0.0  # all three rays of epoch 1 point along +x
+        fix = triangulate_batch(locs, az, el)
+        np.testing.assert_array_equal(
+            fix.status, [STATUS_OK, STATUS_ILL_CONDITIONED, STATUS_OK])
+        assert fix.iterations[1] == 1
+        assert np.isnan(fix.points[1]).all()
+        np.testing.assert_allclose(fix.points[[0, 2]], targets[[0, 2]], atol=1e-6)
+
+    @pytest.mark.parametrize("az_shape, el_shape", [
+        ((2,), (2,)), ((3, 4), (3, 4)), ((2, 4, 1), (2, 4, 1)), ((2, 4), (2, 5))])
+    def test_bearing_shapes_must_match_locations(self, az_shape, el_shape):
+        locs = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=re.escape(
+                f"locations (2, 3), got {az_shape} and {el_shape}")):
+            triangulate_batch(locs, np.zeros(az_shape), np.zeros(el_shape))
+
     def test_noisy_bearings_stay_close(self):
         rng = np.random.default_rng(24)
         locs = np.array([[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0],
@@ -275,7 +283,13 @@ class TestIntersectRays:
         sine = np.linalg.norm(np.cross(dirs[0], dirs[1]), axis=-1)
         keep = sine > 0.05  # away from near-parallel rays
         points, _ = intersect_rays(locs, dirs[:, keep])
-        expected = initial_points(locs, az[:, keep], el[:, keep])
+        # the feet l_0 + t d_0 and l_1 + u d_1 of the common perpendicular
+        d0, d1 = dirs[0, keep], dirs[1, keep]
+        w = locs[0] - locs[1]
+        b, d, e = np.sum(d0 * d1, axis=-1), d0 @ w, d1 @ w
+        t = (b * e - d) / (1.0 - b * b)
+        u = (e - b * d) / (1.0 - b * b)
+        expected = 0.5 * (locs[0] + t[:, None] * d0 + locs[1] + u[:, None] * d1)
         scale = np.linalg.norm(expected - locs[0], axis=-1)
         assert np.all(np.linalg.norm(points - expected, axis=-1) <= 1e-9 * scale)
 

@@ -147,6 +147,17 @@ class TestCost:
         ys = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
         assert wahba_cost(np.eye(3), xs, ys) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_input(self, which, value):
+        bad = [np.eye(3), np.eye(3)]
+        bad[which][2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError,
+                               match="must be finite, got NaN or inf"):
+                wahba_cost(np.eye(3), *bad)
+
 
 SEEDS = st.integers(0, 2**32 - 1)
 
