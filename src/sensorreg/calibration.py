@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, MissingRangeError, ZeroVectorError
-from .geometry import (cart_to_spherical, collinearity_ratio,
-                       direction_from_angles, rotation_from_rotvec)
+from .geometry import collinearity_ratio, direction_from_angles, rotation_from_rotvec
 from .triangulation import (LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, STATUS_OK,
                             bearing_residuals, intersect_rays,
                             solve_positive_definite,
@@ -338,8 +337,8 @@ def absolute_2d(batch: MeasurementBatch,
     starts from two intersect-and-align sweeps: intersect every epoch's
     bias-compensated rays in closed form (``intersect_rays``), then
     align each sensor pair's tracks.  One Gauss-Newton triangulation
-    (``triangulate_batch``) of the result gives the starting target
-    positions; epochs whose fix fails there are left out.  Azimuths
+    (``triangulate_batch``) of the compensated rays gives the starting
+    target positions; epochs whose fix fails there are left out.  Azimuths
     of sightings within 10 degrees of a sensor's pole join the solve
     only once it has converged without them, so the cost trace may rise
     during that first phase.  It never steps along a pair's common
@@ -407,26 +406,23 @@ def _warm_start(batch):
     """Intersect-and-align sweeps, then one triangulation from the result.
 
     Each sweep intersects every epoch's bias-compensated rays in closed
-    form (``intersect_rays``) and aligns each sensor pair's tracks.  The
-    final Gauss-Newton fix (``triangulate_batch``) is where the joint
-    solve starts.  Returns the (S, 3, 3) rotations, the fixed points of
-    the epochs that triangulated and the mask of those epochs.
+    form (``intersect_rays``) and aligns each sensor pair's tracks: the
+    sensor-frame positions those ranges give along the raw rays.  The
+    final Gauss-Newton fix (``triangulate_batch``) of the compensated
+    rays is where the joint solve starts.  Returns the (S, 3, 3)
+    rotations, the fixed points of the epochs that triangulated and the
+    mask of those epochs.
     """
-    n_sensors = batch.n_sensors
     locations = batch.locations
     raw_dirs = np.stack([m.directions() for m in batch.sensors])
-    rotations = np.stack([np.eye(3)] * n_sensors)
+    rotations = np.stack([np.eye(3)] * batch.n_sensors)
     for _ in range(WARM_START_SWEEPS):
-        comp_dirs = raw_dirs @ rotations.transpose(0, 2, 1)
-        points, ok = intersect_rays(locations, comp_dirs)
+        points, ok = intersect_rays(locations, raw_dirs @ rotations.transpose(0, 2, 1))
         _check_usable(ok)
         ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis, :], axis=-1)
-        increments = np.stack([np.eye(3)] * n_sensors)
-        positions = ranges[..., np.newaxis] * comp_dirs[:, ok]
-        _als_sweep(increments, *_pair_moments(positions, locations))
-        rotations = increments @ rotations
-    bearings = cart_to_spherical(raw_dirs @ rotations.transpose(0, 2, 1))
-    fix = triangulate_batch(locations, bearings.az, bearings.el)
+        positions = ranges[..., np.newaxis] * raw_dirs[:, ok]
+        _als_sweep(rotations, *_pair_moments(positions, locations))
+    fix = triangulate_batch(locations, raw_dirs @ rotations.transpose(0, 2, 1))
     ok = fix.status == STATUS_OK
     _check_usable(ok)
     return rotations, fix.points[ok], ok

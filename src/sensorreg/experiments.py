@@ -132,12 +132,13 @@ class ExperimentConfig:
                     rows, self.sensor_count, lambda r: _is_sequence(r, 3, _is_real)):
                 raise ConfigError(f"{key} must be sensor_count rows of {row}")
         try:
-            epoch_count(self.duration_s, self.sample_period_s)
+            epochs = epoch_count(self.duration_s, self.sample_period_s)
         except ValueError as exc:
             key = "duration_s" if self.sample_period_s > 0 else "sample_period_s"
             raise ConfigError(f"{key}: {exc}") from None
-        if self.sample_count is not None and self.sample_count < 2:
-            raise ConfigError("sample_count must be at least 2")
+        if self.sample_count is not None and not 2 <= self.sample_count <= epochs:
+            raise ConfigError(f"sample_count must be 2 to the trajectory's {epochs} "
+                              f"epochs, got {self.sample_count}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -146,6 +147,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -215,8 +218,9 @@ def realizations(cfg: ExperimentConfig, count: int):
 
     Realization r depends only on the config and r: the config's seed
     spawns one stream that places the sensors, then one per realization
-    for its biases and its noise.
+    for its biases and its noise.  The config is validated first.
     """
+    cfg.validate()
     points = generate_trajectory(cfg.duration_s, cfg.sample_period_s)
     if cfg.sample_count is not None:
         points = points[_thin_indices(points.shape[0], cfg.sample_count)]
@@ -314,8 +318,6 @@ def _draw_biases(cfg, rng) -> list:
 
 
 def _thin_indices(n, m) -> np.ndarray:
-    if m > n:
-        raise ConfigError(f"sample_count {m} exceeds available epochs {n}")
     return np.unique(np.round(np.linspace(0, n - 1, m)).astype(int))
 
 

@@ -1,9 +1,9 @@
 """Bearing-only target position fixes from two or more sensors.
 
 Finds the point whose predicted azimuth/elevation at every sensor best
-matches the measured bearings (least squares over wrapped angle
-residuals), via Gauss-Newton with Levenberg damping, started from
-``intersect_rays``: the closed-form point nearest to all rays (Hartley
+matches the measured rays (least squares over wrapped angle residuals),
+via Gauss-Newton with Levenberg damping, started from ``intersect_rays``
+on the same rays: the closed-form point nearest to all of them (Hartley
 and Sturm 1997), which callers that only need a rough fix use alone.
 """
 
@@ -13,11 +13,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateInputError, IllConditionedError, NoConvergenceError
-from .geometry import direction_from_angles, wrap_angle
+from .geometry import cart_to_spherical, direction_from_angles, wrap_angle
 
 MAX_ITERATIONS = 50
 COST_DECREASE_TOL = 1e-12   # rad^2
-STEP_NORM_TOL = 1e-9        # meters
 CONDITION_LIMIT = 1e12
 LAMBDA_INIT = 1e-3
 LAMBDA_MIN = 1e-12
@@ -256,28 +255,30 @@ def _ill_conditioned(jtj) -> np.ndarray:
     return bad
 
 
-def triangulate_batch(locations, az, el) -> BatchFix:
-    """Fix n targets at once from per-sensor bearing arrays.
+def triangulate_batch(locations, directions) -> BatchFix:
+    """Fix n targets at once from per-sensor rays.
 
     Parameters
     ----------
     locations : (S, 3) sensor locations, S >= 2.
-    az, el : (S, n) bearings in radians.
+    directions : (S, n, 3) unit ray directions in the common frame, as
+        ``intersect_rays`` takes them.
 
-    Each fix starts from ``intersect_rays``.  Per-target failures are
-    reported through ``status`` rather than raised, so one bad geometry
-    does not abort the batch: rays with no intersection (near-parallel or
-    not finite) are ill-conditioned at iteration 1, with a NaN point.
+    Each fix starts from ``intersect_rays`` on the same rays, and fits
+    their azimuth/elevation.  Per-target failures are reported through
+    ``status`` rather than raised, so one bad geometry does not abort the
+    batch: rays with no intersection (near-parallel or not finite) are
+    ill-conditioned at iteration 1, with a NaN point.
     """
     locations = np.asarray(locations, dtype=float)
-    az = np.asarray(az, dtype=float)
-    el = np.asarray(el, dtype=float)
-    if az.ndim != 2 or az.shape != el.shape or az.shape[0] != locations.shape[0]:
-        raise ValueError(f"az and el must be (S, n) to match locations "
-                         f"{locations.shape}, got {az.shape} and {el.shape}")
-    n = az.shape[1]
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 3 or directions.shape[::2] != (locations.shape[0], 3):
+        raise ValueError(f"directions must be (S, n, 3) to match locations "
+                         f"{locations.shape}, got {directions.shape}")
+    n = directions.shape[1]
 
-    x = intersect_rays(locations, direction_from_angles(az, el))[0]
+    x = intersect_rays(locations, directions)[0]
+    _, az, el = cart_to_spherical(directions)
     res, jac = bearing_residuals(x, locations, az, el)
     cost = np.sum(res * res, axis=1)
     lam = np.full(n, LAMBDA_INIT)
@@ -301,8 +302,7 @@ def triangulate_batch(locations, az, el) -> BatchFix:
             idx, jtj, rhs = idx[~bad], jtj[~bad], rhs[~bad]
 
         damped = jtj + lam[idx, np.newaxis, np.newaxis] * (jtj * np.eye(3))
-        step = solve_positive_definite(damped, rhs)
-        trial = x[idx] + step
+        trial = x[idx] + solve_positive_definite(damped, rhs)
         res_t, jac_t = bearing_residuals(trial, locations, az[:, idx], el[:, idx])
         cost_t = np.sum(res_t * res_t, axis=1)
 
@@ -313,8 +313,7 @@ def triangulate_batch(locations, az, el) -> BatchFix:
         x[acc] = trial[better]
         cost[acc] = cost_t[better]
         lam[acc] = np.maximum(lam[acc] / 10.0, LAMBDA_MIN)
-        done = (decrease < COST_DECREASE_TOL) | \
-               (np.linalg.norm(step[better], axis=1) < STEP_NORM_TOL)
+        done = decrease < COST_DECREASE_TOL
         status[acc[done]] = STATUS_OK
         active[acc[done]] = False
 
@@ -340,9 +339,8 @@ def triangulate(bearings: BearingSet) -> TriangulationFix:
     NoConvergenceError
         If the fit does not converge within ``MAX_ITERATIONS``.
     """
-    fix = triangulate_batch(bearings.locations,
-                            bearings.az[:, np.newaxis],
-                            bearings.el[:, np.newaxis])
+    rays = direction_from_angles(bearings.az, bearings.el)[:, np.newaxis]
+    fix = triangulate_batch(bearings.locations, rays)
     code = int(fix.status[0])
     if code == STATUS_ILL_CONDITIONED:
         raise IllConditionedError("bearing rays are near-parallel or not finite")

@@ -205,9 +205,7 @@ def _svd_rotation(xs, ys):
             "vector pairs are collinear, rotation is not uniquely determined")
     # on a reflection, flip the term of the smallest singular value
     rot = u @ vt
-    r0, r1, r2 = rot.tolist()  # det(rot) = r0 . (r1 x r2), +-1 up to rounding
-    if (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1]) + r0[1] * (r1[2] * r2[0] - r1[0] * r2[2])
-            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])) < 0.0:
+    if np.linalg.det(rot) < 0.0:
         rot -= 2.0 * np.outer(u[:, 2], vt[2])
     return rot
 

@@ -241,6 +241,15 @@ class TestRelativeHetero:
         with pytest.raises(MissingRangeError):
             relative_hetero(batch)
 
+    def test_requires_exactly_two(self):
+        points = make_targets(10)
+        locations = np.array([[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0],
+                              [0.0, 5000.0, 0.0]])
+        batch = noiseless_batch(points, locations, [EulerAngles(0, 0, 0)] * 3,
+                                kinds=["2d", "3d", "3d"])
+        with pytest.raises(ValueError, match="exactly 2 sensors required, got 3"):
+            relative_hetero(batch)
+
     def test_target_at_sensor_raises(self):
         locations = np.array([[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0]])
         # second target sits exactly at sensor 0, direction undefined

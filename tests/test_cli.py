@@ -18,12 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensorreg.calibration import MeasurementBatch, SensorMeasurements
+from sensorreg import calibration
+from sensorreg.calibration import CalibrationResult, MeasurementBatch, SensorMeasurements
 from sensorreg.cli import _infer_algorithm, main
 from sensorreg.errors import RegistrationError
 from sensorreg import experiments
 from sensorreg.experiments import (BATCH_COLUMNS, ExperimentConfig, read_batch,
                                    run_experiment, write_batch)
+from sensorreg.geometry import EulerAngles, euler_to_rotation
 from sensorreg.scenario import SensorTruth, build_batch, generate_trajectory
 
 RING = [[14500.0, 1700.0, -300.0], [2500.0, 8600.0, -600.0],
@@ -205,6 +207,25 @@ class TestCalibrate:
         assert str(csv_path) in err
         assert not (tmp_path / "result.json").exists()
 
+    def test_estimate_at_gimbal_lock_keeps_its_rotation(self, tmp_path, monkeypatch):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out)]) == 0
+        # pitch +90 degrees: yaw and roll are not separately defined
+        locked = euler_to_rotation(EulerAngles(0.3, math.pi / 2, 0.0))
+        monkeypatch.setattr(calibration, "absolute_3d", lambda batch, stopping:
+                            CalibrationResult(estimates=[locked, np.eye(3), np.eye(3)],
+                                              cost_trace=[1.0], iterations=1,
+                                              converged=True))
+        result_path = tmp_path / "result.json"
+        assert main(["calibrate", "--batch", str(out / "batch.csv"),
+                     "--sensors-file", str(out / "sensors.json"),
+                     "--out", str(result_path)]) == 0
+        sensors = json.loads(result_path.read_text())["sensors"]
+        assert set(sensors[0]) == {"id", "rotation"}
+        np.testing.assert_allclose(sensors[0]["rotation"], locked)
+        assert set(sensors[1]) == {"id", "rotation", "yaw_deg", "pitch_deg", "roll_deg"}
+
     def test_missing_batch_file(self, tmp_path, capsys):
         rc = main(["calibrate", "--batch", str(tmp_path / "nope.csv"),
                    "--sensors-file", str(tmp_path / "nope.json")])
@@ -299,6 +320,12 @@ class TestMalformedBatch:
         sidecar["sensors"][2]["location_m"][0] = float("inf")
         self.assert_rejected(self.calibrate_rows(self.rows, json.dumps(sidecar)),
                              "sensor 2 must be finite")
+
+    def test_unknown_sidecar_kind(self):
+        sidecar = json.loads(valid_batch()[1])
+        sidecar["sensors"][1]["kind"] = "radar"
+        self.assert_rejected(self.calibrate_rows(self.rows, json.dumps(sidecar)),
+                             "sensor 1: kind must be \"2d\" or \"3d\", got 'radar'")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -439,6 +466,16 @@ class TestExperiment:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == ["error: seed must be nonnegative, got -1"]
 
+    @pytest.mark.parametrize("text, kind", [("[]", "list"), ("null", "NoneType"),
+                                            ('"alg4"', "str"), ("5", "int")])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, text, kind):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["experiment", "--config", str(path),
+                     "--out-dir", str(tmp_path / "results")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: a config must be a JSON object, got {kind}"]
+
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"algorithm": "alg4", "sigma": 1.0}))
@@ -468,6 +505,16 @@ class TestSweep:
         assert rc == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and axis in line
+        assert not (tmp_path / "results").exists()
+
+    def test_sample_count_beyond_the_epochs_runs_no_study(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(experiments, "run_experiment", None)  # no run starts
+        rc = main(["sweep", "--axis", "sample_count", "--values", "10,20,1000",
+                   "--mc-runs", "1", "--out-dir", str(tmp_path / "results")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sample_count must be 2 to the trajectory's 91 epochs, got 1000"]
         assert not (tmp_path / "results").exists()
 
     def test_empty_value_names_the_flag(self, capsys):

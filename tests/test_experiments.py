@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo experiment harness and file formats."""
 
+import csv
 import json
 
 import numpy as np
@@ -78,6 +79,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(sample_count=1)
 
+    @pytest.mark.parametrize("value, kind", [([], "list"), (None, "NoneType"),
+                                             ("alg4", "str"), (5, "int")])
+    def test_from_dict_needs_an_object(self, value, kind):
+        with pytest.raises(ConfigError, match=f"a config must be a JSON object, got {kind}$"):
+            ExperimentConfig.from_dict(value)
+
     @pytest.mark.parametrize("duration, sample_period, key", [
         (900.0, 0.0, "sample_period_s"),
         (900.0, -10.0, "sample_period_s"),
@@ -144,8 +151,17 @@ class TestThinIndices:
         np.testing.assert_array_equal(_thin_indices(91, 91), np.arange(91))
 
     def test_too_many_requested(self):
-        with pytest.raises(ConfigError):
-            _thin_indices(10, 11)
+        # the config rejects it before any realization is drawn
+        with pytest.raises(ConfigError, match="sample_count must be 2 to the "
+                                              "trajectory's 10 epochs, got 11"):
+            ExperimentConfig(duration_s=90.0, sample_count=11)
+        ExperimentConfig(duration_s=90.0, sample_count=10)
+
+    def test_realizations_validate_first(self):
+        cfg = quiet_config()
+        cfg.sample_count = 92
+        with pytest.raises(ConfigError, match="sample_count"):
+            next(realizations(cfg, 1))
 
 
 class TestRunExperiment:
@@ -288,6 +304,11 @@ class TestSweep:
             sweep(quiet_config(sensor_locations_m=None, fixed_biases_deg=None), axis,
                   [4, 10.9])
 
+    def test_sample_count_beyond_the_epochs_runs_no_study(self, monkeypatch):
+        monkeypatch.setattr("sensorreg.experiments.run_experiment", None)  # no run starts
+        with pytest.raises(ConfigError, match="sample_count .* got 1000"):
+            sweep(quiet_config(), "sample_count", [10, 20, 1000])
+
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
             sweep(quiet_config(), "bias_level", [1.0])
@@ -330,6 +351,31 @@ class TestEmitReports:
         assert summary["failures"] == {}
         clone = ExperimentConfig.from_dict(summary["config"])
         assert clone == report.config
+
+    def test_failed_realization(self, tmp_path, monkeypatch):
+        solve = calibration.absolute_3d
+        calls = []
+
+        def fail_second(batch, stopping):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DegenerateInputError("collinear")
+            return solve(batch, stopping)
+
+        monkeypatch.setattr(calibration, "absolute_3d", fail_second)
+        report = run_experiment(quiet_config(mc_runs=5))
+        assert report.success_rate == 0.8
+        paths = emit_reports(report, tmp_path)
+        with open(paths["runs_csv"], newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["run"] == "1"]
+        assert len(rows) == 3
+        for row in rows:
+            assert [row[key] for key in ("err_psi_mrad", "err_theta_mrad", "err_phi_mrad",
+                                         "geodesic_mrad", "final_cost")] == [""] * 5
+            assert (row["iterations"], row["converged"]) == ("0", "False")
+        summary = json.loads(paths["summary_json"].read_text())
+        assert summary["failures"] == {"1": "DegenerateInputError: collinear"}
+        assert summary["iterations"][1] == 0 and summary["converged"][1] is False
 
     def test_sweep_reports(self, tmp_path):
         cfg = quiet_config(fixed_biases_deg=None)

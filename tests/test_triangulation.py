@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from sensorreg import triangulation
 from sensorreg.errors import (DegenerateInputError, IllConditionedError,
-                              RegistrationError)
+                              NoConvergenceError, RegistrationError)
 from sensorreg.geometry import (cart_to_spherical, direction_from_angles,
                                 rotation_from_rotvec)
 from sensorreg.triangulation import (
@@ -167,6 +168,16 @@ class TestTriangulate:
         with pytest.raises(RegistrationError):
             triangulate(BearingSet(locations=locs, **bearings))
 
+    def test_no_convergence_raises(self, monkeypatch):
+        # one Gauss-Newton step from the ray intersection cannot reach the
+        # fixed point of noisy bearings
+        monkeypatch.setattr(triangulation, "MAX_ITERATIONS", 1)
+        locs = np.array([[0.0, 0.0, 0.0], [3000.0, 0.0, 0.0], [0.0, 3000.0, -500.0]])
+        az, el = exact_bearings(locs, [1200.0, 1500.0, -2000.0])
+        noise = 3e-3 * np.random.default_rng(26).normal(size=(2, 3))
+        with pytest.raises(NoConvergenceError, match="no convergence in 1 iterations"):
+            triangulate(BearingSet(locations=locs, az=az + noise[0], el=el + noise[1]))
+
     def test_random_geometries_recover(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
@@ -188,7 +199,7 @@ class TestTriangulateBatch:
         el = np.empty((3, 20))
         for i, t in enumerate(targets):
             az[:, i], el[:, i] = exact_bearings(locs, t)
-        fix = triangulate_batch(locs, az, el)
+        fix = triangulate_batch(locs, direction_from_angles(az, el))
         assert np.all(fix.status == STATUS_OK)
         np.testing.assert_allclose(fix.points, targets, atol=1e-6)
 
@@ -200,7 +211,7 @@ class TestTriangulateBatch:
         el = np.empty((2, 2))
         az[:, 0], el[:, 0] = exact_bearings(locs, good)
         az[:, 1], el[:, 1] = exact_bearings(locs, bad)
-        fix = triangulate_batch(locs, az, el)
+        fix = triangulate_batch(locs, direction_from_angles(az, el))
         assert fix.status[0] == STATUS_OK
         assert fix.status[1] != STATUS_OK
         np.testing.assert_allclose(fix.points[0], good, atol=1e-6)
@@ -215,20 +226,19 @@ class TestTriangulateBatch:
         for i, target in enumerate(targets):
             az[:, i], el[:, i] = exact_bearings(locs, target)
         az[:, 1] = el[:, 1] = 0.0  # all three rays of epoch 1 point along +x
-        fix = triangulate_batch(locs, az, el)
+        fix = triangulate_batch(locs, direction_from_angles(az, el))
         np.testing.assert_array_equal(
             fix.status, [STATUS_OK, STATUS_ILL_CONDITIONED, STATUS_OK])
         assert fix.iterations[1] == 1
         assert np.isnan(fix.points[1]).all()
         np.testing.assert_allclose(fix.points[[0, 2]], targets[[0, 2]], atol=1e-6)
 
-    @pytest.mark.parametrize("az_shape, el_shape", [
-        ((2,), (2,)), ((3, 4), (3, 4)), ((2, 4, 1), (2, 4, 1)), ((2, 4), (2, 5))])
-    def test_bearing_shapes_must_match_locations(self, az_shape, el_shape):
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4, 3), (2, 4, 1, 3), (2, 4, 2)])
+    def test_bearing_shapes_must_match_locations(self, shape):
         locs = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=re.escape(
-                f"locations (2, 3), got {az_shape} and {el_shape}")):
-            triangulate_batch(locs, np.zeros(az_shape), np.zeros(el_shape))
+                f"(S, n, 3) to match locations (2, 3), got {shape}")):
+            triangulate_batch(locs, np.ones(shape))
 
     def test_noisy_bearings_stay_close(self):
         rng = np.random.default_rng(24)
@@ -238,7 +248,7 @@ class TestTriangulateBatch:
         az, el = exact_bearings(locs, target)
         az = az + 3e-3 * rng.normal(size=3)
         el = el + 3e-3 * rng.normal(size=3)
-        fix = triangulate_batch(locs, az[:, None], el[:, None])
+        fix = triangulate_batch(locs, direction_from_angles(az, el)[:, None])
         assert fix.status[0] == STATUS_OK
         # a few mRad of bearing noise moves a few-km fix tens of meters
         assert np.linalg.norm(fix.points[0] - target) < 100.0
@@ -476,7 +486,7 @@ def mixed_batch(n_sensors):
     noisy = np.arange(40) != 7
     az[:, noisy] += 3e-3 * rng.normal(size=(n_sensors, 39))
     el[:, noisy] += 3e-3 * rng.normal(size=(n_sensors, 39))
-    return locs, az, el, triangulate_batch(locs, az, el)
+    return locs, az, el, triangulate_batch(locs, direction_from_angles(az, el))
 
 
 class TestPerTargetIndependence:
@@ -496,7 +506,7 @@ class TestPerTargetIndependence:
     def test_subset_fix_is_bit_identical(self, n_sensors, keep):
         locs, az, el, full = mixed_batch(n_sensors)
         keep = np.array(keep)
-        sub = triangulate_batch(locs, az[:, keep], el[:, keep])
+        sub = triangulate_batch(locs, direction_from_angles(az[:, keep], el[:, keep]))
         np.testing.assert_array_equal(sub.points, full.points[keep])
         np.testing.assert_array_equal(sub.status, full.status[keep])
         np.testing.assert_array_equal(sub.iterations, full.iterations[keep])
@@ -511,7 +521,8 @@ class TestPerTargetIndependence:
         bearings = {"az": az.copy(), "el": el.copy()}
         bearings[field][sensor % n_sensors, target] = value
         with np.errstate(invalid="ignore"):  # numpy's warnings on cos(inf)
-            fix = triangulate_batch(locs, **bearings)
+            rays = direction_from_angles(**bearings)
+        fix = triangulate_batch(locs, rays)
         assert fix.status[target] != STATUS_OK
         rest = np.arange(40) != target
         np.testing.assert_array_equal(fix.points[rest], full.points[rest])
