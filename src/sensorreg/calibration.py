@@ -13,8 +13,8 @@ more sensors and flag a pair's baseline gauge themselves.
 """
 
 import itertools
-import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -147,20 +147,22 @@ class StoppingCriteria:
     iterations.  A tolerance of zero disables the cost rule, so the
     iteration runs the full budget, except that ``absolute_2d`` also
     stops once no damped step lowers its cost (its fixed point).  The
-    tolerance must be finite and the budget a positive integer."""
+    tolerance must be a finite, non-negative real number and the budget
+    an integer of at least 1 (neither a bool)."""
 
     rel_cost_tol: float = 1e-3
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not 0.0 <= self.rel_cost_tol < math.inf:
-            raise ValueError("rel_cost_tol must be finite and non-negative, "
-                             f"got {self.rel_cost_tol!r}")
-        if isinstance(self.max_iterations, bool) \
-                or not isinstance(self.max_iterations, numbers.Integral):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        tol, budget = self.rel_cost_tol, self.max_iterations
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValueError(f"rel_cost_tol must be a number, got {tol!r}")
+        if not 0.0 <= tol <= sys.float_info.max:
+            raise ValueError(f"rel_cost_tol must be finite and non-negative, got {tol!r}")
+        if isinstance(budget, bool) or not isinstance(budget, numbers.Integral):
+            raise ValueError(f"max_iterations must be an integer, got {budget!r}")
+        if budget < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {budget!r}")
 
 
 @dataclass
@@ -186,7 +188,8 @@ class CalibrationResult:
     common rotation about the baseline fits equally well.
     ``dropped_indices`` counts the epochs left out of ``absolute_2d``'s
     joint solve because the warm start's final Gauss-Newton
-    triangulation failed for them.
+    triangulation failed for them: their rays are near-parallel or not
+    finite, or the fix used up its 50 iterations.
     """
 
     estimates: list

@@ -20,7 +20,10 @@ def _load_config(args) -> ExperimentConfig:
     values = {}
     if args.config:
         with open(args.config) as fh:
-            values = json.load(fh)
+            try:
+                values = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise ValueError(f"{args.config}: {exc}") from exc
         ExperimentConfig.from_dict(values)  # a bad file value fails even under a flag
     # flags beat file values
     flags = {"seed": args.seed, "algorithm": args.algorithm,
@@ -63,20 +66,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _infer_algorithm(batch) -> str:
-    """The first selector whose algorithm accepts the batch, absolute
-    algorithms before relative ones."""
-    for name, algorithm in sorted(ALGORITHMS.items(), key=lambda kv: kv[1].relative):
-        if algorithm.accepts(batch):
+def _select_algorithm(batch, requested) -> str:
+    """The ``requested`` selector, if its algorithm accepts the batch;
+    with none requested, the first selector whose algorithm does,
+    absolute algorithms before relative ones."""
+    names = [requested] if requested else sorted(
+        ALGORITHMS, key=lambda name: ALGORITHMS[name].relative)
+    for name in names:
+        if ALGORITHMS[name].accepts(batch):
             return name
-    raise RegistrationError(
-        "cannot infer an algorithm for this mix of sensor kinds; "
-        "pass --algorithm explicitly")
+    kinds = ["3d" if m.is_3d else "2d" for m in batch.sensors]
+    found = f"this batch has {batch.n_sensors} sensors of kinds {kinds}"
+    if not requested:
+        raise RegistrationError(f"no algorithm takes this mix of sensor kinds: {found}")
+    algorithm = ALGORITHMS[requested]
+    takes = (f"2 sensors of kinds {algorithm.sensor_kinds(2)}" if algorithm.pair
+             else f"3 or more {algorithm.sensor_kind} sensors")
+    raise RegistrationError(f"{requested} takes {takes}, but {found}")
 
 
 def cmd_calibrate(args) -> int:
     batch = read_batch(args.batch, args.sensors_file)
-    algorithm = args.algorithm or _infer_algorithm(batch)
+    algorithm = _select_algorithm(batch, args.algorithm)
     result = ALGORITHMS[algorithm].solve(batch, StoppingCriteria())
 
     sensors = []

@@ -91,10 +91,10 @@ class ExperimentConfig:
     def validate(self):
         # types first, so that the rules below compare finite numbers
         for keys, ok, kind in (
-                (("seed", "mc_runs", "sensor_count", "sample_count", "max_iterations"),
+                (("seed", "mc_runs", "sensor_count", "sample_count"),
                  _is_integer, "an integer"),
                 (("sigma_range_m", "sigma_az_mrad", "sigma_el_mrad", "bias_low_deg",
-                  "bias_high_deg", "duration_s", "sample_period_s", "rel_cost_tol"),
+                  "bias_high_deg", "duration_s", "sample_period_s"),
                  _is_real, "a finite number"),
                 (("algorithm", "sensor_kind", "out_dir"), lambda v: isinstance(v, str),
                  "a string")):
@@ -103,6 +103,10 @@ class ExperimentConfig:
                 if not ok(value) and not (key in ("sample_count", "sensor_kind", "out_dir")
                                           and value is None):
                     raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        try:
+            self.stopping()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not _is_sequence(self.placement_box_km, 3, _is_real):
             raise ConfigError(f"placement_box_km must be 3 finite numbers [x, y, z] km, "
                               f"got {self.placement_box_km!r}")

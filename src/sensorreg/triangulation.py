@@ -64,7 +64,8 @@ class TriangulationFix:
 
 
 class BatchFix(NamedTuple):
-    """Vectorized fixes for n targets: see ``triangulate_batch``."""
+    """Vectorized fixes for n targets (see ``triangulate_batch``); a status
+    is STATUS_NO_CONVERGENCE only where ``MAX_ITERATIONS`` ran out."""
 
     points: np.ndarray      # (n, 3)
     iterations: np.ndarray  # (n,)
@@ -265,10 +266,14 @@ def triangulate_batch(locations, directions) -> BatchFix:
         ``intersect_rays`` takes them.
 
     Each fix starts from ``intersect_rays`` on the same rays, and fits
-    their azimuth/elevation.  Per-target failures are reported through
-    ``status`` rather than raised, so one bad geometry does not abort the
-    batch: rays with no intersection (near-parallel or not finite) are
-    ill-conditioned at iteration 1, with a NaN point.
+    their azimuth/elevation.  A target runs while it is
+    STATUS_NO_CONVERGENCE, and is STATUS_OK at its fixed point: once an
+    accepted step lowers its cost by less than ``COST_DECREASE_TOL``, or
+    once no damped step lowers it (lambda past ``LAMBDA_MAX``).
+    Per-target failures are reported through ``status`` rather than
+    raised, so one bad geometry does not abort the batch: rays with no
+    intersection (near-parallel or not finite) are ill-conditioned at
+    iteration 1, with a NaN point.
     """
     locations = np.asarray(locations, dtype=float)
     directions = np.asarray(directions, dtype=float)
@@ -284,12 +289,11 @@ def triangulate_batch(locations, directions) -> BatchFix:
     lam = np.full(n, LAMBDA_INIT)
     status = np.full(n, STATUS_NO_CONVERGENCE, dtype=int)
     iterations = np.zeros(n, dtype=int)
-    active = np.ones(n, dtype=bool)
 
     for it in range(1, MAX_ITERATIONS + 1):
-        if not active.any():
+        idx = np.flatnonzero(status == STATUS_NO_CONVERGENCE)
+        if not idx.size:
             break
-        idx = np.flatnonzero(active)
         j = jac[idx]
         jt = j.transpose(0, 2, 1)
         jtj = jt @ j
@@ -298,7 +302,6 @@ def triangulate_batch(locations, directions) -> BatchFix:
         bad = _ill_conditioned(jtj)
         if bad.any():
             status[idx[bad]] = STATUS_ILL_CONDITIONED
-            active[idx[bad]] = False
             idx, jtj, rhs = idx[~bad], jtj[~bad], rhs[~bad]
 
         damped = jtj + lam[idx, np.newaxis, np.newaxis] * (jtj * np.eye(3))
@@ -308,22 +311,14 @@ def triangulate_batch(locations, directions) -> BatchFix:
 
         better = cost_t <= cost[idx]
         acc, rej = idx[better], idx[~better]
-
-        decrease = cost[acc] - cost_t[better]
-        x[acc] = trial[better]
-        cost[acc] = cost_t[better]
+        status[acc[cost[acc] - cost_t[better] < COST_DECREASE_TOL]] = STATUS_OK
+        x[acc], cost[acc] = trial[better], cost_t[better]
+        res[acc], jac[acc] = res_t[better], jac_t[better]
         lam[acc] = np.maximum(lam[acc] / 10.0, LAMBDA_MIN)
-        done = decrease < COST_DECREASE_TOL
-        status[acc[done]] = STATUS_OK
-        active[acc[done]] = False
 
         lam[rej] *= 10.0
-        active[rej[lam[rej] > LAMBDA_MAX]] = False
-
-        # the trial residuals of a moved target are its residuals at x now
-        moved = np.flatnonzero(better)[~done]
-        res[idx[moved]] = res_t[moved]
-        jac[idx[moved]] = jac_t[moved]
+        # no damped step lowers the cost: a fixed point, as in absolute_2d
+        status[rej[lam[rej] > LAMBDA_MAX]] = STATUS_OK
 
     return BatchFix(points=x, iterations=iterations, status=status)
 

@@ -135,6 +135,9 @@ class TestDataStructures:
         ("max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
         ("max_iterations", 3.0, "max_iterations must be an integer, got 3.0"),
         ("max_iterations", True, "max_iterations must be an integer, got True"),
+        ("rel_cost_tol", "a", "rel_cost_tol must be a number, got 'a'"),
+        ("rel_cost_tol", None, "rel_cost_tol must be a number, got None"),
+        ("rel_cost_tol", True, "rel_cost_tol must be a number, got True"),
     ])
     def test_stopping_criteria_names_the_field(self, field, value, message):
         with pytest.raises(ValueError, match=message):

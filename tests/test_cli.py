@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from sensorreg import calibration
 from sensorreg.calibration import CalibrationResult, MeasurementBatch, SensorMeasurements
-from sensorreg.cli import _infer_algorithm, main
+from sensorreg.cli import _select_algorithm, main
 from sensorreg.errors import RegistrationError
 from sensorreg import experiments
 from sensorreg.experiments import (BATCH_COLUMNS, ExperimentConfig, read_batch,
@@ -66,15 +67,17 @@ class TestInferAlgorithm:
         return MeasurementBatch(sensors=tuple(sensors), locations=locations)
 
     def test_choices(self):
-        assert _infer_algorithm(self.make(["3d", "3d"])) == "alg3"
-        assert _infer_algorithm(self.make(["3d", "3d", "3d"])) == "alg4"
-        assert _infer_algorithm(self.make(["2d", "2d"])) == "alg6"
-        assert _infer_algorithm(self.make(["2d", "2d", "2d"])) == "alg7"
-        assert _infer_algorithm(self.make(["2d", "3d"])) == "alg2"
+        assert _select_algorithm(self.make(["3d", "3d"]), None) == "alg3"
+        assert _select_algorithm(self.make(["3d", "3d", "3d"]), None) == "alg4"
+        assert _select_algorithm(self.make(["2d", "2d"]), None) == "alg6"
+        assert _select_algorithm(self.make(["2d", "2d", "2d"]), None) == "alg7"
+        assert _select_algorithm(self.make(["2d", "3d"]), None) == "alg2"
 
     def test_unsupported_mix(self):
-        with pytest.raises(RegistrationError):
-            _infer_algorithm(self.make(["3d", "2d"]))
+        with pytest.raises(RegistrationError, match=re.escape(
+                "no algorithm takes this mix of sensor kinds: this batch has "
+                "2 sensors of kinds ['3d', '2d']")):
+            _select_algorithm(self.make(["3d", "2d"]), None)
 
 
 class TestSimulate:
@@ -132,6 +135,15 @@ class TestSimulate:
             assert sensor["rotation"] == rotation.tolist()
             assert sensor["bias_deg"] == [math.degrees(a) for a in bias]
 
+    @pytest.mark.parametrize("key, value", [("rel_cost_tol", -1), ("max_iterations", 0)])
+    def test_stopping_value_out_of_range(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{key: value})
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {key} must be")
+        assert not out.exists()
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, sigma_az_mrad=3.0, sigma_el_mrad=3.0,
                            sigma_range_m=10.0, fixed_biases_deg=None)
@@ -179,6 +191,36 @@ class TestCalibrate:
             [result["sensors"][0]["yaw_deg"], result["sensors"][0]["pitch_deg"],
              result["sensors"][0]["roll_deg"]],
             [2.0, -1.0, 1.0], atol=1e-6)
+
+    @pytest.mark.parametrize("algorithm, takes", [
+        ("alg3", "2 sensors of kinds ['3d', '3d']"),
+        ("alg7", "3 or more 2d sensors"),
+    ])
+    def test_requested_algorithm_must_accept_the_batch(self, tmp_path, capsys,
+                                                       algorithm, takes):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--sensors", "4", "--seed", "0",
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        result_path = tmp_path / "result.json"
+        assert main(["calibrate", "--batch", str(out / "batch.csv"),
+                     "--sensors-file", str(out / "sensors.json"),
+                     "--algorithm", algorithm, "--out", str(result_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {algorithm} takes {takes}, but this batch has 4 sensors "
+            "of kinds ['3d', '3d', '3d', '3d']"]
+        assert not result_path.exists()
+
+    def test_requested_algorithm_matches_inference(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--sensors", "4", "--seed", "0",
+                     "--out-dir", str(out)]) == 0
+        files = ["--batch", str(out / "batch.csv"), "--sensors-file", str(out / "sensors.json")]
+        assert main(["calibrate", *files, "--out", str(tmp_path / "inferred.json")]) == 0
+        assert main(["calibrate", *files, "--algorithm", "alg4",
+                     "--out", str(tmp_path / "requested.json")]) == 0
+        assert (tmp_path / "inferred.json").read_bytes() \
+            == (tmp_path / "requested.json").read_bytes()
 
     @pytest.mark.parametrize("column, value, sensor, epoch", [
         ("az_rad", "nan", 1, 5),
@@ -475,6 +517,18 @@ class TestExperiment:
                      "--out-dir", str(tmp_path / "results")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: a config must be a JSON object, got {kind}"]
+
+    @pytest.mark.parametrize("content, problem", [
+        (b'{"seed": 0, x}', "Expecting property name enclosed in double quotes"),
+        (b'\xff{}', "'utf-8' codec can't decode byte 0xff"),
+    ])
+    def test_malformed_config_file_is_named(self, tmp_path, capsys, content, problem):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["experiment", "--config", str(path),
+                     "--out-dir", str(tmp_path / "results")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {path}: {problem}")
 
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -79,6 +79,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(sample_count=1)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rel_cost_tol", -1e-3, "rel_cost_tol must be finite and non-negative, got -0.001"),
+        ("max_iterations", 0, "max_iterations must be at least 1, got 0"),
+    ])
+    def test_stopping_values(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig(**{key: value})
+
     @pytest.mark.parametrize("value, kind", [([], "list"), (None, "NoneType"),
                                              ("alg4", "str"), (5, "int")])
     def test_from_dict_needs_an_object(self, value, kind):

@@ -178,6 +178,32 @@ class TestTriangulate:
         with pytest.raises(NoConvergenceError, match="no convergence in 1 iterations"):
             triangulate(BearingSet(locations=locs, az=az + noise[0], el=el + noise[1]))
 
+    def test_no_damped_step_lowering_the_cost_is_a_fixed_point(self, monkeypatch):
+        # every trial is 1 rad worse per residual than the start, so each is
+        # rejected and lambda climbs from 1e-3 past LAMBDA_MAX at iteration 16
+        residuals = triangulation.bearing_residuals
+        calls = []
+
+        def worse(*args):
+            res, jac = residuals(*args)
+            calls.append(args)
+            return (res if len(calls) == 1 else res + 1.0), jac
+
+        monkeypatch.setattr(triangulation, "bearing_residuals", worse)
+        locs = np.array([[0.0, 0.0, 0.0], [3000.0, 0.0, 0.0], [0.0, 3000.0, -500.0]])
+        az, el = exact_bearings(locs, [1200.0, 1500.0, -2000.0])
+        noise = 3e-3 * np.random.default_rng(26).normal(size=(2, 3))
+        bearings = BearingSet(locations=locs, az=az + noise[0], el=el + noise[1])
+        rays = direction_from_angles(bearings.az, bearings.el)[:, np.newaxis]
+        start = intersect_rays(locs, rays)[0]
+        fix = triangulate_batch(locs, rays)
+        assert fix.status[0] == STATUS_OK and fix.iterations[0] == 16
+        np.testing.assert_array_equal(fix.points, start)
+        calls.clear()
+        fix = triangulate(bearings)
+        assert fix.iterations == 16
+        np.testing.assert_array_equal(fix.point, start[0])
+
     def test_random_geometries_recover(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
