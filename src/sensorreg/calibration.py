@@ -189,7 +189,8 @@ class CalibrationResult:
     ``dropped_indices`` counts the epochs left out of ``absolute_2d``'s
     joint solve because the warm start's final Gauss-Newton
     triangulation failed for them: their rays are near-parallel or not
-    finite, or the fix used up its 50 iterations.
+    finite, or the fix used up its 50 iterations.  The epochs left must
+    still determine the solve, or ``absolute_2d`` raises instead.
     """
 
     estimates: list
@@ -300,12 +301,14 @@ def absolute_3d(batch: MeasurementBatch,
     """Estimate all rotations of two or more 3D sensors (alg3, alg4).
 
     Sweeps every sensor pair in a fixed order, aligning each sensor of
-    the pair to the other in turn; every update is an exact minimizer,
-    so the cost trace never increases.  Two sensors are only determined
-    up to a common rotation about their baseline (``gauge_ambiguous``):
-    corrected tracks agree, but individual rotations need not match any
-    externally known truth.  Three or more non-collinear sensors break
-    that ambiguity.
+    the pair to the other in turn.  Every update is an exact minimizer
+    of its own pair's disagreement, so for two sensors the cost trace
+    never increases; with three or more, an update ignores the sensor's
+    other pairs and the trace can rise slightly.  Two sensors are only
+    determined up to a common rotation about their baseline
+    (``gauge_ambiguous``): corrected tracks agree, but individual
+    rotations need not match any externally known truth.  Three or more
+    non-collinear sensors break that ambiguity.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
     positions = np.stack(batch.local_positions())
@@ -344,61 +347,57 @@ def absolute_2d(batch: MeasurementBatch,
     target positions; epochs whose fix fails there are left out.  Azimuths
     of sightings within 10 degrees of a sensor's pole join the solve
     only once it has converged without them, so the cost trace may rise
-    during that first phase.  It never steps along a pair's common
-    rotation about the baseline, which stays where the warm start left it.
+    during that first phase; the two phases share one iteration budget.
+    It never steps along a pair's common rotation about the baseline,
+    which stays where the warm start left it.  It raises
+    ``DegenerateInputError`` if too few epochs are usable to determine
+    the solve: six for a pair, four for three sensors, else three.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
     locations = batch.locations
     rotations, points, ok = _warm_start(batch)
     az = np.stack([m.az[ok] for m in batch.sensors])
     el = np.stack([m.el[ok] for m in batch.sensors])
-    baseline = None
-    if gauge_ambiguous:
-        baseline = (locations[1] - locations[0]) \
-            / np.linalg.norm(locations[1] - locations[0])
     # Near the pole of a sensor's frame the azimuth swings fast with the
     # line of sight, so a rotation error larger than a sighting's angle
     # from the pole can trap the solver in a false minimum.  Solve
-    # without those azimuths first, then with every residual.
-    weights = np.ones((points.shape[0], 2 * batch.n_sensors))
-    weights[:, 0::2] = (np.abs(el) < NEAR_POLE_EL).T
-    gated = not weights.all()
+    # without those azimuths first, then with every residual: each
+    # phase is a weight per residual and its own stopping tolerance.
+    ones = np.ones((points.shape[0], 2 * batch.n_sensors))
+    phases = [(ones, stopping.rel_cost_tol)]
+    if (np.abs(el) >= NEAR_POLE_EL).any():
+        gated_weights = ones.copy()
+        gated_weights[:, 0::2] = (np.abs(el) < NEAR_POLE_EL).T
+        phases.insert(0, (gated_weights, GATED_REL_COST_TOL))
 
     res, jac, jac_rot = bearing_residuals(points, locations, az, el, rotations)
     trace = [float(np.sum(res * res))]
-    objective = float(np.sum((res * weights) ** 2))
-    lam = LAMBDA_INIT
-    converged = False
     iterations = 0
-    for iterations in range(1, stopping.max_iterations + 1):
-        normal = _normal_equations(res, jac, jac_rot, weights)
-        gauge = None if baseline is None else _gauge_complement(rotations, baseline)
-        while lam <= LAMBDA_MAX:
-            d_rot, d_pts = _damped_step(*normal, lam, gauge)
-            trial_rot = rotations @ rotation_from_rotvec(d_rot)
-            trial_pts = points + d_pts
-            trial = bearing_residuals(trial_pts, locations, az, el, trial_rot)
-            trial_objective = float(np.sum((trial[0] * weights) ** 2))
-            if trial_objective < objective:
-                rotations, points = trial_rot, trial_pts
-                res, jac, jac_rot = trial
-                lam = max(lam / 10.0, LAMBDA_MIN)
-                trace.append(float(np.sum(res * res)))
-                tol = GATED_REL_COST_TOL if gated else stopping.rel_cost_tol
-                phase_done = _stopped(objective, trial_objective, tol)
-                objective = trial_objective
-                break
-            lam *= 10.0
-        else:
-            phase_done = True  # no damped step lowers the cost: a fixed point
-        if phase_done:
-            if not gated:
-                converged = True
-                break
-            gated = False
-            weights[:] = 1.0
-            objective = trace[-1]
-            lam = LAMBDA_INIT
+    for weights, tol in phases:
+        objective = float(np.sum((res * weights) ** 2))
+        lam = LAMBDA_INIT
+        converged = False
+        while not converged and iterations < stopping.max_iterations:
+            iterations += 1
+            normal = _normal_equations(res, jac, jac_rot, weights)
+            gauge = _gauge_complement(rotations, locations) if gauge_ambiguous else None
+            while lam <= LAMBDA_MAX:
+                d_rot, d_pts = _damped_step(*normal, lam, gauge)
+                trial_rot = rotations @ rotation_from_rotvec(d_rot)
+                trial_pts = points + d_pts
+                trial = bearing_residuals(trial_pts, locations, az, el, trial_rot)
+                trial_objective = float(np.sum((trial[0] * weights) ** 2))
+                if trial_objective < objective:
+                    rotations, points = trial_rot, trial_pts
+                    res, jac, jac_rot = trial
+                    lam = max(lam / 10.0, LAMBDA_MIN)
+                    trace.append(float(np.sum(res * res)))
+                    converged = _stopped(objective, trial_objective, tol)
+                    objective = trial_objective
+                    break
+                lam *= 10.0
+            else:
+                converged = True  # no damped step lowers the cost: a fixed point
     return CalibrationResult(estimates=list(rotations), cost_trace=trace,
                              iterations=iterations, converged=converged,
                              gauge_ambiguous=gauge_ambiguous,
@@ -421,19 +420,29 @@ def _warm_start(batch):
     rotations = np.stack([np.eye(3)] * batch.n_sensors)
     for _ in range(WARM_START_SWEEPS):
         points, ok = intersect_rays(locations, raw_dirs @ rotations.transpose(0, 2, 1))
-        _check_usable(ok)
+        _check_usable(ok, batch.n_sensors)
         ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis, :], axis=-1)
         positions = ranges[..., np.newaxis] * raw_dirs[:, ok]
         _als_sweep(rotations, *_pair_moments(positions, locations))
     fix = triangulate_batch(locations, raw_dirs @ rotations.transpose(0, 2, 1))
     ok = fix.status == STATUS_OK
-    _check_usable(ok)
+    _check_usable(ok, batch.n_sensors)
     return rotations, fix.points[ok], ok
 
 
-def _check_usable(ok):
-    if ok.sum() < 2:
-        raise DegenerateInputError("fewer than two targets could be triangulated")
+def _check_usable(ok, n_sensors):
+    """Refuse too few usable epochs for the joint solve.  n epochs of S
+    sensors give 2Sn az/el residuals for 3S rotation and 3n position
+    unknowns, less g = 1 for a pair's baseline gauge (else 0).  With no
+    residual to spare (2Sn = 3S + 3n - g) a wrong answer can fit
+    exactly, and two epochs tie the targets down only through the angle
+    each sensor sees between them, so it needs 2Sn > 3S + 3n - g and
+    n >= 3: six epochs for a pair, four for three sensors, else three."""
+    count = int(ok.sum())
+    needed = max(3, (3 * n_sensors - (n_sensors == 2)) // (2 * n_sensors - 3) + 1)
+    if count < needed:
+        raise DegenerateInputError(f"{n_sensors} bearing-only sensors need at least "
+                                   f"{needed} usable epochs, got {count}")
 
 
 def _normal_equations(res, jac, jac_rot, weights):
@@ -496,13 +505,15 @@ def _damped_step(v, u, w, b_rot, b_pts, lam, gauge):
     return d_rot.reshape(n_sensors, 3), d_pts
 
 
-def _gauge_complement(rotations, baseline):
+def _gauge_complement(rotations, locations):
     """Orthonormal rows spanning the rotation steps that leave the
-    common rotation about the baseline unchanged.
+    common rotation about a sensor pair's baseline unchanged.
 
+    With b the unit baseline from sensor 0 to sensor 1,
     R_b(t) A_s = A_s exp(t A_s^T b), so that rotation is the step
     direction (A_s^T b) over all sensors; the rows span its complement.
     """
+    baseline = (locations[1] - locations[0]) / np.linalg.norm(locations[1] - locations[0])
     direction = (rotations.transpose(0, 2, 1) @ baseline).reshape(1, -1)
     return np.linalg.svd(direction)[2][1:]
 

@@ -520,6 +520,17 @@ class TestClosedFormSweep:
         assert from_wahba == []
 
 
+def few_epochs(count, epochs, runs=3):
+    """The first ``runs`` noiseless bearing-only realizations of ``count``
+    sensors (RING's first ones, or a drawn constellation beyond four)
+    with the trajectory thinned to ``epochs`` epochs."""
+    cfg = ExperimentConfig(algorithm="alg6" if count == 2 else "alg7",
+                           sensor_count=count, sample_count=epochs,
+                           sigma_az_mrad=0.0, sigma_el_mrad=0.0,
+                           sensor_locations_m=RING[:count] if count <= len(RING) else None)
+    return list(realizations(cfg, runs))
+
+
 class TestAbsolute2d:
     def test_noiseless_recovery(self):
         points = make_targets()
@@ -578,6 +589,68 @@ class TestAbsolute2d:
                                 kinds=["2d", "2d"])
         with pytest.raises(DegenerateInputError):
             absolute_2d(batch)
+
+    @pytest.mark.parametrize("count, epochs, needed", [
+        (2, 4, 6), (2, 5, 6), (3, 2, 4), (3, 3, 4), (4, 2, 3), (5, 2, 3), (6, 2, 3)])
+    def test_too_few_epochs_raise(self, count, epochs, needed):
+        # n epochs of S sensors give 2Sn residuals for 3S + 3n unknowns,
+        # less a pair's baseline gauge.  With none to spare (S = 2, n = 5;
+        # S = 3, n = 3) or with two epochs, noiseless batches fitted
+        # exactly at answers up to 336 mrad off and reported converged
+        batch, _ = few_epochs(count, epochs, runs=1)[0]
+        with pytest.raises(DegenerateInputError,
+                           match=f"^{count} bearing-only sensors need at least "
+                                 f"{needed} usable epochs, got {epochs}$"):
+            absolute_2d(batch)
+
+    def test_no_residual_to_spare_can_fit_a_wrong_answer(self, monkeypatch):
+        # why three sensors need four epochs: with three (2Sn = 3S + 3n)
+        # the solve, let through, fits this noiseless batch exactly at an
+        # answer 175 mrad off and calls it converged
+        monkeypatch.setattr(calibration, "_check_usable", lambda ok, n_sensors: None)
+        cfg = ExperimentConfig(algorithm="alg7", sensor_count=3, sample_count=3,
+                               sigma_az_mrad=0.0, sigma_el_mrad=0.0)
+        batch, truth = list(realizations(cfg, 5))[4]
+        result = absolute_2d(batch, StoppingCriteria(rel_cost_tol=1e-12))
+        assert result.converged and result.cost_trace[-1] < 1e-20
+        assert max(geodesic_angle(est, rot) for est, rot in
+                   zip(result.estimates, truth.rotations)) > 0.1
+
+    @pytest.mark.parametrize("count, epochs", [(2, 6), (3, 4), (4, 3), (6, 3)])
+    def test_fewest_epochs_recover(self, count, epochs):
+        for batch, truth in few_epochs(count, epochs):
+            result = absolute_2d(batch, StoppingCriteria(rel_cost_tol=1e-12))
+            assert result.converged
+            if count == 2:  # a pair is only determined up to its baseline gauge
+                (a1, a2), (r1, r2) = result.estimates, truth.rotations
+                assert geodesic_angle(a1.T @ a2, r1.T @ r2) < 1e-9
+            else:
+                for est, rot in zip(result.estimates, truth.rotations):
+                    assert geodesic_angle(est, rot) < 1e-9
+
+    def test_phases_share_the_iteration_budget(self, monkeypatch):
+        # this batch has near-pole sightings, so the solve starts with
+        # their azimuths weighted out; that phase needs 3 iterations here,
+        # so a budget of 2 must end inside it, unconverged
+        biases = sample_biases(3, np.random.default_rng(4))
+        sensors = [SensorTruth(location=tuple(loc), kind="2d", bias=bias,
+                               sigma_az=3e-3, sigma_el=3e-3)
+                   for loc, bias in zip(RING[:3], biases)]
+        batch, _ = build_batch(generate_trajectory(), sensors, seed=0)
+        assert any((np.abs(m.el) >= calibration.NEAR_POLE_EL).any() for m in batch.sensors)
+        normal_equations = calibration._normal_equations
+        gated = []
+
+        def record_phase(res, jac, jac_rot, weights):
+            gated.append(not weights.all())
+            return normal_equations(res, jac, jac_rot, weights)
+
+        monkeypatch.setattr(calibration, "_normal_equations", record_phase)
+        result = absolute_2d(batch, StoppingCriteria(max_iterations=2))
+        assert not result.converged
+        assert result.iterations == 2
+        assert len(result.cost_trace) <= result.iterations + 1
+        assert gated == [True, True]
 
     def test_stops_at_its_fixed_point(self):
         # the default tolerance must leave the estimate where a much

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sensorreg import calibration
-from sensorreg.calibration import ALGORITHMS
+from sensorreg.calibration import ALGORITHMS, MeasurementBatch, SensorMeasurements
 from sensorreg.errors import ConfigError, DegenerateInputError, ExperimentError
 from sensorreg.experiments import (
     SWEEP_AXES,
@@ -258,6 +258,31 @@ class TestRunExperiment:
         assert "DegenerateInputError" in report.runs[0].failure
         assert all(rec.ok for rec in report.runs[1:])
         assert np.all(report.rms_mrad < 1e-6)
+
+    def test_refused_realizations_are_failures(self, monkeypatch):
+        # realization 1 keeps two of its epochs, too few for three
+        # bearing-only sensors: the study records the solver's refusal
+        cfg = quiet_config(algorithm="alg7", sensor_kind="2d", mc_runs=5)
+        message = ("DegenerateInputError: 3 bearing-only sensors need at least "
+                   "4 usable epochs, got 2")
+        original = calibration.absolute_2d
+        calls = []
+
+        def thin_second(batch, stopping):
+            calls.append(None)
+            if len(calls) == 2:
+                batch = MeasurementBatch(
+                    sensors=[SensorMeasurements(m.az[:2], m.el[:2]) for m in batch.sensors],
+                    locations=batch.locations)
+            return original(batch, stopping)
+
+        monkeypatch.setattr(calibration, "absolute_2d", thin_second)
+        report = run_experiment(cfg)
+        assert [rec.failure for rec in report.runs] == [None, message, None, None, None]
+        monkeypatch.setattr(calibration, "absolute_2d", original)
+        with pytest.raises(ExperimentError, match="only 0/3 realizations succeeded"):
+            run_experiment(quiet_config(algorithm="alg7", sensor_kind="2d",
+                                        sample_count=2, mc_runs=3))
 
     def test_mass_failure_raises(self, monkeypatch):
         def broken(batch, stopping):
