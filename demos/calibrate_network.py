@@ -3,9 +3,10 @@
 
 Places three or more range/azimuth/elevation sensors around a simulated
 racetrack flight, gives each an unknown mounting bias, and recovers all
-biases at once by alternating least squares: every sweep re-aligns each
-sensor pair with an exact rotation fit, so the track mismatch cost can
-only go down. No sensor is assumed correct; with at least three
+biases at once: one sweep re-aligns each sensor pair with an exact
+rotation fit, then Gauss-Newton steps on all rotations together take
+the track mismatch cost to its least-squares point, keeping a step only
+if it lowers the cost. No sensor is assumed correct; with at least three
 non-collinear sensors the solution is fully determined.
 """
 
@@ -41,7 +42,8 @@ def main():
     trace = result.cost_trace
     print(f"{args.sensors} sensors, {batch.n_epochs} epochs, "
           f"{'noiseless' if args.noiseless else 'noisy'} measurements")
-    print(f"converged: {result.converged} after {result.iterations} sweeps")
+    print(f"converged: {result.converged} after {result.iterations} iterations "
+          "(one sweep, then Gauss-Newton steps)")
     print(f"cost: {trace[0]:.4e} initial, {trace[1]:.4e} after one sweep, "
           f"{trace[-1]:.4e} final\n")
 

@@ -37,7 +37,7 @@ def main():
     print(f"RMS error: yaw {psi:.3f}  pitch {theta:.3f}  roll {phi:.3f} mrad "
           f"(geodesic {report.rms_geodesic_mrad:.3f})")
     iters = [r.iterations for r in report.runs if r.ok]
-    print(f"sweeps per run: {min(iters)} to {max(iters)}")
+    print(f"iterations per run: {min(iters)} to {max(iters)}")
 
     out = pathlib.Path(args.out_dir)
     paths = emit_reports(report, out)

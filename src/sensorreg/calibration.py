@@ -5,11 +5,13 @@ local frame.  These routines estimate one correcting rotation per sensor
 so that corrected local tracks, shifted to sensor locations, agree in a
 common frame.  One solver per measurement model returns a
 ``CalibrationResult``: ``relative_3d`` and ``relative_hetero`` fit sensor
-0 of a pair to reference sensor 1 in one shot; ``absolute_3d``
-(alternating optimal-rotation updates) and ``absolute_2d`` (damped
-Gauss-Newton over rotations and target positions, i.e. bundle
-adjustment, from closed-form intersect-and-align sweeps) take two or
-more sensors and flag a pair's baseline gauge themselves.
+0 of a pair to reference sensor 1 in one shot; ``absolute_3d`` (one
+pair sweep of optimal-rotation updates, then Gauss-Newton steps on all
+rotations, whose cost trace never rises for any number of sensors) and
+``absolute_2d`` (damped Gauss-Newton over rotations and target
+positions, i.e. bundle adjustment, from closed-form intersect-and-align
+sweeps) take two or more sensors and flag a pair's baseline gauge
+themselves.
 """
 
 import itertools
@@ -39,6 +41,13 @@ NEAR_POLE_EL = np.radians(80.0)
 # that first phase only has to reach the right basin, so it stops on
 # this tolerance whatever the caller asks of the final solve
 GATED_REL_COST_TOL = 1e-3
+# the Levi-Civita symbol, and the map that takes a pair moment M (9) to
+# the (9, 9) matrix that takes Q (9) to e_jkl e_nrm Q_kn M_ml: see
+# ``_hessian_terms``, which passes M_st^T
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+_LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_LEVI_CIVITA[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+_LIFT = np.einsum("jkl,nrm->mljrkn", _LEVI_CIVITA, _LEVI_CIVITA).reshape(9, 81)
 
 
 @dataclass(frozen=True)
@@ -145,8 +154,9 @@ class StoppingCriteria:
     """Stop when the cost changes by less than ``rel_cost_tol``
     (relative) between iterations, or after ``max_iterations``
     iterations.  A tolerance of zero disables the cost rule, so the
-    iteration runs the full budget, except that ``absolute_2d`` also
-    stops once no damped step lowers its cost (its fixed point).  The
+    iteration runs the full budget, except that both absolute solvers,
+    ``absolute_3d`` and ``absolute_2d``, also stop once no step lowers
+    their cost (their fixed point).  The
     tolerance must be a finite, non-negative real number and the budget
     an integer of at least 1 (neither a bool)."""
 
@@ -177,7 +187,9 @@ class CalibrationResult:
     on the algorithm family:
 
     ==================  ==================================================
-    alg1, alg3, alg4    m^2, total pairwise track disagreement
+    alg1                m^2, total pairwise track disagreement
+    alg3, alg4          m^2, the same cost: at identity, after the pair
+                        sweep, then after each accepted Gauss-Newton step
     alg2                squared unit-vector distance
     alg6, alg7          rad^2, sum of squared az/el residuals; the first
                         entry is the cost at the warm start (after its
@@ -300,15 +312,22 @@ def absolute_3d(batch: MeasurementBatch,
                 stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
     """Estimate all rotations of two or more 3D sensors (alg3, alg4).
 
-    Sweeps every sensor pair in a fixed order, aligning each sensor of
-    the pair to the other in turn.  Every update is an exact minimizer
-    of its own pair's disagreement, so for two sensors the cost trace
-    never increases; with three or more, an update ignores the sensor's
-    other pairs and the trace can rise slightly.  Two sensors are only
-    determined up to a common rotation about their baseline
-    (``gauge_ambiguous``): corrected tracks agree, but individual
-    rotations need not match any externally known truth.  Three or more
-    non-collinear sensors break that ambiguity.
+    Starts with the paper's pair sweep from identity: every sensor pair
+    in a fixed order, aligning each sensor of the pair to the other in
+    turn.  Each update ignores the sensor's other pairs, so with three
+    or more sensors the sweep does not reach the least-squares point.
+    Gauss-Newton steps on all rotations at once, from the same pair
+    moments (``_pair_normal_equations``), take it there.  They are damped
+    as in ``absolute_2d`` (Levenberg-Marquardt): a step is kept only if
+    it lowers ``pairwise_cost``, so the cost trace never increases, for
+    any number of sensors, and the solve stops at its fixed point once
+    no damped step lowers the cost.  ``iterations`` counts the sweep and
+    each Gauss-Newton system built.
+    Two sensors are only determined up to a common rotation about their
+    baseline (``gauge_ambiguous``): the steps never move along it, and
+    corrected tracks agree, but individual rotations need not match any
+    externally known truth.  Three or more non-collinear sensors break
+    that ambiguity.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
     positions = np.stack(batch.local_positions())
@@ -317,18 +336,79 @@ def absolute_3d(batch: MeasurementBatch,
     xs, ys = _pair_moments(positions, locations)
     rotations = np.stack([np.eye(3)] * batch.n_sensors)
     trace = [_cost(rotations, positions, locations, pair_index)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, stopping.max_iterations + 1):
-        _als_sweep(rotations, xs, ys)
-        cur = _cost(rotations, positions, locations, pair_index)
-        trace.append(cur)
-        if _stopped(trace[-2], cur, stopping.rel_cost_tol):
-            converged = True
-            break
+    _als_sweep(rotations, xs, ys)
+    trace.append(_cost(rotations, positions, locations, pair_index))
+    iterations = 1
+    converged = _stopped(trace[0], trace[1], stopping.rel_cost_tol)
+    lift, diagonal = _hessian_terms(xs)
+    lam = LAMBDA_INIT
+    while not converged and iterations < stopping.max_iterations:
+        iterations += 1
+        gauge = _gauge_complement(rotations, locations) if gauge_ambiguous else None
+        hessian, rhs = _pair_normal_equations(rotations, xs, ys, lift, diagonal)
+        while lam <= LAMBDA_MAX:
+            step = _confined_solve(hessian + lam * np.diag(np.diag(hessian)), rhs, gauge)
+            trial = rotations @ rotation_from_rotvec(step.reshape(-1, 3))
+            cost = _cost(trial, positions, locations, pair_index)
+            if cost < trace[-1]:
+                converged = _stopped(trace[-1], cost, stopping.rel_cost_tol)
+                rotations = trial
+                trace.append(cost)
+                lam = max(lam / 10.0, LAMBDA_MIN)
+                break
+            lam *= 10.0
+        else:
+            converged = True  # no damped step lowers the cost: a fixed point
     return CalibrationResult(estimates=list(rotations), cost_trace=trace,
                              iterations=iterations, converged=converged,
                              gauge_ambiguous=gauge_ambiguous)
+
+
+def _hessian_terms(xs):
+    """The constant parts of ``_pair_normal_equations``' Gauss-Newton
+    blocks, from ``_pair_moments``' xs.  With M_st = sum_i p_s^i p_t^iT
+    and Q = R_s^T R_t, the residual R_s p_s^i + l_s - R_t p_t^i - l_t has
+    the Jacobian -R_s [p_s^i]x in the step of R_s exp([d_s]x), so block
+    (s, t) is sum_i [p_s^i]x Q [p_t^i]x = e_jkl e_nrm Q_kn (M_st)_lm, and
+    block (s, s) is the constant (S - 1)(tr M_ss I - M_ss).  Returns the
+    (S, S, 9, 9) lifts that take Q to each block and the (S, 3, 3)
+    diagonal blocks."""
+    n_sensors = xs.shape[0]
+    moments = xs[:, :, :3]  # [s, t] is M_st^T
+    lift = (moments.reshape(-1, 9) @ _LIFT).reshape(n_sensors, n_sensors, 9, 9)
+    own = moments[np.arange(n_sensors), np.arange(n_sensors)]
+    diagonal = (n_sensors - 1) * (np.trace(own, axis1=1, axis2=2)[:, np.newaxis, np.newaxis]
+                                  * np.eye(3) - own)
+    return lift, diagonal
+
+
+def _pair_normal_equations(rotations, xs, ys, lift, diagonal):
+    """Gauss-Newton normal equations of ``pairwise_cost`` in the rotation
+    steps d_s of R_s exp([d_s]x), from the pair moments alone: J^T J
+    (3S, 3S), from ``_hessian_terms``, and the descent right-hand side
+    -J^T r (3S,).  Sensor s's part of J^T r is vee(B_s^T R_s - R_s^T B_s),
+    where B_s = sum_t ys[s, t]^T xs[s, t] is its Wahba profile matrix
+    against every partner at the current rotations.  Writes R_t^T into
+    ys[:, t, :3]."""
+    n_sensors = len(rotations)
+    ys[:, :, :3] = rotations.transpose(0, 2, 1)
+    turned = (xs.transpose(0, 1, 3, 2) @ ys).sum(axis=1) @ rotations
+    rhs = np.stack([turned[:, 1, 2] - turned[:, 2, 1], turned[:, 2, 0] - turned[:, 0, 2],
+                    turned[:, 0, 1] - turned[:, 1, 0]], axis=-1).ravel()
+    relative = rotations.transpose(0, 2, 1)[:, np.newaxis] @ rotations
+    hessian = (lift @ relative.reshape(n_sensors, n_sensors, 9, 1)) \
+        .reshape(n_sensors, n_sensors, 3, 3).transpose(0, 2, 1, 3).reshape(3 * n_sensors, -1)
+    blocks = hessian.reshape(n_sensors, 3, n_sensors, 3)
+    blocks[np.arange(n_sensors), :, np.arange(n_sensors), :] = diagonal
+    return hessian, rhs
+
+
+def _confined_solve(matrix, rhs, gauge):
+    """Solve ``matrix`` x = ``rhs``; ``gauge`` (rows spanning the allowed
+    steps) confines x to its row space when given."""
+    if gauge is None:
+        return np.linalg.solve(matrix, rhs)
+    return gauge.T @ np.linalg.solve(gauge @ matrix @ gauge.T, gauge @ rhs)
 
 
 def absolute_2d(batch: MeasurementBatch,
@@ -495,11 +575,7 @@ def _damped_step(v, u, w, b_rot, b_pts, lam, gauge):
     blocks = reduced.reshape(n_sensors, 3, n_sensors, 3)
     diag = np.arange(n_sensors)
     blocks[diag, :, diag, :] += u + lam * u * eye
-    rhs = b_rot.ravel() - y @ b_pts.ravel()
-    if gauge is None:
-        d_rot = np.linalg.solve(reduced, rhs)
-    else:
-        d_rot = gauge.T @ np.linalg.solve(gauge @ reduced @ gauge.T, gauge @ rhs)
+    d_rot = _confined_solve(reduced, b_rot.ravel() - y @ b_pts.ravel(), gauge)
     back = b_pts - (w_mat.T @ d_rot).reshape(n, 3)
     d_pts = solve_positive_definite(damped_v, back)
     return d_rot.reshape(n_sensors, 3), d_pts

@@ -147,29 +147,25 @@ def build_batch(trajectory, sensors, seed) -> tuple:
     points = np.asarray(trajectory, dtype=float)
     n = points.shape[0]
     seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = seed.spawn(len(sensors))
+    noise = np.stack([np.random.default_rng(child).normal(size=(n, 3))
+                      for child in seed.spawn(len(sensors))])
+    sigmas = np.array([[s.sigma_range, s.sigma_az, s.sigma_el] for s in sensors])
+    rotations = [s.correcting_rotation for s in sensors]
+    locations = np.stack([s.location_array for s in sensors])
 
-    measurements = []
-    for sensor, child in zip(sensors, children):
-        rel = points - sensor.location_array
-        if np.any(np.linalg.norm(rel, axis=1) < 1.0):
-            raise ValueError("trajectory passes through a sensor location")
-        local = rel @ sensor.correcting_rotation
-        sph = cart_to_spherical(local)
-        noise = np.random.default_rng(child).normal(size=(n, 3))
-        az = wrap_angle(sph.az + sensor.sigma_az * noise[:, 1])
-        el = sph.el + sensor.sigma_el * noise[:, 2]
-        if sensor.kind == "3d":
-            rng_m = sph.rng + sensor.sigma_range * noise[:, 0]
-            measurements.append(SensorMeasurements(az=az, el=el, rng=rng_m))
-        else:
-            measurements.append(SensorMeasurements(az=az, el=el))
+    rel = points - locations[:, np.newaxis]
+    if np.any(np.linalg.norm(rel, axis=-1) < 1.0):
+        raise ValueError("trajectory passes through a sensor location")
+    sph = cart_to_spherical(rel @ np.stack(rotations))
+    rng_m = sph.rng + sigmas[:, 0:1] * noise[..., 0]
+    az = wrap_angle(sph.az + sigmas[:, 1:2] * noise[..., 1])
+    el = sph.el + sigmas[:, 2:3] * noise[..., 2]
+    measurements = tuple(
+        SensorMeasurements(az=az[k], el=el[k], rng=rng_m[k] if sensor.kind == "3d" else None)
+        for k, sensor in enumerate(sensors))
 
-    batch = MeasurementBatch(
-        sensors=tuple(measurements),
-        locations=np.stack([s.location_array for s in sensors]))
-    truth = ScenarioTruth(target_positions=points,
-                          rotations=[s.correcting_rotation for s in sensors],
+    batch = MeasurementBatch(sensors=measurements, locations=locations)
+    truth = ScenarioTruth(target_positions=points, rotations=rotations,
                           biases=[s.bias for s in sensors])
     return batch, truth
 

@@ -46,6 +46,9 @@ DEG = np.pi / 180.0
 
 RING = [[14500.0, 1700.0, -300.0], [2500.0, 8600.0, -600.0],
         [2500.0, -5100.0, -150.0], [-1500.0, 1700.0, -450.0]]
+# criterion 4's constellation (tests/test_acceptance.py)
+RING_8 = RING + [[10500.0, 8600.0, -750.0], [10500.0, -5100.0, -900.0],
+                 [6500.0, 9700.0, -500.0], [6500.0, -6300.0, -250.0]]
 
 
 def make_targets(n=40, seed=0):
@@ -322,24 +325,28 @@ class TestAbsolute3dPair:
                 base_cost, rel=1e-9, abs=1e-9)
 
     def test_cost_trace_never_increases(self):
+        # for three or more sensors the pair sweep alone lets the trace
+        # rise; the Gauss-Newton steps that follow it only ever lower it
         rng = np.random.default_rng(31)
         points = make_targets(60, seed=31)
-        locations = np.array([[0.0, 0.0, 0.0], [7000.0, 1000.0, -300.0]])
-        for _ in range(30):
-            biases = [EulerAngles(*(rng.uniform(-20, 20, 3) * DEG))
-                      for _ in range(2)]
-            batch = noiseless_batch(points, locations, biases)
-            noisy = []
-            for m in batch.sensors:
-                n = m.n
-                noisy.append(SensorMeasurements(
-                    az=m.az + 3e-3 * rng.normal(size=n),
-                    el=m.el + 3e-3 * rng.normal(size=n),
-                    rng=m.rng + 10.0 * rng.normal(size=n)))
-            result = absolute_3d(
-                MeasurementBatch(sensors=tuple(noisy), locations=locations))
-            trace = np.asarray(result.cost_trace)
-            assert np.all(np.diff(trace) <= 0.0)
+        for n_sensors in (2, 3, 4, 8):
+            locations = np.array([[0.0, 0.0, 0.0], [7000.0, 1000.0, -300.0]]
+                                 if n_sensors == 2 else RING_8[:n_sensors])
+            for _ in range(30):
+                biases = [EulerAngles(*(rng.uniform(-20, 20, 3) * DEG))
+                          for _ in range(n_sensors)]
+                batch = noiseless_batch(points, locations, biases)
+                noisy = []
+                for m in batch.sensors:
+                    n = m.n
+                    noisy.append(SensorMeasurements(
+                        az=m.az + 3e-3 * rng.normal(size=n),
+                        el=m.el + 3e-3 * rng.normal(size=n),
+                        rng=m.rng + 10.0 * rng.normal(size=n)))
+                batch = MeasurementBatch(sensors=tuple(noisy), locations=locations)
+                for stopping in (StoppingCriteria(), StoppingCriteria(rel_cost_tol=1e-12)):
+                    trace = np.asarray(absolute_3d(batch, stopping).cost_trace)
+                    assert np.all(np.diff(trace) <= 0.0), (n_sensors, stopping)
 
     def test_no_convergence_flag_on_tiny_budget(self):
         rng = np.random.default_rng(32)
@@ -424,6 +431,22 @@ class TestAbsolute3d:
         # the warning names the line that called the solver
         assert record[0].filename == __file__
 
+    def test_exactly_collinear_sensors_warn(self):
+        # a common rotation about the sensors' line leaves the cost
+        # unchanged, so the Gauss-Newton system is singular up to rounding
+        points = make_targets()
+        locations = np.array([[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0], [10000.0, 0.0, 0.0]])
+        biases = [EulerAngles(3 * DEG, -2 * DEG, 1 * DEG), EulerAngles(-1 * DEG, 2 * DEG, 4 * DEG),
+                  EulerAngles(2 * DEG, 1 * DEG, -3 * DEG)]
+        for bias in ([EulerAngles(0, 0, 0)] * 3, biases):
+            batch = noiseless_batch(points, locations, bias)
+            for stopping in (StoppingCriteria(max_iterations=2), StoppingCriteria(),
+                             StoppingCriteria(rel_cost_tol=0.0, max_iterations=10)):
+                with pytest.warns(UserWarning, match="collinear"):
+                    result = absolute_3d(batch, stopping)
+                for est in result.estimates:
+                    assert is_rotation_matrix(est, tol=1e-9)
+
 
 def n_pair_absolute_3d(batch, stopping):
     """``absolute_3d`` as it was before its pair updates went through
@@ -453,6 +476,8 @@ def n_pair_absolute_3d(batch, stopping):
 
 
 class TestMomentSweep:
+    # absolute_3d makes exactly one pair sweep, from identity, before its
+    # Gauss-Newton steps; with a budget of one iteration it stops there
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 6),
            n=st.integers(5, 120), tol=st.sampled_from([0.0, 1e-6, 1e-3]))
@@ -466,7 +491,7 @@ class TestMomentSweep:
             az=m.az + 3e-3 * rng.normal(size=n), el=m.el + 3e-3 * rng.normal(size=n),
             rng=m.rng + 10.0 * rng.normal(size=n)) for m in exact.sensors),
             locations=locations)
-        stopping = StoppingCriteria(rel_cost_tol=tol, max_iterations=25)
+        stopping = StoppingCriteria(rel_cost_tol=tol, max_iterations=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # near-collinear draws
             result = absolute_3d(batch, stopping)
@@ -476,10 +501,72 @@ class TestMomentSweep:
         for got, want in zip(result.estimates, rotations):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_damped_steps_reach_a_pair_far_from_the_sweep(self):
+        # with 20-40 degree biases one sweep leaves these two pairs far
+        # from the least-squares point (cost 4.6e9 and 4.9e9 against
+        # 3.8e5 and 3.6e5 m^2), where the full Gauss-Newton step raises
+        # the cost; the damped steps still get there
+        cfg = ExperimentConfig(algorithm="alg3", sensor_count=2, seed=3, mc_runs=26,
+                               bias_low_deg=20.0, bias_high_deg=40.0,
+                               sensor_locations_m=RING[:2])
+        batches = [batch for batch, _ in realizations(cfg, cfg.mc_runs)]
+        tight = StoppingCriteria(rel_cost_tol=1e-12)
+        for batch in (batches[22], batches[25]):
+            swept = n_pair_absolute_3d(batch, tight)[1][-1]
+            result = absolute_3d(batch, tight)
+            assert result.converged and result.iterations <= 8
+            assert result.cost_trace[1] > 1e4 * swept
+            assert result.cost_trace[-1] <= swept * (1.0 + 1e-12)
 
-# criterion 4's constellation (tests/test_acceptance.py)
-RING_8 = RING + [[10500.0, 8600.0, -750.0], [10500.0, -5100.0, -900.0],
-                 [6500.0, 9700.0, -500.0], [6500.0, -6300.0, -250.0]]
+    @pytest.mark.parametrize("n_sensors", [2, 4])
+    def test_gauss_newton_step_matches_central_differences(self, n_sensors):
+        # the moment-form step against -(J^T J)^-1 J^T r with a dense
+        # central-difference Jacobian of the track differences in the
+        # solver's parameters, R_s exp(d_s), projected for a pair
+        rng = np.random.default_rng(9)
+        locations = np.asarray(RING[:n_sensors])
+        positions = rng.normal(size=(n_sensors, 7, 3)) * 4000.0
+        rotations = rotation_from_rotvec(rng.normal(size=(n_sensors, 3)) * 0.05)
+        xs, ys = calibration._pair_moments(positions, locations)
+        gauge = calibration._gauge_complement(rotations, locations) if n_sensors == 2 else None
+        hessian, rhs = calibration._pair_normal_equations(rotations, xs, ys,
+                                                          *calibration._hessian_terms(xs))
+        step = calibration._confined_solve(hessian, rhs, gauge)
+
+        def differences(steps):
+            common = positions @ (rotations @ rotation_from_rotvec(steps)).transpose(0, 2, 1)
+            common += locations[:, np.newaxis]
+            upper = np.triu_indices(n_sensors, 1)
+            return (common[upper[0]] - common[upper[1]]).ravel()
+
+        jac = np.empty((differences(np.zeros((n_sensors, 3))).size, 3 * n_sensors))
+        for k in range(3 * n_sensors):
+            delta = np.zeros(3 * n_sensors)
+            delta[k] = 1e-6
+            jac[:, k] = (differences(delta.reshape(-1, 3)) - differences(
+                -delta.reshape(-1, 3))) / 2e-6
+        if gauge is not None:
+            jac = jac @ gauge.T
+        expected = -np.linalg.solve(jac.T @ jac, jac.T @ differences(np.zeros((n_sensors, 3))))
+        if gauge is not None:
+            expected = gauge.T @ expected
+        np.testing.assert_allclose(step.ravel(), expected, rtol=0,
+                                   atol=1e-6 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("n_sensors", range(3, 9))
+    def test_ends_at_or_below_the_converged_sweep(self, seed, n_sensors):
+        # the repeated pair sweep settles above the least-squares point of
+        # three or more sensors; the Gauss-Newton steps go below it
+        cfg = ExperimentConfig(algorithm="alg4", sensor_count=n_sensors, seed=seed,
+                               mc_runs=4, sensor_locations_m=RING_8[:n_sensors])
+        tight = StoppingCriteria(rel_cost_tol=1e-12)
+        for batch, _ in realizations(cfg, cfg.mc_runs):
+            swept = n_pair_absolute_3d(batch, tight)[1][-1]
+            for stopping in (StoppingCriteria(), tight):
+                result = absolute_3d(batch, stopping)
+                assert result.cost_trace[-1] == pairwise_cost(result.estimates, batch)
+                assert result.cost_trace[-1] <= swept * (1.0 + 1e-12)
 
 
 class TestClosedFormSweep:
