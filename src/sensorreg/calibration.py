@@ -7,11 +7,10 @@ common frame.  One solver per measurement model returns a
 ``CalibrationResult``: ``relative_3d`` and ``relative_hetero`` fit sensor
 0 of a pair to reference sensor 1 in one shot; ``absolute_3d`` (one
 pair sweep of optimal-rotation updates, then Gauss-Newton steps on all
-rotations, whose cost trace never rises for any number of sensors) and
-``absolute_2d`` (damped Gauss-Newton over rotations and target
+rotations) and ``absolute_2d`` (Gauss-Newton over rotations and target
 positions, i.e. bundle adjustment, from closed-form intersect-and-align
-sweeps) take two or more sensors and flag a pair's baseline gauge
-themselves.
+sweeps) take two or more sensors, damp their steps in one
+Levenberg-Marquardt loop and flag a pair's baseline gauge themselves.
 """
 
 import itertools
@@ -24,10 +23,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, MissingRangeError, ZeroVectorError
 from .geometry import collinearity_ratio, direction_from_angles, rotation_from_rotvec
-from .triangulation import (LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, STATUS_OK,
-                            bearing_residuals, intersect_rays,
-                            solve_positive_definite,
-                            triangulate_batch)
+from .triangulation import (LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, MIN_SENSOR_SEPARATION,
+                            STATUS_OK, bearing_residuals, intersect_rays,
+                            solve_positive_definite, triangulate_batch)
 from .wahba import solve_wahba, wahba_cost
 
 COLLINEAR_WARN_RATIO = 0.01
@@ -41,13 +39,6 @@ NEAR_POLE_EL = np.radians(80.0)
 # that first phase only has to reach the right basin, so it stops on
 # this tolerance whatever the caller asks of the final solve
 GATED_REL_COST_TOL = 1e-3
-# the Levi-Civita symbol, and the map that takes a pair moment M (9) to
-# the (9, 9) matrix that takes Q (9) to e_jkl e_nrm Q_kn M_ml: see
-# ``_hessian_terms``, which passes M_st^T
-_LEVI_CIVITA = np.zeros((3, 3, 3))
-_LEVI_CIVITA[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
-_LEVI_CIVITA[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
-_LIFT = np.einsum("jkl,nrm->mljrkn", _LEVI_CIVITA, _LEVI_CIVITA).reshape(9, 81)
 
 
 @dataclass(frozen=True)
@@ -263,6 +254,37 @@ def _stopped(prev: float, cur: float, tol: float) -> bool:
     return abs(prev - cur) < tol * prev
 
 
+def _levenberg_marquardt(state, linearize, objective, trace, tol, max_iterations,
+                         iterations=0, converged=False, cost=None):
+    """The damped loop of both absolute solvers (Levenberg-Marquardt as in
+    Madsen, Nielsen and Tingleff 2004, section 3.2).  ``linearize(state)``
+    builds one Gauss-Newton system (an iteration) and returns the map from
+    the damping lambda to a trial state, kept only if it lowers
+    ``objective``; then ``cost(state)`` goes on ``trace`` (without a
+    ``cost``, the objective, which then starts at ``trace[-1]``).
+    Converged once ``_stopped`` holds or no lambda up to its maximum
+    lowers the objective (a fixed point); stops there or after
+    ``max_iterations``.  Returns the state, iterations and converged."""
+    value = trace[-1] if cost is None else objective(state)
+    lam = LAMBDA_INIT
+    while not converged and iterations < max_iterations:
+        iterations += 1
+        trial_at = linearize(state)
+        while lam <= LAMBDA_MAX:
+            trial = trial_at(lam)
+            trial_value = objective(trial)
+            if trial_value < value:
+                converged = _stopped(value, trial_value, tol)
+                state, value = trial, trial_value
+                trace.append(value if cost is None else cost(state))
+                lam = max(lam / 10.0, LAMBDA_MIN)
+                break
+            lam *= 10.0
+        else:
+            converged = True  # no damped step lowers the objective: a fixed point
+    return state, iterations, converged
+
+
 def relative_3d(batch: MeasurementBatch) -> CalibrationResult:
     """Rotation of 3D sensor 0 relative to 3D sensor 1, one shot (alg1).
 
@@ -317,16 +339,17 @@ def absolute_3d(batch: MeasurementBatch,
     turn.  Each update ignores the sensor's other pairs, so with three
     or more sensors the sweep does not reach the least-squares point.
     Gauss-Newton steps on all rotations at once, from the same pair
-    moments (``_pair_normal_equations``), take it there.  They are damped
-    as in ``absolute_2d`` (Levenberg-Marquardt): a step is kept only if
-    it lowers ``pairwise_cost``, so the cost trace never increases, for
-    any number of sensors, and the solve stops at its fixed point once
-    no damped step lowers the cost.  ``iterations`` counts the sweep and
-    each Gauss-Newton system built.
+    moments (``_pair_normal_equations``), take it there, damped in the
+    loop that ``absolute_2d`` uses too (``_levenberg_marquardt``): a
+    step is kept only if it lowers ``pairwise_cost``, so the cost trace
+    never increases, for any number of sensors, and the solve stops at
+    its fixed point once no damped step lowers the cost.  ``iterations``
+    counts the sweep and each Gauss-Newton system built.
     Two sensors are only determined up to a common rotation about their
     baseline (``gauge_ambiguous``): the steps never move along it, and
     corrected tracks agree, but individual rotations need not match any
-    externally known truth.  Three or more non-collinear sensors break
+    externally known truth; a pair at one location raises
+    ``DegenerateInputError``.  Three or more non-collinear sensors break
     that ambiguity.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
@@ -338,57 +361,33 @@ def absolute_3d(batch: MeasurementBatch,
     trace = [_cost(rotations, positions, locations, pair_index)]
     _als_sweep(rotations, xs, ys)
     trace.append(_cost(rotations, positions, locations, pair_index))
-    iterations = 1
-    converged = _stopped(trace[0], trace[1], stopping.rel_cost_tol)
-    lift, diagonal = _hessian_terms(xs)
-    lam = LAMBDA_INIT
-    while not converged and iterations < stopping.max_iterations:
-        iterations += 1
+
+    def linearize(rotations):
         gauge = _gauge_complement(rotations, locations) if gauge_ambiguous else None
-        hessian, rhs = _pair_normal_equations(rotations, xs, ys, lift, diagonal)
-        while lam <= LAMBDA_MAX:
-            step = _confined_solve(hessian + lam * np.diag(np.diag(hessian)), rhs, gauge)
-            trial = rotations @ rotation_from_rotvec(step.reshape(-1, 3))
-            cost = _cost(trial, positions, locations, pair_index)
-            if cost < trace[-1]:
-                converged = _stopped(trace[-1], cost, stopping.rel_cost_tol)
-                rotations = trial
-                trace.append(cost)
-                lam = max(lam / 10.0, LAMBDA_MIN)
-                break
-            lam *= 10.0
-        else:
-            converged = True  # no damped step lowers the cost: a fixed point
+        hessian, rhs = _pair_normal_equations(rotations, xs, ys)
+        return lambda lam: rotations @ rotation_from_rotvec(_confined_solve(
+            hessian + lam * np.diag(np.diag(hessian)), rhs, gauge).reshape(-1, 3))
+
+    rotations, iterations, converged = _levenberg_marquardt(
+        rotations, linearize, lambda rot: _cost(rot, positions, locations, pair_index),
+        trace, stopping.rel_cost_tol, stopping.max_iterations, iterations=1,
+        converged=_stopped(trace[0], trace[1], stopping.rel_cost_tol))
     return CalibrationResult(estimates=list(rotations), cost_trace=trace,
                              iterations=iterations, converged=converged,
                              gauge_ambiguous=gauge_ambiguous)
 
 
-def _hessian_terms(xs):
-    """The constant parts of ``_pair_normal_equations``' Gauss-Newton
-    blocks, from ``_pair_moments``' xs.  With M_st = sum_i p_s^i p_t^iT
-    and Q = R_s^T R_t, the residual R_s p_s^i + l_s - R_t p_t^i - l_t has
-    the Jacobian -R_s [p_s^i]x in the step of R_s exp([d_s]x), so block
-    (s, t) is sum_i [p_s^i]x Q [p_t^i]x = e_jkl e_nrm Q_kn (M_st)_lm, and
-    block (s, s) is the constant (S - 1)(tr M_ss I - M_ss).  Returns the
-    (S, S, 9, 9) lifts that take Q to each block and the (S, 3, 3)
-    diagonal blocks."""
-    n_sensors = xs.shape[0]
-    moments = xs[:, :, :3]  # [s, t] is M_st^T
-    lift = (moments.reshape(-1, 9) @ _LIFT).reshape(n_sensors, n_sensors, 9, 9)
-    own = moments[np.arange(n_sensors), np.arange(n_sensors)]
-    diagonal = (n_sensors - 1) * (np.trace(own, axis1=1, axis2=2)[:, np.newaxis, np.newaxis]
-                                  * np.eye(3) - own)
-    return lift, diagonal
-
-
-def _pair_normal_equations(rotations, xs, ys, lift, diagonal):
+def _pair_normal_equations(rotations, xs, ys):
     """Gauss-Newton normal equations of ``pairwise_cost`` in the rotation
-    steps d_s of R_s exp([d_s]x), from the pair moments alone: J^T J
-    (3S, 3S), from ``_hessian_terms``, and the descent right-hand side
-    -J^T r (3S,).  Sensor s's part of J^T r is vee(B_s^T R_s - R_s^T B_s),
-    where B_s = sum_t ys[s, t]^T xs[s, t] is its Wahba profile matrix
-    against every partner at the current rotations.  Writes R_t^T into
+    steps d_s of R_s exp([d_s]x), from ``_pair_moments`` alone: J^T J
+    (3S, 3S) and the descent right-hand side -J^T r (3S,).  The residual
+    R_s p_s^i + l_s - R_t p_t^i - l_t has the Jacobians -R_s [p_s^i]x and
+    R_t [p_t^i]x, so with Q = R_s^T R_t and M = xs[s, t, :3] =
+    sum_i p_t^i p_s^iT block (s, t) is sum_i [p_s^i]x Q [p_t^i]x =
+    Q M Q - tr(Q M) Q, and block (s, s) is -(S - 1) times the same at
+    Q = I.  Sensor s's part of J^T r is vee(B_s^T R_s - R_s^T B_s), where
+    B_s = sum_t ys[s, t]^T xs[s, t] is its Wahba profile matrix against
+    every partner at the current rotations.  Writes R_t^T into
     ys[:, t, :3]."""
     n_sensors = len(rotations)
     ys[:, :, :3] = rotations.transpose(0, 2, 1)
@@ -396,11 +395,11 @@ def _pair_normal_equations(rotations, xs, ys, lift, diagonal):
     rhs = np.stack([turned[:, 1, 2] - turned[:, 2, 1], turned[:, 2, 0] - turned[:, 0, 2],
                     turned[:, 0, 1] - turned[:, 1, 0]], axis=-1).ravel()
     relative = rotations.transpose(0, 2, 1)[:, np.newaxis] @ rotations
-    hessian = (lift @ relative.reshape(n_sensors, n_sensors, 9, 1)) \
-        .reshape(n_sensors, n_sensors, 3, 3).transpose(0, 2, 1, 3).reshape(3 * n_sensors, -1)
-    blocks = hessian.reshape(n_sensors, 3, n_sensors, 3)
-    blocks[np.arange(n_sensors), :, np.arange(n_sensors), :] = diagonal
-    return hessian, rhs
+    moved = relative @ xs[:, :, :3]
+    blocks = moved @ relative \
+        - np.trace(moved, axis1=2, axis2=3)[..., np.newaxis, np.newaxis] * relative
+    blocks.reshape(-1, 3, 3)[::n_sensors + 1] *= 1 - n_sensors  # the (s, s) blocks
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * n_sensors, -1), rhs
 
 
 def _confined_solve(matrix, rhs, gauge):
@@ -417,8 +416,9 @@ def absolute_2d(batch: MeasurementBatch,
 
     Minimizes the wrapped az/el residuals of every sensor's bearings
     against A_s^T (x_i - l_s) over all rotations A_s and target
-    positions x_i at once, by Levenberg-Marquardt with a Schur
-    complement over the 3x3 point blocks (bundle adjustment).  From
+    positions x_i at once, by the Levenberg-Marquardt loop of
+    ``absolute_3d``, with a Schur complement over the 3x3 point blocks
+    (bundle adjustment), once per phase (below).  From
     identity rotations that solver can settle in a local minimum, so it
     starts from two intersect-and-align sweeps: intersect every epoch's
     bias-compensated rays in closed form (``intersect_rays``), then
@@ -430,8 +430,9 @@ def absolute_2d(batch: MeasurementBatch,
     during that first phase; the two phases share one iteration budget.
     It never steps along a pair's common rotation about the baseline,
     which stays where the warm start left it.  It raises
-    ``DegenerateInputError`` if too few epochs are usable to determine
-    the solve: six for a pair, four for three sensors, else three.
+    ``DegenerateInputError`` for a pair at one location, or if too few
+    epochs are usable to determine the solve: six for a pair, four for
+    three sensors, else three.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
     locations = batch.locations
@@ -450,35 +451,28 @@ def absolute_2d(batch: MeasurementBatch,
         gated_weights[:, 0::2] = (np.abs(el) < NEAR_POLE_EL).T
         phases.insert(0, (gated_weights, GATED_REL_COST_TOL))
 
-    res, jac, jac_rot = bearing_residuals(points, locations, az, el, rotations)
-    trace = [float(np.sum(res * res))]
-    iterations = 0
+    def linearize(state, weights):
+        rotations, points, res, jac, jac_rot = state
+        normal = _normal_equations(res, jac, jac_rot, weights)
+        gauge = _gauge_complement(rotations, locations) if gauge_ambiguous else None
+
+        def trial(lam):
+            d_rot, d_pts = _damped_step(*normal, lam, gauge)
+            rot, pts = rotations @ rotation_from_rotvec(d_rot), points + d_pts
+            return (rot, pts) + bearing_residuals(pts, locations, az, el, rot)
+        return trial
+
+    def cost(state):
+        return float(np.sum(state[2] * state[2]))
+
+    state = (rotations, points) + bearing_residuals(points, locations, az, el, rotations)
+    trace, iterations = [cost(state)], 0
     for weights, tol in phases:
-        objective = float(np.sum((res * weights) ** 2))
-        lam = LAMBDA_INIT
-        converged = False
-        while not converged and iterations < stopping.max_iterations:
-            iterations += 1
-            normal = _normal_equations(res, jac, jac_rot, weights)
-            gauge = _gauge_complement(rotations, locations) if gauge_ambiguous else None
-            while lam <= LAMBDA_MAX:
-                d_rot, d_pts = _damped_step(*normal, lam, gauge)
-                trial_rot = rotations @ rotation_from_rotvec(d_rot)
-                trial_pts = points + d_pts
-                trial = bearing_residuals(trial_pts, locations, az, el, trial_rot)
-                trial_objective = float(np.sum((trial[0] * weights) ** 2))
-                if trial_objective < objective:
-                    rotations, points = trial_rot, trial_pts
-                    res, jac, jac_rot = trial
-                    lam = max(lam / 10.0, LAMBDA_MIN)
-                    trace.append(float(np.sum(res * res)))
-                    converged = _stopped(objective, trial_objective, tol)
-                    objective = trial_objective
-                    break
-                lam *= 10.0
-            else:
-                converged = True  # no damped step lowers the cost: a fixed point
-    return CalibrationResult(estimates=list(rotations), cost_trace=trace,
+        state, iterations, converged = _levenberg_marquardt(
+            state, lambda st: linearize(st, weights),
+            lambda st: float(np.sum((st[2] * weights) ** 2)),
+            trace, tol, stopping.max_iterations, iterations, cost=cost)
+    return CalibrationResult(estimates=list(state[0]), cost_trace=trace,
                              iterations=iterations, converged=converged,
                              gauge_ambiguous=gauge_ambiguous,
                              dropped_indices=int(ok.size - ok.sum()))
@@ -596,10 +590,14 @@ def _gauge_complement(rotations, locations):
 
 def _gauge_ambiguous(batch) -> bool:
     """Whether the batch is a sensor pair, whose rotations are only
-    determined up to a common rotation about its baseline.  Three or
-    more sensors whose locations are nearly collinear get a warning,
-    raised at the solver's caller."""
+    determined up to a common rotation about its baseline; a pair at one
+    location has no baseline and is refused.  Three or more sensors
+    whose locations are nearly collinear get a warning, raised at the
+    solver's caller."""
     if batch.n_sensors == 2:
+        if np.linalg.norm(batch.locations[1] - batch.locations[0]) < MIN_SENSOR_SEPARATION:
+            raise DegenerateInputError(f"sensors 0 and 1 share the location "
+                                       f"{batch.locations[0].tolist()}: a pair needs a baseline")
         return True
     ratio = collinearity_ratio(batch.locations)
     if ratio < COLLINEAR_WARN_RATIO:

@@ -1,5 +1,6 @@
 """Tests for rotation-bias estimation (relative, absolute, 2D, 3D)."""
 
+import itertools
 import sys
 import warnings
 
@@ -21,6 +22,7 @@ from sensorreg.calibration import (
 )
 from sensorreg.errors import (
     DegenerateInputError,
+    ExperimentError,
     MissingRangeError,
     ZeroVectorError,
 )
@@ -32,6 +34,7 @@ from sensorreg.geometry import (
     geodesic_angle,
     is_rotation_matrix,
     rotation_from_rotvec,
+    skew,
 )
 from sensorreg.scenario import (
     SensorTruth,
@@ -348,6 +351,20 @@ class TestAbsolute3dPair:
                     trace = np.asarray(absolute_3d(batch, stopping).cost_trace)
                     assert np.all(np.diff(trace) <= 0.0), (n_sensors, stopping)
 
+    @pytest.mark.parametrize("algorithm", ["alg3", "alg6"])
+    def test_pair_at_one_location_is_refused(self, algorithm):
+        # a pair at one location has no baseline, so no gauge axis: both
+        # solvers must refuse it with an error that names the location and
+        # that the Monte-Carlo study records, not a numpy error that ends it
+        cfg = ExperimentConfig(algorithm=algorithm, sensor_count=2, mc_runs=5,
+                               sensor_locations_m=[[1000, 0, 0], [1000, 0, 0]])
+        batch, _ = next(iter(realizations(cfg, 1)))
+        with pytest.raises(DegenerateInputError, match=r"^sensors 0 and 1 share the "
+                                                        r"location \[1000\.0, 0\.0, 0\.0\]"):
+            calibration.ALGORITHMS[algorithm].solve(batch, StoppingCriteria())
+        with pytest.raises(ExperimentError, match="0/5 realizations succeeded"):
+            run_experiment(cfg)
+
     def test_no_convergence_flag_on_tiny_budget(self):
         rng = np.random.default_rng(32)
         points = make_targets()
@@ -518,19 +535,18 @@ class TestMomentSweep:
             assert result.cost_trace[1] > 1e4 * swept
             assert result.cost_trace[-1] <= swept * (1.0 + 1e-12)
 
-    @pytest.mark.parametrize("n_sensors", [2, 4])
+    @pytest.mark.parametrize("n_sensors", [2, 3, 4, 8])
     def test_gauss_newton_step_matches_central_differences(self, n_sensors):
         # the moment-form step against -(J^T J)^-1 J^T r with a dense
         # central-difference Jacobian of the track differences in the
         # solver's parameters, R_s exp(d_s), projected for a pair
         rng = np.random.default_rng(9)
-        locations = np.asarray(RING[:n_sensors])
+        locations = np.asarray(RING_8[:n_sensors])
         positions = rng.normal(size=(n_sensors, 7, 3)) * 4000.0
         rotations = rotation_from_rotvec(rng.normal(size=(n_sensors, 3)) * 0.05)
         xs, ys = calibration._pair_moments(positions, locations)
         gauge = calibration._gauge_complement(rotations, locations) if n_sensors == 2 else None
-        hessian, rhs = calibration._pair_normal_equations(rotations, xs, ys,
-                                                          *calibration._hessian_terms(xs))
+        hessian, rhs = calibration._pair_normal_equations(rotations, xs, ys)
         step = calibration._confined_solve(hessian, rhs, gauge)
 
         def differences(steps):
@@ -552,6 +568,28 @@ class TestMomentSweep:
             expected = gauge.T @ expected
         np.testing.assert_allclose(step.ravel(), expected, rtol=0,
                                    atol=1e-6 * np.abs(expected).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 8),
+           n=st.integers(1, 30))
+    def test_closed_form_blocks_match_the_dense_jacobian(self, seed, n_sensors, n):
+        # J^T J from the pair moments alone against J assembled epoch by
+        # epoch: -R_s [p_s^i]x and +R_t [p_t^i]x in every pair's rows
+        rng = np.random.default_rng(seed)
+        positions = rng.normal(size=(n_sensors, n, 3)) * 4000.0
+        locations = rng.normal(size=(n_sensors, 3)) * 10000.0
+        rotations = rotation_from_rotvec(rng.normal(size=(n_sensors, 3)))
+        xs, ys = calibration._pair_moments(positions, locations)
+        hessian = calibration._pair_normal_equations(rotations, xs, ys)[0]
+        pairs = list(itertools.combinations(range(n_sensors), 2))
+        jac = np.zeros((len(pairs), n, 3, n_sensors, 3))
+        for k, (s, t) in enumerate(pairs):
+            jac[k, :, :, s] = -rotations[s] @ skew(positions[s])
+            jac[k, :, :, t] = rotations[t] @ skew(positions[t])
+        jac = jac.reshape(-1, 3 * n_sensors)
+        dense = jac.T @ jac
+        np.testing.assert_allclose(hessian, dense, rtol=1e-12,
+                                   atol=1e-12 * np.abs(dense).max())
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("n_sensors", range(3, 9))
@@ -605,6 +643,24 @@ class TestClosedFormSweep:
             solve(batch)
         assert len(solves) >= 4 * count * (count - 1)
         assert from_wahba == []
+
+
+@pytest.mark.parametrize("algorithm, kind, solve", [
+    ("alg4", "3d", absolute_3d),
+    ("alg7", "2d", absolute_2d),
+])
+def test_both_absolute_solvers_stop_at_their_fixed_point_or_budget(algorithm, kind, solve):
+    # with no cost tolerance only the fixed point (no damped step lowers
+    # the cost) stops a solve before its budget; one iteration less
+    # budget stops it there, unconverged
+    cfg = ExperimentConfig(algorithm=algorithm, sensor_kind=kind, sensor_count=4,
+                           seed=0, mc_runs=1, sensor_locations_m=RING)
+    batch, _ = next(iter(realizations(cfg, 1)))
+    result = solve(batch, StoppingCriteria(rel_cost_tol=0.0, max_iterations=100))
+    assert result.converged and result.iterations < 100
+    budget = result.iterations - 1
+    cut = solve(batch, StoppingCriteria(rel_cost_tol=0.0, max_iterations=budget))
+    assert not cut.converged and cut.iterations == budget
 
 
 def few_epochs(count, epochs, runs=3):

@@ -268,6 +268,23 @@ class TestCalibrate:
         np.testing.assert_allclose(sensors[0]["rotation"], locked)
         assert set(sensors[1]) == {"id", "rotation", "yaw_deg", "pitch_deg", "roll_deg"}
 
+    def test_pair_at_one_location_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--algorithm", "alg3", "--sensors", "2", "--seed", "0",
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        sidecar = json.loads((out / "sensors.json").read_text())
+        shared = sidecar["sensors"][0]["location_m"]
+        sidecar["sensors"][1]["location_m"] = shared
+        (out / "sensors.json").write_text(json.dumps(sidecar))
+        result_path = tmp_path / "result.json"
+        assert main(["calibrate", "--batch", str(out / "batch.csv"),
+                     "--sensors-file", str(out / "sensors.json"),
+                     "--out", str(result_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: sensors 0 and 1 share the location {shared}")
+        assert not result_path.exists()
+
     def test_missing_batch_file(self, tmp_path, capsys):
         rc = main(["calibrate", "--batch", str(tmp_path / "nope.csv"),
                    "--sensors-file", str(tmp_path / "nope.json")])
