@@ -363,7 +363,7 @@ def absolute_3d(batch: MeasurementBatch,
     trace.append(_cost(rotations, positions, locations, pair_index))
 
     def linearize(rotations):
-        gauge = _gauge_complement(rotations, locations) if gauge_ambiguous else None
+        gauge = _gauge_direction(rotations, locations) if gauge_ambiguous else None
         hessian, rhs = _pair_normal_equations(rotations, xs, ys)
         return lambda lam: rotations @ rotation_from_rotvec(_confined_solve(
             hessian + lam * np.diag(np.diag(hessian)), rhs, gauge).reshape(-1, 3))
@@ -403,11 +403,16 @@ def _pair_normal_equations(rotations, xs, ys):
 
 
 def _confined_solve(matrix, rhs, gauge):
-    """Solve ``matrix`` x = ``rhs``; ``gauge`` (rows spanning the allowed
-    steps) confines x to its row space when given."""
+    """Solve ``matrix`` x = ``rhs``, held to g^T x = 0 for a ``gauge``
+    direction g by the bordered system [[matrix, g], [g^T, 0]] [x; mu] =
+    [rhs; 0] (Nocedal and Wright 2006, section 16.1)."""
     if gauge is None:
         return np.linalg.solve(matrix, rhs)
-    return gauge.T @ np.linalg.solve(gauge @ matrix @ gauge.T, gauge @ rhs)
+    n = rhs.size
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = matrix
+    bordered[n, :n] = bordered[:n, n] = gauge
+    return np.linalg.solve(bordered, np.append(rhs, 0.0))[:n]
 
 
 def absolute_2d(batch: MeasurementBatch,
@@ -454,7 +459,7 @@ def absolute_2d(batch: MeasurementBatch,
     def linearize(state, weights):
         rotations, points, res, jac, jac_rot = state
         normal = _normal_equations(res, jac, jac_rot, weights)
-        gauge = _gauge_complement(rotations, locations) if gauge_ambiguous else None
+        gauge = _gauge_direction(rotations, locations) if gauge_ambiguous else None
 
         def trial(lam):
             d_rot, d_pts = _damped_step(*normal, lam, gauge)
@@ -554,8 +559,8 @@ def _normal_equations(res, jac, jac_rot, weights):
 
 def _damped_step(v, u, w, b_rot, b_pts, lam, gauge):
     """Solve the Marquardt-damped normal equations via the Schur
-    complement over the point blocks; ``gauge`` (rows spanning the
-    allowed rotation steps) confines the rotation step when given."""
+    complement over the point blocks; the rotation step is held off the
+    ``gauge`` direction when one is given (``_confined_solve``)."""
     n, n_sensors = v.shape[0], u.shape[0]
     eye = np.eye(3)
     damped_v = v + lam * v * eye
@@ -575,17 +580,14 @@ def _damped_step(v, u, w, b_rot, b_pts, lam, gauge):
     return d_rot.reshape(n_sensors, 3), d_pts
 
 
-def _gauge_complement(rotations, locations):
-    """Orthonormal rows spanning the rotation steps that leave the
-    common rotation about a sensor pair's baseline unchanged.
+def _gauge_direction(rotations, locations):
+    """The rotation step that turns a sensor pair about its baseline.
 
-    With b the unit baseline from sensor 0 to sensor 1,
-    R_b(t) A_s = A_s exp(t A_s^T b), so that rotation is the step
-    direction (A_s^T b) over all sensors; the rows span its complement.
+    With b the baseline from sensor 0 to sensor 1,
+    R_b(t) A_s = A_s exp(t A_s^T b / |b|), so that common rotation is the
+    step direction (A_s^T b) over all sensors, up to its length.
     """
-    baseline = (locations[1] - locations[0]) / np.linalg.norm(locations[1] - locations[0])
-    direction = (rotations.transpose(0, 2, 1) @ baseline).reshape(1, -1)
-    return np.linalg.svd(direction)[2][1:]
+    return (rotations.transpose(0, 2, 1) @ (locations[1] - locations[0])).ravel()
 
 
 def _gauge_ambiguous(batch) -> bool:

@@ -260,7 +260,8 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     Realizations are scored against the simulated truth: per-sensor
     Euler-angle errors (wrapped), plus the geodesic rotation angle.
     Failed realizations are recorded and skipped in the aggregates; the
-    experiment itself fails if fewer than 80% succeed.
+    experiment itself fails if fewer than 80% succeed, naming the first
+    failed run and why it failed.
     """
     cfg.validate()
     stopping = cfg.stopping()
@@ -270,8 +271,9 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     ok = [rec for rec in runs if rec.ok]
     success_rate = len(ok) / cfg.mc_runs
     if success_rate < 0.8:
-        raise ExperimentError(
-            f"only {len(ok)}/{cfg.mc_runs} realizations succeeded")
+        failed = next(rec for rec in runs if not rec.ok)
+        raise ExperimentError(f"only {len(ok)}/{cfg.mc_runs} realizations succeeded; "
+                              f"run {failed.run} failed with {failed.failure}")
 
     angle_err = np.stack([rec.angle_errors_mrad for rec in ok])  # (R, S, 3)
     geo_err = np.stack([rec.geodesic_mrad for rec in ok])        # (R, S)

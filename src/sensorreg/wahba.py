@@ -19,9 +19,6 @@ import numpy as np
 from .errors import DegenerateInputError
 
 SINGULAR_RATIO_TOL = 1e-12
-# numpy forms B faster above this many pairs, but warns on an inf before
-# the input can be rejected, so its input is checked first
-LOOP_PROFILE_MAX_PAIRS = 8
 # The closed form answers only when f'(lam) >= 4 GAP_TOL lam^3 at the
 # largest root lam of K's characteristic polynomial f.  K's eigenvalues
 # are s1 + s2 + d s3, s1 - s2 - d s3, -s1 + s2 - d s3 and -s1 - s2 + d s3
@@ -78,35 +75,17 @@ def solve_wahba(xs, ys) -> np.ndarray:
         raise ValueError(f"paired (n, 3) arrays required, got {xs.shape} and {ys.shape}")
     if xs.shape[0] < 2:
         raise DegenerateInputError("at least two vector pairs are required")
-    if xs.shape[0] > LOOP_PROFILE_MAX_PAIRS:
-        _check_finite(xs, ys)
-        profile = (ys.T @ xs).ravel().tolist()
-    else:
-        profile = _profile(xs.tolist(), ys.tolist())
-    rot = _quaternion_rotation(*profile)
-    return _svd_rotation(xs, ys) if rot is None else rot
+    # NaN, inf or overflow leave B non-finite: the closed form declines
+    # it and the SVD path tells which
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = ys.T @ xs
+    rot = _quaternion_rotation(*profile.ravel().tolist())
+    return _svd_rotation(xs, ys, profile) if rot is None else rot
 
 
 def _check_finite(xs, ys):
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise DegenerateInputError("vector pairs must be finite, got NaN or inf")
-
-
-def _profile(xs, ys):
-    """The entries of B = sum_i y_i x_i^T, row by row, from lists of
-    rows; NaN or inf in a vector leaves B non-finite, with no warning."""
-    b00 = b01 = b02 = b10 = b11 = b12 = b20 = b21 = b22 = 0.0
-    for (x0, x1, x2), (y0, y1, y2) in zip(xs, ys):
-        b00 += y0 * x0
-        b01 += y0 * x1
-        b02 += y0 * x2
-        b10 += y1 * x0
-        b11 += y1 * x1
-        b12 += y1 * x2
-        b20 += y2 * x0
-        b21 += y2 * x1
-        b22 += y2 * x2
-    return b00, b01, b02, b10, b11, b12, b20, b21, b22
 
 
 def _quaternion_rotation(b00, b01, b02, b10, b11, b12, b20, b21, b22):
@@ -189,11 +168,10 @@ def _quaternion_rotation(b00, b01, b02, b10, b11, b12, b20, b21, b22):
                      [x2 * tx0 + gx1, x2 * tx1 - gx0, diag + x2 * tx2]], dtype=float)
 
 
-def _svd_rotation(xs, ys):
-    """u diag(1, 1, det(u vt)) vt from the SVD u diag(sv) vt of B."""
+def _svd_rotation(xs, ys, b):
+    """u diag(1, 1, det(u vt)) vt from the SVD u diag(sv) vt of the
+    profile matrix ``b`` of ``xs`` and ``ys``."""
     _check_finite(xs, ys)
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = ys.T @ xs
     if not np.isfinite(b).all():
         raise DegenerateInputError("vector pairs are too large: their profile "
                                    "matrix overflows")

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -362,7 +363,8 @@ class TestAbsolute3dPair:
         with pytest.raises(DegenerateInputError, match=r"^sensors 0 and 1 share the "
                                                         r"location \[1000\.0, 0\.0, 0\.0\]"):
             calibration.ALGORITHMS[algorithm].solve(batch, StoppingCriteria())
-        with pytest.raises(ExperimentError, match="0/5 realizations succeeded"):
+        with pytest.raises(ExperimentError, match="0/5 realizations succeeded.*share the "
+                                                  "location"):
             run_experiment(cfg)
 
     def test_no_convergence_flag_on_tiny_budget(self):
@@ -539,13 +541,14 @@ class TestMomentSweep:
     def test_gauss_newton_step_matches_central_differences(self, n_sensors):
         # the moment-form step against -(J^T J)^-1 J^T r with a dense
         # central-difference Jacobian of the track differences in the
-        # solver's parameters, R_s exp(d_s), projected for a pair
+        # solver's parameters, R_s exp(d_s); for a pair, the least-squares
+        # step over an independent basis of the steps off its gauge direction
         rng = np.random.default_rng(9)
         locations = np.asarray(RING_8[:n_sensors])
         positions = rng.normal(size=(n_sensors, 7, 3)) * 4000.0
         rotations = rotation_from_rotvec(rng.normal(size=(n_sensors, 3)) * 0.05)
         xs, ys = calibration._pair_moments(positions, locations)
-        gauge = calibration._gauge_complement(rotations, locations) if n_sensors == 2 else None
+        gauge = calibration._gauge_direction(rotations, locations) if n_sensors == 2 else None
         hessian, rhs = calibration._pair_normal_equations(rotations, xs, ys)
         step = calibration._confined_solve(hessian, rhs, gauge)
 
@@ -562,10 +565,12 @@ class TestMomentSweep:
             jac[:, k] = (differences(delta.reshape(-1, 3)) - differences(
                 -delta.reshape(-1, 3))) / 2e-6
         if gauge is not None:
-            jac = jac @ gauge.T
+            basis = scipy.linalg.null_space(gauge[np.newaxis])
+            jac = jac @ basis
+            assert abs(gauge @ step) <= 1e-12 * np.linalg.norm(gauge) * np.linalg.norm(step)
         expected = -np.linalg.solve(jac.T @ jac, jac.T @ differences(np.zeros((n_sensors, 3))))
         if gauge is not None:
-            expected = gauge.T @ expected
+            expected = basis @ expected
         np.testing.assert_allclose(step.ravel(), expected, rtol=0,
                                    atol=1e-6 * np.abs(expected).max())
 

@@ -289,7 +289,7 @@ class TestRunExperiment:
             raise DegenerateInputError("synthetic failure")
 
         monkeypatch.setattr(calibration, "absolute_3d", broken)
-        with pytest.raises(ExperimentError):
+        with pytest.raises(ExperimentError, match="synthetic failure"):
             run_experiment(quiet_config())
 
     def test_score_run_records_failure(self):

@@ -254,12 +254,18 @@ class TestInputErrors:
         assert type(exc.value) is type(expected) and str(exc.value) == str(expected)
 
 
+def profile(xs, ys):
+    """B = sum_i y_i x_i^T, formed as ``solve_wahba`` forms it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ys.T @ xs
+
+
 def svd_path(xs, ys):
     """What the SVD path alone gives for these vector pairs: the rotation,
     or the exception it raises."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     try:
-        return wahba._svd_rotation(np.asarray(xs, dtype=float),
-                                   np.asarray(ys, dtype=float))
+        return wahba._svd_rotation(xs, ys, profile(xs, ys))
     except DegenerateInputError as exc:
         return exc
 
@@ -267,9 +273,7 @@ def svd_path(xs, ys):
 def closed_form(xs, ys):
     """The QUEST kernel's answer, or None, on B formed as ``solve_wahba``
     forms it."""
-    if len(xs) > wahba.LOOP_PROFILE_MAX_PAIRS:
-        return wahba._quaternion_rotation(*(ys.T @ xs).ravel().tolist())
-    return wahba._quaternion_rotation(*wahba._profile(xs.tolist(), ys.tolist()))
+    return wahba._quaternion_rotation(*profile(xs, ys).ravel().tolist())
 
 
 def assert_matches_svd_path(xs, ys):
@@ -366,7 +370,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("n", [4, 12])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_input(self, n, value):
-        # every cell of either array, on both ways of forming B
+        # every cell of either array, with few pairs and with many
         rng = np.random.default_rng(n)
         xs = rng.normal(size=(n, 3))
         ys = xs @ random_rotation(rng).T
