@@ -45,11 +45,9 @@ def _add_common(parser):
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    batch, truth = next(realizations(cfg, 1))
     out = Path(cfg.out_dir or "simulated")
     out.mkdir(parents=True, exist_ok=True)
-
-    batch, truth = next(realizations(cfg, 1))
-
     write_batch(batch, out / "batch.csv", out / "sensors.json")
     truth_payload = {
         "sensors": [{

@@ -15,6 +15,7 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,20 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_csv(path, header, blocks) -> None:
+    """Write a CSV file of ``header``, then of the rows of each of
+    ``blocks`` in one write per block; a row is a sequence of str cells.
+
+    Cells are joined by "," and lines end in "\\r\\n", csv.writer's
+    terminator.  That gives csv.writer's bytes only because no cell
+    needs quoting: every cell is a column name, a number, True/False or
+    empty, and no row is one empty cell (csv.writer writes that as "").
+    """
+    with open(path, "w", newline="") as fh:
+        for rows in chain([[header]], blocks):
+            fh.write("\r\n".join([*map(",".join, rows), ""]))
+
+
 def emit_reports(report: ErrorReport, out_dir) -> dict:
     """Write runs.csv, summary.json and cost_trace.csv under ``out_dir``.
 
@@ -367,35 +382,23 @@ def emit_reports(report: ErrorReport, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = report.config
-    n_sensors = cfg.sensor_count
 
     runs_path = out / "runs.csv"
-    with open(runs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "sensor", "err_psi_mrad", "err_theta_mrad",
-                         "err_phi_mrad", "geodesic_mrad", "iterations",
-                         "final_cost", "converged"])
-        for rec in report.runs:
-            for s in range(n_sensors):
-                if rec.ok:
-                    err = rec.angle_errors_mrad[s]
-                    row = [rec.run, s, _fmt(err[0]), _fmt(err[1]), _fmt(err[2]),
-                           _fmt(rec.geodesic_mrad[s]), rec.iterations,
-                           _fmt(rec.final_cost), rec.converged]
-                else:
-                    row = [rec.run, s, "", "", "", "", rec.iterations, "",
-                           rec.converged]
-                writer.writerow(row)
+    rows = []
+    for rec in report.runs:
+        for s in range(cfg.sensor_count):
+            errors = ([*rec.angle_errors_mrad[s], rec.geodesic_mrad[s]] if rec.ok
+                      else [None] * 4)
+            rows.append([str(rec.run), str(s), *map(_fmt, errors), str(rec.iterations),
+                         _fmt(rec.final_cost), str(rec.converged)])
+    _write_csv(runs_path, ["run", "sensor", "err_psi_mrad", "err_theta_mrad",
+                           "err_phi_mrad", "geodesic_mrad", "iterations",
+                           "final_cost", "converged"], [rows])
 
     trace_path = out / "cost_trace.csv"
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"run_{rec.run}" for rec in report.runs])
-        longest = max((len(rec.cost_trace) for rec in report.runs), default=0)
-        for i in range(longest):
-            writer.writerow([
-                _fmt(rec.cost_trace[i]) if i < len(rec.cost_trace) else ""
-                for rec in report.runs])
+    traces = [list(map(_fmt, rec.cost_trace)) for rec in report.runs]
+    _write_csv(trace_path, [f"run_{rec.run}" for rec in report.runs],
+               [zip_longest(*traces, fillvalue="")])
 
     summary_path = out / "summary.json"
     summary = {
@@ -427,16 +430,14 @@ def emit_sweep_reports(results, axis: str, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     sweep_path = out / "sweep.csv"
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis, "rms_psi_mrad", "rms_theta_mrad", "rms_phi_mrad",
-                         "rms_geodesic_mrad", "success_rate", "mean_iterations"])
-        for value, report in results:
-            iters = [rec.iterations for rec in report.runs if rec.ok]
-            writer.writerow([
-                value, _fmt(report.rms_mrad[0]), _fmt(report.rms_mrad[1]),
-                _fmt(report.rms_mrad[2]), _fmt(report.rms_geodesic_mrad),
-                _fmt(report.success_rate), _fmt(float(np.mean(iters)))])
+    rows = []
+    for value, report in results:
+        iters = [rec.iterations for rec in report.runs if rec.ok]
+        rows.append([str(value), *map(_fmt, [
+            *report.rms_mrad, report.rms_geodesic_mrad, report.success_rate,
+            float(np.mean(iters))])])
+    _write_csv(sweep_path, [axis, "rms_psi_mrad", "rms_theta_mrad", "rms_phi_mrad",
+                            "rms_geodesic_mrad", "success_rate", "mean_iterations"], [rows])
 
     summary_path = out / "sweep_summary.json"
     payload = {
@@ -467,14 +468,13 @@ def write_batch(batch: MeasurementBatch, csv_path, sidecar_path) -> None:
     CSV columns: sensor_id, epoch_index, rng_m (empty for bearing-only
     sensors), az_rad, el_rad.
     """
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BATCH_COLUMNS)
-        for s, meas in enumerate(batch.sensors):
-            for i in range(meas.n):
-                rng_cell = _fmt(meas.rng[i]) if meas.is_3d else ""
-                writer.writerow([s, i, rng_cell,
-                                 _fmt(meas.az[i]), _fmt(meas.el[i])])
+    # every value is finite (SensorMeasurements checks), so repr suffices;
+    # one write per sensor bounds the text held in memory
+    _write_csv(csv_path, BATCH_COLUMNS, (
+        zip(repeat(str(s)), map(str, range(meas.n)),
+            map(repr, meas.rng.tolist()) if meas.is_3d else repeat("", meas.n),
+            map(repr, meas.az.tolist()), map(repr, meas.el.tolist()))
+        for s, meas in enumerate(batch.sensors)))
     sensors = [{
         "id": s,
         "location_m": [float(v) for v in batch.locations[s]],

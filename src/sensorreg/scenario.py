@@ -154,8 +154,11 @@ def build_batch(trajectory, sensors, seed) -> tuple:
     locations = np.stack([s.location_array for s in sensors])
 
     rel = points - locations[:, np.newaxis]
-    if np.any(np.linalg.norm(rel, axis=-1) < 1.0):
-        raise ValueError("trajectory passes through a sensor location")
+    near = np.linalg.norm(rel, axis=-1) < 1.0
+    if near.any():
+        epoch, sensor = np.argwhere(near.T)[0]
+        raise ValueError(f"trajectory passes through a sensor location: sensor {sensor} "
+                         f"is within 1 m of the target at epoch {epoch}")
     sph = cart_to_spherical(rel @ np.stack(rotations))
     rng_m = sph.rng + sigmas[:, 0:1] * noise[..., 0]
     az = wrap_angle(sph.az + sigmas[:, 1:2] * noise[..., 1])

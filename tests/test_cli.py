@@ -100,7 +100,19 @@ class TestSimulate:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out1)]) == 0
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out2)]) == 0
-        assert (out1 / "batch.csv").read_bytes() == (out2 / "batch.csv").read_bytes()
+        for name in ("batch.csv", "sensors.json", "truth.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_sensor_on_the_flight_path_leaves_no_directory(self, tmp_path, capsys):
+        # the trajectory starts at [0, 0, -1000]
+        locations = [[0.0, 0.0, -1000.0], *RING[1:]]
+        path = write_config(tmp_path, sensor_locations_m=locations)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("error: trajectory passes through a sensor location: "
+                        "sensor 0 is within 1 m of the target at epoch 0")
+        assert not out.exists()
 
     def test_sample_count(self, tmp_path):
         cfg = write_config(tmp_path, sample_count=10)

@@ -1,15 +1,21 @@
 """Tests for the Monte-Carlo experiment harness and file formats."""
 
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sensorreg import calibration
+from sensorreg import calibration, experiments
 from sensorreg.calibration import ALGORITHMS, MeasurementBatch, SensorMeasurements
 from sensorreg.errors import ConfigError, DegenerateInputError, ExperimentError
 from sensorreg.experiments import (
+    BATCH_COLUMNS,
     SWEEP_AXES,
     ExperimentConfig,
     _score_run,
@@ -410,6 +416,30 @@ class TestEmitReports:
         assert summary["failures"] == {"1": "DegenerateInputError: collinear"}
         assert summary["iterations"][1] == 0 and summary["converged"][1] is False
 
+        # the framing, byte for byte: CRLF line ends, unquoted cells,
+        # True/False, and empty cells where a run has no value
+        data = paths["runs_csv"].read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") == 1 + 5 * 3
+        lines = data.decode("ascii").split("\r\n")
+        assert lines[-1] == "" and '"' not in data.decode("ascii")
+        assert lines[4:7] == [f"1,{s},,,,,0,,False" for s in range(3)]
+        for rec in report.runs:
+            for s in range(3):
+                cells = lines[1 + 3 * rec.run + s].split(",")
+                assert cells[-1] == ("True" if rec.converged else "False")
+                if rec.ok:
+                    assert cells[5] == repr(float(rec.geodesic_mrad[s]))
+        data = paths["cost_trace_csv"].read_bytes()
+        lines = data.decode("ascii").split("\r\n")
+        assert data.count(b"\r\n") == data.count(b"\n") and lines[-1] == ""
+        assert lines[0] == "run_0,run_1,run_2,run_3,run_4"
+        longest = max(len(rec.cost_trace) for rec in report.runs)
+        assert len(lines) == 2 + longest
+        for i, line in enumerate(lines[1:-1]):
+            # a run that has stopped, or failed, pads its column with ""
+            assert line.split(",") == [repr(rec.cost_trace[i]) if i < len(rec.cost_trace)
+                                       else "" for rec in report.runs]
+
     def test_sweep_reports(self, tmp_path):
         cfg = quiet_config(fixed_biases_deg=None)
         results = sweep(cfg, "noise_std", [1.0, 3.0])
@@ -421,6 +451,11 @@ class TestEmitReports:
         assert payload["axis"] == "noise_std"
         assert payload["values"] == [1.0, 3.0]
         assert len(payload["points"]) == 2
+        # a sweep over no values writes the header line alone
+        paths = emit_sweep_reports([], "noise_std", tmp_path / "empty")
+        assert paths["sweep_csv"].read_bytes() == (
+            b"noise_std,rms_psi_mrad,rms_theta_mrad,rms_phi_mrad,"
+            b"rms_geodesic_mrad,success_rate,mean_iterations\r\n")
 
 
 class TestBatchFiles:
@@ -458,6 +493,53 @@ class TestBatchFiles:
         assert len(lines) == 1 + 2 * batch.n_epochs
         # bearing-only sensor 0 leaves the range column empty
         assert lines[1].split(",")[2] == ""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_writes_csv_writer_bytes_that_read_back_exactly(self, data):
+        # -0.0, subnormals, +-1e308 and whole floats are all finite values
+        # that a formatter could spell wrongly
+        edges = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                 1.7976931348623157e308, 3.0, -12.0, 1e16, 0.1]
+        angle = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(edges))
+        distance = st.one_of(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            st.sampled_from([v for v in edges if v > 0.0]))
+        n = data.draw(st.integers(2, 6), label="epochs")
+        kinds = data.draw(st.lists(st.sampled_from(["2d", "3d"]), min_size=2,
+                                   max_size=4), label="kinds")
+        column = lambda values: np.array(data.draw(st.lists(values, min_size=n,
+                                                             max_size=n)))
+        sensors = tuple(SensorMeasurements(
+            az=column(angle), el=column(angle),
+            rng=column(distance) if kind == "3d" else None) for kind in kinds)
+        locations = np.array(data.draw(st.lists(
+            st.floats(-1e7, 1e7), min_size=3 * len(kinds), max_size=3 * len(kinds))))
+        batch = MeasurementBatch(sensors=sensors,
+                                 locations=locations.reshape(-1, 3))
+
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(BATCH_COLUMNS)
+        for s, meas in enumerate(batch.sensors):
+            for i in range(meas.n):
+                writer.writerow([s, i, repr(float(meas.rng[i])) if meas.is_3d else "",
+                                 repr(float(meas.az[i])), repr(float(meas.el[i]))])
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, sidecar = Path(tmp) / "batch.csv", Path(tmp) / "sensors.json"
+            write_batch(batch, csv_path, sidecar)
+            assert csv_path.read_bytes() == reference.getvalue().encode("ascii")
+            # plain enough for the vectorized reader
+            assert experiments._parse_plain(csv_path) is not None
+            loaded = read_batch(csv_path, sidecar)
+        assert loaded.locations.tobytes() == batch.locations.tobytes()
+        for orig, back in zip(batch.sensors, loaded.sensors):
+            assert back.az.tobytes() == orig.az.tobytes()
+            assert back.el.tobytes() == orig.el.tobytes()
+            assert (back.rng is None) == (orig.rng is None)
+            if orig.is_3d:
+                assert back.rng.tobytes() == orig.rng.tobytes()
 
     def write_pair(self, tmp_path, csv_text, sensors):
         csv_path = tmp_path / "batch.csv"

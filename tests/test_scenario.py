@@ -204,7 +204,18 @@ class TestBuildBatch:
         traj = np.array([[0.0, 0.0, -1000.0], [100.0, 0.0, -1000.0]])
         sensors = [SensorTruth(location=(100.0, 0.5, -1000.0)),
                    SensorTruth(location=(5000.0, 0.0, 0.0))]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sensor 0 is within 1 m of the "
+                                             "target at epoch 1"):
+            build_batch(traj, sensors, seed=0)
+
+    def test_names_the_first_epoch_within_a_meter_and_its_sensor(self):
+        traj = generate_trajectory()
+        sensors = [SensorTruth(location=(5000.0, 0.0, 0.0)),
+                   SensorTruth(location=tuple(traj[7] + [0.0, 0.6, 0.0])),
+                   SensorTruth(location=tuple(traj[3]))]
+        with pytest.raises(ValueError, match="^trajectory passes through a sensor "
+                                             "location: sensor 2 is within 1 m of "
+                                             "the target at epoch 3$"):
             build_batch(traj, sensors, seed=0)
 
 
