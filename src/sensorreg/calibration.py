@@ -627,6 +627,12 @@ class Algorithm:
     def accepts_count(self, count: int) -> bool:
         return count == 2 if self.pair else count >= 3
 
+    @property
+    def takes(self) -> str:
+        """The sensors it accepts, in words, for messages."""
+        return (f"2 sensors of kinds {self.sensor_kinds(2)}" if self.pair
+                else f"3 or more {self.sensor_kind} sensors")
+
     def sensor_kinds(self, count: int) -> list:
         """The kind, "3d" or "2d", of each of ``count`` sensors."""
         return ["2d", "3d"] if self.sensor_kind == "hetero" else [self.sensor_kind] * count

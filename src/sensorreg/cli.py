@@ -1,7 +1,6 @@
 """Command-line front end: simulate, calibrate, experiment, sweep."""
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -11,19 +10,16 @@ import numpy as np
 from .calibration import ALGORITHMS, StoppingCriteria
 from .errors import GimbalLockError, RegistrationError
 from .experiments import (SWEEP_AXES, ExperimentConfig, emit_reports,
-                          emit_sweep_reports, read_batch, realizations,
-                          run_experiment, sweep, write_batch)
+                          emit_sweep_reports, read_batch, read_json,
+                          realizations, run_experiment, sweep, write_batch,
+                          write_json)
 from .geometry import rotation_to_euler
 
 
 def _load_config(args) -> ExperimentConfig:
     values = {}
     if args.config:
-        with open(args.config) as fh:
-            try:
-                values = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
-                raise ValueError(f"{args.config}: {exc}") from exc
+        values = read_json(args.config)
         ExperimentConfig.from_dict(values)  # a bad file value fails even under a flag
     # flags beat file values
     flags = {"seed": args.seed, "algorithm": args.algorithm,
@@ -47,19 +43,15 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     batch, truth = next(realizations(cfg, 1))
     out = Path(cfg.out_dir or "simulated")
-    out.mkdir(parents=True, exist_ok=True)
     write_batch(batch, out / "batch.csv", out / "sensors.json")
-    truth_payload = {
+    write_json(out / "truth.json", {
         "sensors": [{
             "id": s,
             "bias_deg": [math.degrees(a) for a in truth.biases[s]],
             "rotation": truth.rotations[s].tolist(),
         } for s in range(batch.n_sensors)],
         "target_positions_m": truth.target_positions.tolist(),
-    }
-    with open(out / "truth.json", "w") as fh:
-        json.dump(truth_payload, fh, indent=2)
-        fh.write("\n")
+    })
     print(f"wrote {out / 'batch.csv'}, {out / 'sensors.json'}, {out / 'truth.json'}")
     return 0
 
@@ -77,10 +69,8 @@ def _select_algorithm(batch, requested) -> str:
     found = f"this batch has {batch.n_sensors} sensors of kinds {kinds}"
     if not requested:
         raise RegistrationError(f"no algorithm takes this mix of sensor kinds: {found}")
-    algorithm = ALGORITHMS[requested]
-    takes = (f"2 sensors of kinds {algorithm.sensor_kinds(2)}" if algorithm.pair
-             else f"3 or more {algorithm.sensor_kind} sensors")
-    raise RegistrationError(f"{requested} takes {takes}, but {found}")
+    raise RegistrationError(f"{requested} takes {ALGORITHMS[requested].takes}, "
+                            f"but {found}")
 
 
 def cmd_calibrate(args) -> int:
@@ -99,7 +89,7 @@ def cmd_calibrate(args) -> int:
         except GimbalLockError:
             pass
         sensors.append(entry)
-    payload = {
+    write_json(args.out, {
         "algorithm": algorithm,
         "converged": result.converged,
         "iterations": result.iterations,
@@ -107,14 +97,8 @@ def cmd_calibrate(args) -> int:
         "dropped_indices": result.dropped_indices,
         "cost_trace": [float(c) for c in result.cost_trace],
         "sensors": sensors,
-    }
-    out_path = Path(args.out)
-    if out_path.parent != Path("."):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out_path} ({algorithm}, converged={result.converged}, "
+    })
+    print(f"wrote {Path(args.out)} ({algorithm}, converged={result.converged}, "
           f"{result.iterations} iterations)")
     return 0
 

@@ -8,6 +8,7 @@ the same config and seed reproduce the same outputs byte for byte.
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -119,8 +120,7 @@ class ExperimentConfig:
             raise ConfigError(f"{self.algorithm} needs sensor_kind="
                               f"{algorithm.sensor_kind!r}, got {self.sensor_kind!r}")
         if not algorithm.accepts_count(self.sensor_count):
-            rule = "exactly 2" if algorithm.pair else "at least 3"
-            raise ConfigError(f"{self.algorithm} needs {rule} sensors, "
+            raise ConfigError(f"{self.algorithm} takes {algorithm.takes}, "
                               f"got {self.sensor_count}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
@@ -359,16 +359,34 @@ def _fmt(value) -> str:
 
 def _write_csv(path, header, blocks) -> None:
     """Write a CSV file of ``header``, then of the rows of each of
-    ``blocks`` in one write per block; a row is a sequence of str cells.
+    ``blocks`` in one write per block, creating its directory if need
+    be; a row is a sequence of str cells.
 
     Cells are joined by "," and lines end in "\\r\\n", csv.writer's
     terminator.  That gives csv.writer's bytes only because no cell
     needs quoting: every cell is a column name, a number, True/False or
     empty, and no row is one empty cell (csv.writer writes that as "").
     """
-    with open(path, "w", newline="") as fh:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for rows in chain([[header]], blocks):
             fh.write("\r\n".join([*map(",".join, rows), ""]))
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as ASCII JSON indented by 2 with a final
+    newline, creating the file's directory if need be."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def read_json(path):
+    """The JSON value in ``path``, read as UTF-8 with any BOM ignored;
+    text that is not UTF-8 or not JSON raises ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8-sig"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def emit_reports(report: ErrorReport, out_dir) -> dict:
@@ -380,7 +398,6 @@ def emit_reports(report: ErrorReport, out_dir) -> dict:
     stopped.  Returns the written paths.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = report.config
 
     runs_path = out / "runs.csv"
@@ -401,7 +418,7 @@ def emit_reports(report: ErrorReport, out_dir) -> dict:
                [zip_longest(*traces, fillvalue="")])
 
     summary_path = out / "summary.json"
-    summary = {
+    write_json(summary_path, {
         "config": cfg.to_dict(),
         "success_rate": report.success_rate,
         "rms_mrad": {
@@ -415,10 +432,7 @@ def emit_reports(report: ErrorReport, out_dir) -> dict:
         "converged": [rec.converged for rec in report.runs],
         "failures": {str(rec.run): rec.failure
                      for rec in report.runs if not rec.ok},
-    }
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    })
 
     return {"runs_csv": runs_path, "cost_trace_csv": trace_path,
             "summary_json": summary_path}
@@ -427,7 +441,6 @@ def emit_reports(report: ErrorReport, out_dir) -> dict:
 def emit_sweep_reports(results, axis: str, out_dir) -> dict:
     """Write sweep.csv (one row per axis value) and sweep_summary.json."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     sweep_path = out / "sweep.csv"
     rows = []
@@ -440,7 +453,7 @@ def emit_sweep_reports(results, axis: str, out_dir) -> dict:
                             "rms_geodesic_mrad", "success_rate", "mean_iterations"], [rows])
 
     summary_path = out / "sweep_summary.json"
-    payload = {
+    write_json(summary_path, {
         "axis": axis,
         "values": [value for value, _ in results],
         "seed_policy": "every sweep point reuses the base config seed; random "
@@ -452,10 +465,7 @@ def emit_sweep_reports(results, axis: str, out_dir) -> dict:
             "rms_geodesic_mrad": report.rms_geodesic_mrad,
             "success_rate": report.success_rate,
         } for value, report in results],
-    }
-    with open(summary_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
     return {"sweep_csv": sweep_path, "sweep_summary_json": summary_path}
 
 
@@ -475,29 +485,34 @@ def write_batch(batch: MeasurementBatch, csv_path, sidecar_path) -> None:
             map(repr, meas.rng.tolist()) if meas.is_3d else repeat("", meas.n),
             map(repr, meas.az.tolist()), map(repr, meas.el.tolist()))
         for s, meas in enumerate(batch.sensors)))
-    sensors = [{
+    write_json(sidecar_path, {"sensors": [{
         "id": s,
         "location_m": [float(v) for v in batch.locations[s]],
         "kind": "3d" if batch.sensors[s].is_3d else "2d",
-    } for s in range(batch.n_sensors)]
-    with open(sidecar_path, "w") as fh:
-        json.dump({"sensors": sensors}, fh, indent=2)
-        fh.write("\n")
+    } for s in range(batch.n_sensors)]})
 
 
 def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
     """Read a batch written by ``write_batch`` (or recorded real data).
 
-    Columns are found by header name.  A malformed file raises
+    Both files are read as UTF-8 whatever the locale, with a leading BOM
+    ignored.  Columns are found by header name.  A malformed file raises
     ``ValueError`` naming the file, the line and, for a bad cell, the
     column; a malformed sidecar names the file and the sensor.  Plain
     files are parsed in one vectorized pass; anything else goes row by
     row, with the same result.
     """
     locations, kinds = _read_sidecar(sidecar_path)
-    columns = _parse_plain(csv_path)
+    try:
+        text = Path(csv_path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # number the lines as csv does: each ends in \n, \r or \r\n
+        head = exc.object[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ValueError(f"{csv_path} line {line}: not UTF-8 text") from None
+    columns = _parse_plain(text)
     if columns is None:
-        columns = _parse_rows(csv_path)
+        columns = _parse_rows(csv_path, text)
     sid, epoch, rng, has_rng, az, el = columns
 
     ordered = np.unique(sid).tolist()
@@ -542,16 +557,14 @@ _PLAIN_LINE_LIMIT = 640
 _TEXT_WIDTH = 32
 
 
-def _parse_plain(csv_path):
-    """The columns ``_parse_rows`` returns, parsed by one ``np.loadtxt``
-    call, or None when the file is not plain enough for it to be sure
-    of the same result (malformed files always give None)."""
-    with open(csv_path, "rb") as fh:
-        data = fh.read()
-    if data.translate(None, _PLAIN_BYTES) or (
-            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
+def _parse_plain(text):
+    """The columns ``_parse_rows`` returns for ``text``, parsed by one
+    ``np.loadtxt`` call, or None when it is not plain enough for that
+    call to be sure of the same result (malformed text always gives None)."""
+    if text.encode().translate(None, _PLAIN_BYTES) or (
+            "\r" in text and text.count("\r") != text.count("\r\n")):
         return None
-    lines = data.decode("ascii").split("\n")
+    lines = text.split("\n")
     if max(map(len, lines)) >= min(_PLAIN_LINE_LIMIT, csv.field_size_limit()):
         return None
     header = [cell.strip() for cell in lines[0].split(",")]
@@ -582,42 +595,41 @@ def _parse_plain(csv_path):
             table["az_rad"], table["el_rad"])
 
 
-def _parse_rows(csv_path) -> tuple:
+def _parse_rows(csv_path, text) -> tuple:
     """Sensor id, epoch index, range (NaN where empty), has-range mask,
-    azimuth and elevation of every data row, in file order.
+    azimuth and elevation of every data row of ``text``, in file order.
 
     Raises ``ValueError`` naming the file, the line and the column of
     the first malformed row.
     """
     rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [cell.strip() for cell in next(reader, [])]
-            missing = [c for c in BATCH_COLUMNS if c not in header]
-            if missing:
-                raise ValueError(f"{csv_path} line 1: header lacks column "
-                                 f"{', '.join(missing)}")
-            cells = operator.itemgetter(*(header.index(c) for c in BATCH_COLUMNS))
-            end = reader.line_num
-            for row in reader:
-                # a quoted cell may span lines: name the line the row starts on
-                line, end = end + 1, reader.line_num
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(f"{csv_path} line {line}: "
-                                     f"{len(row)} cells, the header has {len(header)}")
-                sid, epoch, rng_cell, az, el = cells(row)
-                try:
-                    rows.append((int(sid), int(epoch),
-                                 float(rng_cell) if rng_cell.strip() else None,
-                                 float(az), float(el)))
-                except ValueError:
-                    raise ValueError(f"{csv_path} line {line}, "
-                                     f"{_bad_cell(cells(row))}") from None
-        except csv.Error as exc:
-            raise ValueError(f"{csv_path} line {reader.line_num}: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [cell.strip() for cell in next(reader, [])]
+        missing = [c for c in BATCH_COLUMNS if c not in header]
+        if missing:
+            raise ValueError(f"{csv_path} line 1: header lacks column "
+                             f"{', '.join(missing)}")
+        cells = operator.itemgetter(*(header.index(c) for c in BATCH_COLUMNS))
+        end = reader.line_num
+        for row in reader:
+            # a quoted cell may span lines: name the line the row starts on
+            line, end = end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{csv_path} line {line}: "
+                                 f"{len(row)} cells, the header has {len(header)}")
+            sid, epoch, rng_cell, az, el = cells(row)
+            try:
+                rows.append((int(sid), int(epoch),
+                             float(rng_cell) if rng_cell.strip() else None,
+                             float(az), float(el)))
+            except ValueError:
+                raise ValueError(f"{csv_path} line {line}, "
+                                 f"{_bad_cell(cells(row))}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{csv_path} line {reader.line_num}: {exc}") from exc
     sid, epoch, rng, az, el = zip(*rows) if rows else ((),) * 5
     return (_int_array(sid), _int_array(epoch),
             np.array([math.nan if r is None else r for r in rng], dtype=float),
@@ -635,11 +647,7 @@ def _int_array(values) -> np.ndarray:
 
 def _read_sidecar(path) -> tuple:
     """Location and kind (None when not given) by sensor id of a sidecar."""
-    try:
-        with open(path) as fh:
-            sidecar = json.load(fh)
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: {exc}") from exc
+    sidecar = read_json(path)
     try:
         entries = [(s["id"], np.array(s["location_m"], dtype=float),
                     s.get("kind")) for s in sidecar["sensors"]]

@@ -8,6 +8,7 @@ text above all, must never reach ``np.loadtxt``.
 """
 
 import contextlib
+import io
 import json
 import os
 import string
@@ -39,8 +40,9 @@ def outcome(csv_text, sidecar_text, plain=True):
     message of what it raises; ``plain=False`` keeps to the row parser."""
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, sidecar = Path(tmp) / "batch.csv", Path(tmp) / "sensors.json"
-        csv_path.write_bytes(csv_text.encode("utf-8"))
-        sidecar.write_text(sidecar_text)
+        # a lone surrogate \udc80-\udcff stands for that raw byte
+        csv_path.write_bytes(csv_text.encode("utf-8", "surrogateescape"))
+        sidecar.write_text(sidecar_text, encoding="utf-8")
         with (contextlib.nullcontext() if plain else
               mock.patch.object(experiments, "_parse_plain", return_value=None)):
             try:
@@ -178,10 +180,7 @@ def test_vectorized_pass_matches_row_parser(files):
     if damage is None:
         # every valid spelling above is plain: the vectorized pass reads it
         assert not isinstance(fast, tuple)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "batch.csv"
-            path.write_bytes(text.encode("ascii"))
-            assert experiments._parse_plain(path) is not None
+        assert experiments._parse_plain(text) is not None
 
 
 def test_plain_file_goes_through_loadtxt():
@@ -222,6 +221,51 @@ def test_non_ascii_cell_does_not_crash(tmp_path):
         env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"})
     assert proc.returncode == 0, proc.stderr
     assert "line 2, column sensor_id" in proc.stdout
+
+
+def test_bom_is_ignored():
+    # Excel's "CSV UTF-8" export starts a file with one
+    for plain in (True, False):
+        with_bom = outcome("\ufeff" + VALID_CSV, "\ufeff" + VALID_SIDECAR, plain)
+        assert not isinstance(with_bom, tuple)
+        assert_same(with_bom, outcome(VALID_CSV, VALID_SIDECAR, plain))
+
+
+@settings(max_examples=100, deadline=None)
+@given(newline=st.sampled_from(["\n", "\r\n", "\r"]), bom=st.booleans(),
+       bad=st.sampled_from(["\udcff", "\udc80", "\udcc3", "\udced\udca0\udc80"]),
+       data=st.data())
+def test_undecodable_bytes_name_file_and_line(newline, bom, bad, data):
+    text = "\ufeff" * bom + VALID_CSV.replace("\n", newline)
+    position = data.draw(st.integers(0, len(text)))
+    # the line csv would give a character there: lines end in \n, \r or \r\n
+    line = len(io.StringIO(text[:position] + "x", newline="").readlines())
+    assert outcome(text[:position] + bad + text[position:], VALID_SIDECAR) == (
+        ValueError, f"{Path('<tmp>', 'batch.csv')} line {line}: not UTF-8 text")
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, with UTF-8 mode and locale coercion off, text
+    # files open as ASCII by default; "\u0661" is a digit one to int()
+    files = {"ascii.csv": VALID_CSV, "digit.csv": VALID_CSV.replace("0,1,,", "0,\u0661,,"),
+             "sensors.json": VALID_SIDECAR}
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode("utf-8"))
+    script = ("import sys\n"
+              "from sensorreg.experiments import read_batch\n"
+              "a, b = (read_batch(name, 'sensors.json') for name in sys.argv[1:])\n"
+              "print(all(x.az.tobytes() == y.az.tobytes() for x, y in "
+              "zip(a.sensors, b.sensors)), len(a.sensors))\n")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith(("LC_", "PYTHONIOENCODING"))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "ascii.csv", "digit.csv"], cwd=tmp_path,
+        capture_output=True, text=True, timeout=300,
+        env={**env, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+             "PYTHONUTF8": "0"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True 2\n"
 
 
 def test_non_finite_sidecar_location_names_file_and_id():

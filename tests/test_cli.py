@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import codecs
 import contextlib
 import csv
 import io
@@ -113,6 +114,17 @@ class TestSimulate:
         assert line == ("error: trajectory passes through a sensor location: "
                         "sensor 0 is within 1 m of the target at epoch 0")
         assert not out.exists()
+
+    def test_bom_prefixed_config_reads_as_the_original(self, tmp_path):
+        config = write_config(tmp_path)
+        bom_config = tmp_path / "bom.json"
+        bom_config.write_bytes(codecs.BOM_UTF8 + config.read_bytes())
+        for path, out in ((config, "plain"), (bom_config, "bom")):
+            assert main(["simulate", "--config", str(path),
+                         "--out-dir", str(tmp_path / out)]) == 0
+        for name in ("batch.csv", "sensors.json", "truth.json"):
+            assert ((tmp_path / "bom" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
 
     def test_sample_count(self, tmp_path):
         cfg = write_config(tmp_path, sample_count=10)
@@ -382,6 +394,14 @@ class TestMalformedBatch:
         rows[3] = ["0", "5"]
         self.assert_rejected(self.calibrate_rows(rows), "line 4", "2 cells")
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\n", b"\r"])
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+    def test_undecodable_byte_names_file_and_line(self, newline, bom):
+        lines = [",".join(row).encode() for row in self.rows]
+        lines[5] = lines[5][:3] + b"\xff" + lines[5][3:]
+        self.assert_rejected(self.calibrate(bom + newline.join(lines) + newline),
+                             "batch.csv line 6: not UTF-8 text\n")
+
     def test_header_without_range_column(self):
         rows = [[c for k, c in enumerate(r) if k != 2] for r in self.rows]
         self.assert_rejected(self.calibrate_rows(rows), "line 1", "rng_m")
@@ -610,6 +630,32 @@ class TestSweep:
     def test_axis_choices_enforced(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep", "--axis", "bias", "--values", "1"])
+
+
+class TestWrittenFiles:
+    def test_json_layout_and_new_directories(self, tmp_path, monkeypatch, capsys):
+        """Every JSON file a command writes has one layout, and every
+        command creates the nested directory it writes into."""
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path)
+        for command in (
+                ["simulate", "--config", "config.json", "--out-dir", "sim/a"],
+                ["calibrate", "--batch", "sim/a/batch.csv",
+                 "--sensors-file", "sim/a/sensors.json", "--out", "cal/a/result.json"],
+                ["experiment", "--config", "config.json", "--out-dir", "exp/a"],
+                ["sweep", "--config", "config.json", "--axis", "noise_std",
+                 "--values", "1,2", "--out-dir", "swp/a"]):
+            assert main(command) == 0
+        assert f"wrote {Path('cal/a/result.json')} (alg4, " in capsys.readouterr().out
+        written = sorted(path.relative_to(tmp_path).as_posix()
+                         for path in tmp_path.rglob("*.json"))
+        assert written == ["cal/a/result.json", "config.json", "exp/a/summary.json",
+                           "sim/a/sensors.json", "sim/a/truth.json",
+                           "swp/a/sweep_summary.json"]
+        for name in written:
+            if name != "config.json":
+                text = (tmp_path / name).read_text(encoding="ascii")
+                assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 class TestParser:

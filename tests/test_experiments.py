@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -68,11 +69,13 @@ class TestExperimentConfig:
                              sensor_count=2)
 
     def test_pair_algorithms_need_two_sensors(self):
-        with pytest.raises(ConfigError):
+        # the registry's wording, as the command line gives it
+        with pytest.raises(ConfigError, match=re.escape(
+                "alg3 takes 2 sensors of kinds ['3d', '3d'], got 3")):
             ExperimentConfig(algorithm="alg3", sensor_count=3)
 
     def test_network_algorithms_need_three(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="alg4 takes 3 or more 3d sensors, got 2"):
             ExperimentConfig(algorithm="alg4", sensor_count=2)
 
     def test_scalar_bounds(self):
@@ -470,8 +473,9 @@ class TestBatchFiles:
 
     def test_round_trip(self, tmp_path):
         batch = self.make_batch()
-        csv_path = tmp_path / "batch.csv"
-        sidecar = tmp_path / "sensors.json"
+        # the writers create the directories they write into
+        csv_path = tmp_path / "a" / "b" / "batch.csv"
+        sidecar = tmp_path / "c" / "sensors.json"
         write_batch(batch, csv_path, sidecar)
         loaded = read_batch(csv_path, sidecar)
         assert loaded.n_sensors == 2 and loaded.n_epochs == batch.n_epochs
@@ -531,7 +535,7 @@ class TestBatchFiles:
             write_batch(batch, csv_path, sidecar)
             assert csv_path.read_bytes() == reference.getvalue().encode("ascii")
             # plain enough for the vectorized reader
-            assert experiments._parse_plain(csv_path) is not None
+            assert experiments._parse_plain(csv_path.read_text()) is not None
             loaded = read_batch(csv_path, sidecar)
         assert loaded.locations.tobytes() == batch.locations.tobytes()
         for orig, back in zip(batch.sensors, loaded.sensors):
