@@ -9,8 +9,9 @@ common frame.  One solver per measurement model returns a
 pair sweep of optimal-rotation updates, then Gauss-Newton steps on all
 rotations) and ``absolute_2d`` (Gauss-Newton over rotations and target
 positions, i.e. bundle adjustment, from closed-form intersect-and-align
-sweeps) take two or more sensors, damp their steps in one
-Levenberg-Marquardt loop and flag a pair's baseline gauge themselves.
+sweeps that align one sensor at a time to all of its partners) take two
+or more sensors, damp their steps in one Levenberg-Marquardt loop and
+flag a pair's baseline gauge themselves.
 """
 
 import itertools
@@ -230,7 +231,8 @@ def _pair_moments(positions, locations):
     Aligning sensor a to b has the profile matrix sum_i (R_b p_b^i + l_b - l_a)
     p_a^iT = R_b P_b^T P_a + (l_b - l_a) c_a^T, with c_a = sum_i p_a^i: that of
     the four pairs xs[a, b] = [P_b^T P_a; c_a^T], ys[a, b] = [R_b^T; (l_b - l_a)^T].
-    ``_als_sweep`` writes R_b^T into ys[a, b, :3] before each solve."""
+    ``_als_sweep`` and ``_procrustes_sweep`` write R_b^T into ys[a, b, :3]
+    before each solve."""
     padded = np.concatenate([positions, np.ones(positions.shape[:2] + (1,))], axis=2)
     xs = padded.transpose(0, 2, 1)[np.newaxis] @ positions[:, np.newaxis]
     ys = np.empty_like(xs)
@@ -246,6 +248,17 @@ def _als_sweep(rotations, xs, ys):
         rotations[t] = solve_wahba(xs[t, s], ys[t, s])
         ys[s, t, :3] = rotations[t].T
         rotations[s] = solve_wahba(xs[s, t], ys[s, t])
+
+
+def _procrustes_sweep(rotations, xs, ys):
+    # Gauss-Seidel over sensors, as in generalized Procrustes analysis
+    # (Gower 1975): each update aligns one sensor to all of its partners
+    # at once, the exact minimizer of the whole pair cost with the others
+    # held fixed (Ten Berge 1977); for a pair it is ``_als_sweep``.
+    for t in range(len(rotations)):
+        others = np.arange(len(rotations)) != t
+        ys[t, :, :3] = rotations.transpose(0, 2, 1)
+        rotations[t] = solve_wahba(xs[t, others].reshape(-1, 3), ys[t, others].reshape(-1, 3))
 
 
 def _stopped(prev: float, cur: float, tol: float) -> bool:
@@ -427,7 +440,8 @@ def absolute_2d(batch: MeasurementBatch,
     identity rotations that solver can settle in a local minimum, so it
     starts from two intersect-and-align sweeps: intersect every epoch's
     bias-compensated rays in closed form (``intersect_rays``), then
-    align each sensor pair's tracks.  One Gauss-Newton triangulation
+    align each sensor in turn to all of its partners' tracks at once
+    (``_procrustes_sweep``).  One Gauss-Newton triangulation
     (``triangulate_batch``) of the compensated rays gives the starting
     target positions; epochs whose fix fails there are left out.  Azimuths
     of sightings within 10 degrees of a sensor's pole join the solve
@@ -487,12 +501,12 @@ def _warm_start(batch):
     """Intersect-and-align sweeps, then one triangulation from the result.
 
     Each sweep intersects every epoch's bias-compensated rays in closed
-    form (``intersect_rays``) and aligns each sensor pair's tracks: the
-    sensor-frame positions those ranges give along the raw rays.  The
-    final Gauss-Newton fix (``triangulate_batch``) of the compensated
-    rays is where the joint solve starts.  Returns the (S, 3, 3)
-    rotations, the fixed points of the epochs that triangulated and the
-    mask of those epochs.
+    form (``intersect_rays``) and aligns the tracks, the sensor-frame
+    positions those ranges give along the raw rays, one sensor at a time
+    (``_procrustes_sweep``).  The final Gauss-Newton fix
+    (``triangulate_batch``) of the compensated rays is where the joint
+    solve starts.  Returns the (S, 3, 3) rotations, the fixed points of
+    the epochs that triangulated and the mask of those epochs.
     """
     locations = batch.locations
     raw_dirs = np.stack([m.directions() for m in batch.sensors])
@@ -502,7 +516,7 @@ def _warm_start(batch):
         _check_usable(ok, batch.n_sensors)
         ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis, :], axis=-1)
         positions = ranges[..., np.newaxis] * raw_dirs[:, ok]
-        _als_sweep(rotations, *_pair_moments(positions, locations))
+        _procrustes_sweep(rotations, *_pair_moments(positions, locations))
     fix = triangulate_batch(locations, raw_dirs @ rotations.transpose(0, 2, 1))
     ok = fix.status == STATUS_OK
     _check_usable(ok, batch.n_sensors)
