@@ -3,8 +3,8 @@
 
 Places three or more range/azimuth/elevation sensors around a simulated
 racetrack flight, gives each an unknown mounting bias, and recovers all
-biases at once: one sweep re-aligns each sensor pair with an exact
-rotation fit, then Gauss-Newton steps on all rotations together take
+biases at once: two sweeps re-align each sensor to all of its partners
+with an exact rotation fit, then Gauss-Newton steps on all rotations together take
 the track mismatch cost to its least-squares point, keeping a step only
 if it lowers the cost. No sensor is assumed correct; with at least three
 non-collinear sensors the solution is fully determined.
@@ -43,8 +43,8 @@ def main():
     print(f"{args.sensors} sensors, {batch.n_epochs} epochs, "
           f"{'noiseless' if args.noiseless else 'noisy'} measurements")
     print(f"converged: {result.converged} after {result.iterations} iterations "
-          "(one sweep, then Gauss-Newton steps)")
-    print(f"cost: {trace[0]:.4e} initial, {trace[1]:.4e} after one sweep, "
+          "(two sweeps, then Gauss-Newton steps)")
+    print(f"cost: {trace[0]:.4e} initial, {trace[1]:.4e} after the sweeps, "
           f"{trace[-1]:.4e} final\n")
 
     print(f"{'sensor':>6} {'yaw est/true':>18} {'pitch est/true':>18} "

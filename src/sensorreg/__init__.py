@@ -1,9 +1,9 @@
 """Angular misalignment registration for multi-sensor tracking networks.
 
 Estimates one fixed correcting rotation per sensor from shared target
-observations: one sweep of optimal-rotation (Wahba) updates, then
-Gauss-Newton steps on all rotations, for sensors with range
-measurements, and a joint Gauss-Newton solve over rotations and target
+observations: two sweeps of optimal-rotation (Wahba) updates, one
+sensor at a time, then Gauss-Newton steps on all rotations, for
+sensors with range measurements, and a joint Gauss-Newton solve over rotations and target
 positions for bearing-only sensors.  Includes a
 flight-scenario simulator and a seeded Monte-Carlo experiment harness.
 """

@@ -5,16 +5,15 @@ local frame.  These routines estimate one correcting rotation per sensor
 so that corrected local tracks, shifted to sensor locations, agree in a
 common frame.  One solver per measurement model returns a
 ``CalibrationResult``: ``relative_3d`` and ``relative_hetero`` fit sensor
-0 of a pair to reference sensor 1 in one shot; ``absolute_3d`` (one
-pair sweep of optimal-rotation updates, then Gauss-Newton steps on all
-rotations) and ``absolute_2d`` (Gauss-Newton over rotations and target
-positions, i.e. bundle adjustment, from closed-form intersect-and-align
-sweeps that align one sensor at a time to all of its partners) take two
-or more sensors, damp their steps in one Levenberg-Marquardt loop and
-flag a pair's baseline gauge themselves.
+0 of a pair to reference sensor 1 in one shot; ``absolute_3d``
+(Gauss-Newton steps on all rotations) and ``absolute_2d`` (Gauss-Newton
+over rotations and target positions, i.e. bundle adjustment) take two
+or more sensors, start from sweeps that align one sensor at a time to
+all of its partners (for ``absolute_2d``, to the tracks of closed-form
+ray intersections), damp their steps in one Levenberg-Marquardt loop
+and flag a pair's baseline gauge themselves.
 """
 
-import itertools
 import numbers
 import sys
 import warnings
@@ -30,8 +29,8 @@ from .triangulation import (LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, MIN_SENSOR_SEPA
 from .wahba import solve_wahba, wahba_cost
 
 COLLINEAR_WARN_RATIO = 0.01
-# intersect-and-align sweeps that bring the bearing-only joint solver
-# into the basin of the right minimum before it starts
+# per-sensor alignment sweeps that bring both absolute solvers into the
+# basin of the right minimum before their Gauss-Newton steps start
 WARM_START_SWEEPS = 2
 # sightings this close to a sensor's pole (|el| above it) keep their
 # azimuth out of the first phase of the joint solve; warm-start rotation
@@ -180,8 +179,8 @@ class CalibrationResult:
 
     ==================  ==================================================
     alg1                m^2, total pairwise track disagreement
-    alg3, alg4          m^2, the same cost: at identity, after the pair
-                        sweep, then after each accepted Gauss-Newton step
+    alg3, alg4          m^2, the same cost: at identity, after the
+                        sweeps, then after each accepted Gauss-Newton step
     alg2                squared unit-vector distance
     alg6, alg7          rad^2, sum of squared az/el residuals; the first
                         entry is the cost at the warm start (after its
@@ -227,12 +226,11 @@ def _cost(rotations, positions, locations, pair_index) -> float:
 
 
 def _pair_moments(positions, locations):
-    """Wahba inputs of every ordered pair update, two (S, S, 4, 3) arrays.
+    """Wahba inputs of every ordered sensor pair, two (S, S, 4, 3) arrays.
     Aligning sensor a to b has the profile matrix sum_i (R_b p_b^i + l_b - l_a)
     p_a^iT = R_b P_b^T P_a + (l_b - l_a) c_a^T, with c_a = sum_i p_a^i: that of
     the four pairs xs[a, b] = [P_b^T P_a; c_a^T], ys[a, b] = [R_b^T; (l_b - l_a)^T].
-    ``_als_sweep`` and ``_procrustes_sweep`` write R_b^T into ys[a, b, :3]
-    before each solve."""
+    ``_procrustes_sweep`` writes R_b^T into ys[a, b, :3] before each solve."""
     padded = np.concatenate([positions, np.ones(positions.shape[:2] + (1,))], axis=2)
     xs = padded.transpose(0, 2, 1)[np.newaxis] @ positions[:, np.newaxis]
     ys = np.empty_like(xs)
@@ -240,21 +238,11 @@ def _pair_moments(positions, locations):
     return xs, ys
 
 
-def _als_sweep(rotations, xs, ys):
-    # Gauss-Seidel: each update uses the freshest estimate of its partner,
-    # and each is an exact minimizer with the partner held fixed.
-    for t, s in itertools.combinations(range(len(rotations)), 2):
-        ys[t, s, :3] = rotations[s].T
-        rotations[t] = solve_wahba(xs[t, s], ys[t, s])
-        ys[s, t, :3] = rotations[t].T
-        rotations[s] = solve_wahba(xs[s, t], ys[s, t])
-
-
 def _procrustes_sweep(rotations, xs, ys):
     # Gauss-Seidel over sensors, as in generalized Procrustes analysis
     # (Gower 1975): each update aligns one sensor to all of its partners
     # at once, the exact minimizer of the whole pair cost with the others
-    # held fixed (Ten Berge 1977); for a pair it is ``_als_sweep``.
+    # held fixed (Ten Berge 1977); for a pair it is the paper's pair update.
     for t in range(len(rotations)):
         others = np.arange(len(rotations)) != t
         ys[t, :, :3] = rotations.transpose(0, 2, 1)
@@ -347,17 +335,17 @@ def absolute_3d(batch: MeasurementBatch,
                 stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
     """Estimate all rotations of two or more 3D sensors (alg3, alg4).
 
-    Starts with the paper's pair sweep from identity: every sensor pair
-    in a fixed order, aligning each sensor of the pair to the other in
-    turn.  Each update ignores the sensor's other pairs, so with three
-    or more sensors the sweep does not reach the least-squares point.
+    Starts from identity with ``WARM_START_SWEEPS`` sweeps that align
+    each sensor in turn to all of its partners (``_procrustes_sweep``),
+    as ``absolute_2d``'s warm start does; for a pair each is the paper's
+    pair update.  The sweeps approach the least-squares point slowly.
     Gauss-Newton steps on all rotations at once, from the same pair
     moments (``_pair_normal_equations``), take it there, damped in the
     loop that ``absolute_2d`` uses too (``_levenberg_marquardt``): a
     step is kept only if it lowers ``pairwise_cost``, so the cost trace
     never increases, for any number of sensors, and the solve stops at
     its fixed point once no damped step lowers the cost.  ``iterations``
-    counts the sweep and each Gauss-Newton system built.
+    counts the sweeps as one and each Gauss-Newton system built.
     Two sensors are only determined up to a common rotation about their
     baseline (``gauge_ambiguous``): the steps never move along it, and
     corrected tracks agree, but individual rotations need not match any
@@ -372,7 +360,8 @@ def absolute_3d(batch: MeasurementBatch,
     xs, ys = _pair_moments(positions, locations)
     rotations = np.stack([np.eye(3)] * batch.n_sensors)
     trace = [_cost(rotations, positions, locations, pair_index)]
-    _als_sweep(rotations, xs, ys)
+    for _ in range(WARM_START_SWEEPS):
+        _procrustes_sweep(rotations, xs, ys)
     trace.append(_cost(rotations, positions, locations, pair_index))
 
     def linearize(rotations):

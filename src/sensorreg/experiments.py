@@ -112,6 +112,9 @@ class ExperimentConfig:
         if not _is_sequence(self.placement_box_km, 3, _is_real):
             raise ConfigError(f"placement_box_km must be 3 finite numbers [x, y, z] km, "
                               f"got {self.placement_box_km!r}")
+        if min(self.placement_box_km) < 0:
+            raise ConfigError(f"placement_box_km extents must be nonnegative, "
+                              f"got {list(self.placement_box_km)}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
                               f"choose one of {sorted(ALGORITHMS)}")

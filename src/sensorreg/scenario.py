@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import MeasurementBatch, SensorMeasurements
+from .errors import DegenerateInputError
 from .geometry import (EulerAngles, cart_to_spherical, collinearity_ratio,
                        euler_to_rotation, wrap_angle)
 
@@ -182,7 +183,8 @@ def sample_sensor_locations(count, seed, center=(0.0, 0.0),
     [0, z-extent] (z in [-extent, 0] in NED).  A fixed-size pool is
     drawn and every prefix of 3+ sensors is required to be clearly
     non-collinear, so constellations for different counts from the same
-    seed are nested subsets.
+    seed are nested subsets.  Raises ``DegenerateInputError`` if no
+    draw of 200 gives such a pool.
     """
     pool_size = max(PLACEMENT_POOL, count)
     rng = np.random.default_rng(seed)
@@ -195,7 +197,8 @@ def sample_sensor_locations(count, seed, center=(0.0, 0.0),
         if all(collinearity_ratio(pool[:k]) > MIN_SPREAD_RATIO
                for k in range(3, pool_size + 1)):
             return pool[:count]
-    raise RuntimeError("failed to draw a non-collinear sensor constellation")
+    raise DegenerateInputError(f"cannot draw {count} non-collinear sensor locations "
+                               f"in a box of {list(box)} m")
 
 
 def sample_biases(count, rng, low=math.radians(1.0), high=math.radians(4.0)) -> list:

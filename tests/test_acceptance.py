@@ -69,7 +69,8 @@ def network_reports():
 
 
 def test_criterion_1_pair_cost_never_increases(trajectory):
-    """Alternating pair updates are exact minimizers, so the pairwise
+    """The start's per-sensor updates are exact minimizers and a
+    Gauss-Newton step is kept only if it lowers the cost, so the pairwise
     cost trace must be non-increasing on every noisy instance."""
     rng = np.random.default_rng(42)
     worst = -np.inf
@@ -91,7 +92,7 @@ def test_criterion_1_pair_cost_never_increases(trajectory):
         steps += diffs.size
         worst = max(worst, float(diffs.max()))
     ok = worst <= 0.0
-    _line(ok, 1, f"max cost step {worst:.3e} over {steps} alternation steps "
+    _line(ok, 1, f"max cost step {worst:.3e} over {steps} trace steps "
                  f"in 200 noisy pair instances (bound 0)")
     assert ok
 

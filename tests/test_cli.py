@@ -547,6 +547,22 @@ class TestExperiment:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and key in line
 
+    @pytest.mark.parametrize("command", ["experiment", "simulate"])
+    @pytest.mark.parametrize("box, message", [
+        pytest.param([0, 0, 1], "error: cannot draw 3 non-collinear sensor locations "
+                                "in a box of [0.0, 0.0, 1000.0] m", id="no-width"),
+        pytest.param([20, 20, -1], "error: placement_box_km extents must be "
+                                   "nonnegative, got [20, 20, -1]", id="negative-depth"),
+    ])
+    def test_bad_placement_box(self, tmp_path, capsys, command, box, message):
+        # a box with no width holds only collinear constellations, and one
+        # of negative depth would put every sensor below ground
+        path = write_config(tmp_path, sensor_locations_m=None, placement_box_km=box)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed(self, tmp_path, capsys, source):
         argv = ["experiment", "--mc-runs", "2", "--out-dir", str(tmp_path / "results")]
