@@ -135,9 +135,15 @@ class MeasurementBatch:
     def n_epochs(self) -> int:
         return self.sensors[0].n
 
-    def local_positions(self) -> list:
-        """Per-sensor (n, 3) Cartesian positions; requires 3D sensors."""
-        return [m.local_positions() for m in self.sensors]
+    def local_positions(self) -> np.ndarray:
+        """Every sensor's Cartesian positions in its own frame, (S, n, 3);
+        raises ``MissingRangeError`` if any sensor is bearing-only."""
+        if not all(m.is_3d for m in self.sensors):
+            raise MissingRangeError("bearing-only sensor has no Cartesian positions")
+        rng = np.stack([m.rng for m in self.sensors])
+        az = np.stack([m.az for m in self.sensors])
+        el = np.stack([m.el for m in self.sensors])
+        return rng[..., np.newaxis] * direction_from_angles(az, el)
 
 
 @dataclass(frozen=True)
@@ -207,22 +213,21 @@ class CalibrationResult:
 def pairwise_cost(rotations, batch: MeasurementBatch) -> float:
     """Total squared disagreement between corrected sensor tracks.
 
-    sum over sensor pairs (s < t) and targets i of
-    ||R_s p_s^i + l_s - (R_t p_t^i + l_t)||^2, with the local positions
-    p_s^i of the batch's 3D sensors.
+    sum over sensor pairs (s < t) and targets i of ||c_s^i - c_t^i||^2,
+    with c_s^i = R_s p_s^i + l_s for the local positions p_s^i of the
+    batch's 3D sensors.  It is summed as S sum_s,i ||c_s^i - c^i||^2 about
+    the mean c^i of target i's S tracks, the form of generalized
+    Procrustes analysis (Gower 1975), so no pair is ever gathered.
     """
-    return _cost(rotations, np.stack(batch.local_positions()), batch.locations,
-                 np.triu_indices(batch.n_sensors, 1))
+    return _cost(rotations, batch.local_positions(), batch.locations)
 
 
-def _cost(rotations, positions, locations, pair_index) -> float:
-    """``pairwise_cost`` of the (S, n, 3) ``positions``, over the pairs
-    whose two index arrays are ``pair_index``."""
+def _cost(rotations, positions, locations) -> float:
+    """``pairwise_cost`` of the (S, n, 3) ``positions``, in its centroid form."""
     common = positions @ np.transpose(rotations, (0, 2, 1))
     common += locations[:, np.newaxis]
-    diff = common[pair_index[0]]
-    diff -= common[pair_index[1]]
-    return float(np.sum(diff * diff))
+    common -= common.mean(axis=0)
+    return len(common) * float(np.vdot(common, common))  # vdot flattens: no squared copy
 
 
 def _pair_moments(positions, locations):
@@ -354,15 +359,14 @@ def absolute_3d(batch: MeasurementBatch,
     that ambiguity.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
-    positions = np.stack(batch.local_positions())
+    positions = batch.local_positions()
     locations = batch.locations
-    pair_index = np.triu_indices(batch.n_sensors, 1)
     xs, ys = _pair_moments(positions, locations)
     rotations = np.stack([np.eye(3)] * batch.n_sensors)
-    trace = [_cost(rotations, positions, locations, pair_index)]
+    trace = [_cost(rotations, positions, locations)]
     for _ in range(WARM_START_SWEEPS):
         _procrustes_sweep(rotations, xs, ys)
-    trace.append(_cost(rotations, positions, locations, pair_index))
+    trace.append(_cost(rotations, positions, locations))
 
     def linearize(rotations):
         gauge = _gauge_direction(rotations, locations) if gauge_ambiguous else None
@@ -371,7 +375,7 @@ def absolute_3d(batch: MeasurementBatch,
             hessian + lam * np.diag(np.diag(hessian)), rhs, gauge).reshape(-1, 3))
 
     rotations, iterations, converged = _levenberg_marquardt(
-        rotations, linearize, lambda rot: _cost(rot, positions, locations, pair_index),
+        rotations, linearize, lambda rot: _cost(rot, positions, locations),
         trace, stopping.rel_cost_tol, stopping.max_iterations, iterations=1,
         converged=_stopped(trace[0], trace[1], stopping.rel_cost_tol))
     return CalibrationResult(estimates=list(rotations), cost_trace=trace,

@@ -293,17 +293,11 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
 def _score_run(r, cfg, batch, truth, stopping) -> RunRecord:
     try:
         result = ALGORITHMS[cfg.algorithm].solve(batch, stopping)
-        n_sensors = batch.n_sensors
-        errors = np.empty((n_sensors, 3))
-        geodesic = np.empty(n_sensors)
-        for s in range(n_sensors):
-            est = result.estimates[s]
-            est_angles = np.asarray(rotation_to_euler(est))
-            true_angles = np.asarray(truth.biases[s])
-            errors[s] = wrap_angle(est_angles - true_angles) * RAD_TO_MRAD
-            geodesic[s] = geodesic_angle(est, truth.rotations[s]) * RAD_TO_MRAD
-        return RunRecord(run=r, converged=result.converged,
-                         iterations=result.iterations,
+        estimates = np.asarray(result.estimates)
+        est_angles = np.stack(rotation_to_euler(estimates), axis=-1)
+        errors = wrap_angle(est_angles - np.asarray(truth.biases)) * RAD_TO_MRAD
+        geodesic = geodesic_angle(estimates, truth.rotations) * RAD_TO_MRAD
+        return RunRecord(run=r, converged=result.converged, iterations=result.iterations,
                          final_cost=result.cost_trace[-1],
                          cost_trace=list(result.cost_trace),
                          angle_errors_mrad=errors, geodesic_mrad=geodesic)

@@ -29,7 +29,7 @@ class Spherical(NamedTuple):
 
 
 class EulerAngles(NamedTuple):
-    """Intrinsic Z-Y-X Euler angles in radians: yaw, pitch, roll."""
+    """Intrinsic Z-Y-X Euler angles in radians: yaw, pitch, roll (arrays for a stack)."""
 
     psi: float
     theta: float
@@ -84,39 +84,41 @@ def direction_from_angles(az, el) -> np.ndarray:
     return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=-1)
 
 
-def euler_to_rotation(angles: EulerAngles) -> np.ndarray:
+def euler_to_rotation(angles) -> np.ndarray:
     """Rotation matrix for intrinsic Z-Y-X Euler angles.
 
-    R = Rz(psi) @ Ry(theta) @ Rx(phi), proper orthogonal.
+    R = Rz(psi) @ Ry(theta) @ Rx(phi), proper orthogonal.  Broadcasts:
+    a (..., 3) stack of angle triples gives (..., 3, 3) matrices.
     """
-    psi, theta, phi = angles
-    cz, sz = np.cos(psi), np.sin(psi)
-    cy, sy = np.cos(theta), np.sin(theta)
-    cx, sx = np.cos(phi), np.sin(phi)
-    rz = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cx, -sx], [0.0, sx, cx]])
-    return rz @ ry @ rx
+    angles = np.asarray(angles, dtype=float)
+    # .T takes the angle axis first, and the second .T puts the entries last
+    (cz, cy, cx), (sz, sy, sx) = np.cos(angles).T, np.sin(angles).T
+    return np.array([cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx,
+                     sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx,
+                     -sy, cy * sx, cy * cx]).T.reshape(angles.shape[:-1] + (3, 3))
 
 
 def rotation_to_euler(rot) -> EulerAngles:
     """Recover intrinsic Z-Y-X Euler angles from a rotation matrix.
 
-    Returns yaw and roll in (-pi, pi], pitch in [-pi/2, pi/2].
+    Returns yaw and roll in (-pi, pi], pitch in [-pi/2, pi/2]: floats for
+    one (3, 3) matrix, arrays for a (..., 3, 3) stack.
 
     Raises
     ------
     GimbalLockError
-        If pitch is within ~1e-9 of +/-90 deg, where yaw and roll are
+        If any pitch is within ~1e-9 of +/-90 deg, where yaw and roll are
         not separately observable.
     """
     rot = np.asarray(rot, dtype=float)
-    if abs(rot[2, 0]) >= 1.0 - GIMBAL_TOL:
+    if np.any(np.abs(rot[..., 2, 0]) >= 1.0 - GIMBAL_TOL):
         raise GimbalLockError("pitch at +/-90 deg, yaw/roll not unique")
-    theta = np.arcsin(-rot[2, 0])
-    psi = np.arctan2(rot[1, 0], rot[0, 0])
-    phi = np.arctan2(rot[2, 1], rot[2, 2])
-    return EulerAngles(float(wrap_angle(psi)), float(theta), float(wrap_angle(phi)))
+    theta = np.arcsin(-rot[..., 2, 0])
+    psi = wrap_angle(np.arctan2(rot[..., 1, 0], rot[..., 0, 0]))
+    phi = wrap_angle(np.arctan2(rot[..., 2, 1], rot[..., 2, 2]))
+    if rot.ndim == 2:
+        return EulerAngles(float(psi), float(theta), float(phi))
+    return EulerAngles(psi, theta, phi)
 
 
 def rotation_from_rotvec(rotvec) -> np.ndarray:
@@ -125,15 +127,14 @@ def rotation_from_rotvec(rotvec) -> np.ndarray:
     Broadcasts: a (..., 3) stack of vectors gives (..., 3, 3) matrices.
     """
     rotvec = np.asarray(rotvec, dtype=float)
-    angle = np.linalg.norm(rotvec, axis=-1)[..., np.newaxis, np.newaxis]
     k = skew(rotvec)
-    # below 1e-12 only the first-order term; higher orders are below
-    # double precision
-    small = angle < 1e-12
-    safe = np.where(small, 1.0, angle)
-    k_unit = k / safe
-    rot = np.eye(3) + np.sin(safe) * k_unit + (1.0 - np.cos(safe)) * (k_unit @ k_unit)
-    return np.where(small, np.eye(3) + k, rot)
+    # below 1e-12 only the first-order term is left in double precision,
+    # and the coefficients taken at 1e-12 are exactly 1 and 0
+    angle = np.sqrt(np.sum(rotvec * rotvec, axis=-1))[..., np.newaxis, np.newaxis]
+    angle = np.maximum(angle, 1e-12)
+    rot = (np.sin(angle) / angle) * k + ((1.0 - np.cos(angle)) / (angle * angle)) * (k @ k)
+    rot.reshape(rot.shape[:-2] + (9,))[..., ::4] += 1.0  # + I
+    return rot
 
 
 def skew(v) -> np.ndarray:
@@ -159,21 +160,21 @@ def is_rotation_matrix(rot, tol: float = ROTATION_TOL) -> bool:
     return bool(ortho <= tol and abs(np.linalg.det(rot) - 1.0) <= tol)
 
 
-def geodesic_angle(rot_a, rot_b) -> float:
+def geodesic_angle(rot_a, rot_b):
     """Angle in radians of the rotation taking ``rot_a`` to ``rot_b``.
 
     Computed as atan2 of the rotation's sine (from the antisymmetric
     part) and cosine (from the trace), which stays accurate for angles
-    near zero where the plain arccos form loses ~8 digits.
+    near zero where the plain arccos form loses ~8 digits.  Broadcasts
+    over (..., 3, 3) stacks: a float for two matrices, else an array.
     """
     rot_a = np.asarray(rot_a, dtype=float)
     rot_b = np.asarray(rot_b, dtype=float)
-    d = rot_a.T @ rot_b
-    sine_vec = 0.5 * np.array([d[2, 1] - d[1, 2],
-                               d[0, 2] - d[2, 0],
-                               d[1, 0] - d[0, 1]])
-    cosine = (np.trace(d) - 1.0) / 2.0
-    return float(np.arctan2(np.linalg.norm(sine_vec), cosine))
+    d = np.swapaxes(rot_a, -1, -2) @ rot_b
+    anti = d - np.swapaxes(d, -1, -2)  # 2 sin(angle) [axis]x: entries squared sum to 8 sin^2
+    cosine = (np.trace(d, axis1=-2, axis2=-1) - 1.0) / 2.0
+    angle = np.arctan2(np.sqrt(np.sum(anti * anti, axis=(-2, -1)) / 8.0), cosine)
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def collinearity_ratio(points) -> float:

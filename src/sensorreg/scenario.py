@@ -125,7 +125,7 @@ class ScenarioTruth:
     """What the simulator knows and calibration must not see."""
 
     target_positions: np.ndarray
-    rotations: list
+    rotations: np.ndarray  # (S, 3, 3), the sensors' correcting rotations
     biases: list
 
 
@@ -151,7 +151,7 @@ def build_batch(trajectory, sensors, seed) -> tuple:
     noise = np.stack([np.random.default_rng(child).normal(size=(n, 3))
                       for child in seed.spawn(len(sensors))])
     sigmas = np.array([[s.sigma_range, s.sigma_az, s.sigma_el] for s in sensors])
-    rotations = [s.correcting_rotation for s in sensors]
+    rotations = euler_to_rotation([s.bias for s in sensors])
     locations = np.stack([s.location_array for s in sensors])
 
     rel = points - locations[:, np.newaxis]
@@ -160,7 +160,7 @@ def build_batch(trajectory, sensors, seed) -> tuple:
         epoch, sensor = np.argwhere(near.T)[0]
         raise ValueError(f"trajectory passes through a sensor location: sensor {sensor} "
                          f"is within 1 m of the target at epoch {epoch}")
-    sph = cart_to_spherical(rel @ np.stack(rotations))
+    sph = cart_to_spherical(rel @ rotations)
     rng_m = sph.rng + sigmas[:, 0:1] * noise[..., 0]
     az = wrap_angle(sph.az + sigmas[:, 1:2] * noise[..., 1])
     el = sph.el + sigmas[:, 2:3] * noise[..., 2]

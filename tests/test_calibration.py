@@ -44,7 +44,7 @@ from sensorreg.scenario import (
     generate_trajectory,
     sample_biases,
 )
-from sensorreg.triangulation import bearing_residuals
+from sensorreg.triangulation import LAMBDA_INIT, LAMBDA_MAX, LAMBDA_MIN, bearing_residuals
 from sensorreg.wahba import solve_wahba
 
 DEG = np.pi / 180.0
@@ -110,6 +110,22 @@ class TestDataStructures:
         with pytest.raises(MissingRangeError):
             m.local_positions()
 
+    def test_batch_local_positions_stack_every_sensor(self):
+        batch = noiseless_batch(make_targets(), RING_8[:5], sample_biases(
+            5, np.random.default_rng(0)))
+        stacked = batch.local_positions()
+        assert stacked.shape == (5, 40, 3)
+        for got, sensor in zip(stacked, batch.sensors):
+            np.testing.assert_allclose(got, sensor.local_positions(), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("bearing_only", [0, 1, 2])
+    def test_batch_local_positions_need_every_range(self, bearing_only):
+        kinds = ["3d"] * 3
+        kinds[bearing_only] = "2d"
+        batch = noiseless_batch(make_targets(), RING[:3], [EulerAngles(0, 0, 0)] * 3, kinds)
+        with pytest.raises(MissingRangeError):
+            batch.local_positions()
+
     def test_batch_validation(self):
         m = SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1], rng=[1.0, 2.0])
         with pytest.raises(ValueError):
@@ -173,6 +189,32 @@ class TestPairwiseCost:
         batch = noiseless_batch(points, locations, biases)
         truth = [euler_to_rotation(b) for b in biases]
         assert pairwise_cost(truth, batch) == pytest.approx(0.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 8),
+           n=st.integers(2, 40))
+    def test_centroid_form_equals_the_sum_over_pairs(self, seed, n_sensors, n):
+        # S sum_s ||c_s - c||^2 is the pair sum, at random rotations and at
+        # the truth of a noisy batch, where the tracks nearly agree; a
+        # common shift of every location changes neither
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-20000.0, 20000.0, size=(n, 3)) + [0.0, 0.0, -5000.0]
+        locations = rng.uniform(-20000.0, 20000.0, size=(n_sensors, 3))
+        biases = [EulerAngles(*(rng.uniform(-5, 5, 3) * DEG)) for _ in range(n_sensors)]
+        exact = noiseless_batch(points, locations, biases)
+        batch = MeasurementBatch(sensors=tuple(SensorMeasurements(
+            az=m.az + 3e-3 * rng.normal(size=n), el=m.el + 3e-3 * rng.normal(size=n),
+            rng=m.rng + 10.0 * rng.normal(size=n)) for m in exact.sensors),
+            locations=locations)
+        shifted = MeasurementBatch(sensors=batch.sensors,
+                                   locations=locations + rng.uniform(-20000.0, 20000.0, 3))
+        positions = batch.local_positions()
+        for rotations in (rotation_from_rotvec(rng.normal(size=(n_sensors, 3))),
+                          euler_to_rotation(biases)):
+            expected = n_pair_cost(rotations, positions, locations)
+            for cost in (pairwise_cost(rotations, batch), pairwise_cost(rotations, shifted),
+                         calibration._cost(rotations, positions, locations)):
+                assert cost == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 # the public solver behind each selector; the pair flag alone tells alg3
@@ -653,6 +695,45 @@ class TestMomentSweep:
                 assert result.cost_trace[-1] <= swept * (1.0 + 1e-12)
 
 
+class TestLevenbergMarquardt:
+    def test_lambda_schedule(self):
+        # a toy whose cost is its state x: a trial halves x once lambda
+        # reaches what the script asks of its iteration and doubles it
+        # below that, so the first trial, at LAMBDA_INIT, raises the cost.
+        # Lambda must grow x10 per rejection, fall /10 after each
+        # acceptance down to LAMBDA_MIN, and the loop must stop at a fixed
+        # point once the last iteration's lambda passes LAMBDA_MAX
+        needed = [100.0 * LAMBDA_INIT] + [0.0] * 12 + [np.inf]
+        tried = []
+
+        def linearize(x):
+            need = needed[len(tried)]
+            tried.append([])
+
+            def trial(lam):
+                tried[-1].append(lam)
+                assert len(tried[-1]) <= 100, "lambda does not grow"
+                return x / 2.0 if lam >= need else 2.0 * x
+            return trial
+
+        trace = [1.0]
+        state, iterations, converged = calibration._levenberg_marquardt(
+            1.0, linearize, lambda x: x, trace, 0.0, 100)
+        assert (state, iterations, converged) == (2.0 ** -13, 14, True)
+        assert trace == [2.0 ** -k for k in range(14)]
+        assert tried[0] == pytest.approx([LAMBDA_INIT, 10.0 * LAMBDA_INIT,
+                                          100.0 * LAMBDA_INIT], rel=1e-12, abs=0)
+        # then one accepted trial per iteration, the last two at the floor
+        expected = [max(10.0 * LAMBDA_INIT / 10.0 ** k, LAMBDA_MIN) for k in range(12)]
+        assert expected[-2:] == [LAMBDA_MIN] * 2
+        assert [len(lams) for lams in tried[1:13]] == [1] * 12
+        assert [lams[0] for lams in tried[1:13]] == pytest.approx(expected, rel=1e-12, abs=0)
+        last = np.array(tried[13])
+        assert last[0] == pytest.approx(LAMBDA_MIN, rel=1e-12, abs=0)
+        np.testing.assert_allclose(last[1:] / last[:-1], 10.0, rtol=1e-12)
+        assert last[-1] <= LAMBDA_MAX < 10.0 * last[-1]
+
+
 class TestProcrustesSweep:
     # the pass of both absolute solvers' starts: one Wahba solve per
     # sensor, against all of its partners at once
@@ -664,17 +745,16 @@ class TestProcrustesSweep:
         positions = rng.normal(size=(n_sensors, n, 3)) * 4000.0
         locations = rng.normal(size=(n_sensors, 3)) * 10000.0
         rotations = rotation_from_rotvec(rng.normal(size=(n_sensors, 3)))
-        pair_index = np.triu_indices(n_sensors, 1)
         costs = []
 
         def cost_then_solve(xs, ys):
-            costs.append(calibration._cost(rotations, positions, locations, pair_index))
+            costs.append(calibration._cost(rotations, positions, locations))
             return solve_wahba(xs, ys)
 
         with mock.patch.object(calibration, "solve_wahba", cost_then_solve):
             calibration._procrustes_sweep(
                 rotations, *calibration._pair_moments(positions, locations))
-        costs.append(calibration._cost(rotations, positions, locations, pair_index))
+        costs.append(calibration._cost(rotations, positions, locations))
         assert len(costs) == n_sensors + 1
         for before, after in zip(costs, costs[1:]):
             assert after <= before * (1.0 + 1e-12)

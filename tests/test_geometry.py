@@ -276,6 +276,53 @@ class TestGeodesicAngle:
         assert geodesic_angle(np.eye(3), rot) == pytest.approx(1e-10, rel=1e-4)
 
 
+SHAPES = st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple)
+
+
+def random_angles(rng, shape):
+    """A (*shape, 3) stack of Euler angles away from gimbal lock."""
+    return np.stack([rng.uniform(-np.pi, np.pi, shape), rng.uniform(-1.5, 1.5, shape),
+                     rng.uniform(-np.pi, np.pi, shape)], axis=-1)
+
+
+class TestStacks:
+    # euler_to_rotation, rotation_to_euler and geodesic_angle broadcast over
+    # leading axes: every member of a stack is what its own call gives
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shape=SHAPES)
+    def test_stack_matches_per_matrix_calls(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        angles = random_angles(rng, shape)
+        others = rotation_from_rotvec(rng.normal(size=shape + (3,)))
+        rots = euler_to_rotation(angles)
+        recovered = rotation_to_euler(rots)
+        between = geodesic_angle(rots, others)
+        assert rots.shape == shape + (3, 3) and between.shape == shape
+        for index in np.ndindex(shape):
+            np.testing.assert_allclose(rots[index], euler_to_rotation(EulerAngles(
+                *angles[index])), rtol=0, atol=1e-15)
+            np.testing.assert_allclose([field[index] for field in recovered],
+                                       rotation_to_euler(rots[index]), rtol=0, atol=1e-15)
+            assert abs(between[index] - geodesic_angle(rots[index], others[index])) <= 1e-15
+
+    def test_single_inputs_keep_their_types(self):
+        rot = euler_to_rotation(EulerAngles(0.3, -0.5, 1.1))
+        assert type(rot) is np.ndarray and rot.shape == (3, 3)
+        angles = rotation_to_euler(rot)
+        assert type(angles) is EulerAngles
+        assert [type(a) for a in angles] == [float] * 3
+        assert type(geodesic_angle(rot, np.eye(3))) is float
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), data=st.data())
+    def test_one_gimbal_locked_member_raises(self, seed, size, data):
+        angles = random_angles(np.random.default_rng(seed), (size,))
+        angles[data.draw(st.integers(0, size - 1)), 1] = data.draw(
+            st.sampled_from([np.pi / 2, -np.pi / 2]))
+        with pytest.raises(GimbalLockError):
+            rotation_to_euler(euler_to_rotation(angles))
+
+
 class TestCollinearityRatio:
     def test_line_is_zero(self):
         pts = np.outer(np.arange(5, dtype=float), [1.0, 2.0, 0.5])
