@@ -45,7 +45,8 @@ GATED_REL_COST_TOL = 1e-3
 class SensorMeasurements:
     """Measurements of n targets by one sensor (angles in radians).
 
-    ``rng`` is None for a bearing-only sensor, otherwise meters.
+    ``rng`` is None for a bearing-only sensor, otherwise meters; the
+    rays and positions they give come from ``MeasurementBatch``.
     """
 
     az: np.ndarray
@@ -74,16 +75,6 @@ class SensorMeasurements:
     def is_3d(self) -> bool:
         return self.rng is not None
 
-    def local_positions(self) -> np.ndarray:
-        """Cartesian positions in the sensor's own frame, (n, 3)."""
-        if self.rng is None:
-            raise MissingRangeError("bearing-only sensor has no Cartesian positions")
-        return self.rng[:, np.newaxis] * direction_from_angles(self.az, self.el)
-
-    def directions(self) -> np.ndarray:
-        """Unit line-of-sight vectors in the sensor's own frame, (n, 3)."""
-        return direction_from_angles(self.az, self.el)
-
 
 def _check_values(name, values, positive=False):
     bad = ~np.isfinite(values)
@@ -102,7 +93,8 @@ class MeasurementBatch:
 
     Index i refers to the same target/epoch for every sensor.
     ``locations`` are the true sensor positions in the common frame,
-    shape (S, 3).
+    shape (S, 3).  ``directions()``, ``local_positions()`` and ``kinds``
+    are the one place where measurements become geometry.
     """
 
     sensors: tuple
@@ -135,15 +127,23 @@ class MeasurementBatch:
     def n_epochs(self) -> int:
         return self.sensors[0].n
 
+    @property
+    def kinds(self) -> list:
+        """Each sensor's kind: "3d" with ranges, else "2d" (bearing-only)."""
+        return ["3d" if m.is_3d else "2d" for m in self.sensors]
+
+    def directions(self) -> np.ndarray:
+        """Every sensor's unit lines of sight in its own frame, (S, n, 3)."""
+        return direction_from_angles(np.stack([m.az for m in self.sensors]),
+                                     np.stack([m.el for m in self.sensors]))
+
     def local_positions(self) -> np.ndarray:
-        """Every sensor's Cartesian positions in its own frame, (S, n, 3);
-        raises ``MissingRangeError`` if any sensor is bearing-only."""
-        if not all(m.is_3d for m in self.sensors):
+        """Every sensor's Cartesian positions in its own frame, (S, n, 3):
+        its ranges along ``directions()``; raises ``MissingRangeError`` if
+        any sensor is bearing-only."""
+        if "2d" in self.kinds:
             raise MissingRangeError("bearing-only sensor has no Cartesian positions")
-        rng = np.stack([m.rng for m in self.sensors])
-        az = np.stack([m.az for m in self.sensors])
-        el = np.stack([m.el for m in self.sensors])
-        return rng[..., np.newaxis] * direction_from_angles(az, el)
+        return np.stack([m.rng for m in self.sensors])[..., np.newaxis] * self.directions()
 
 
 @dataclass(frozen=True)
@@ -312,8 +312,9 @@ def relative_hetero(batch: MeasurementBatch) -> CalibrationResult:
     """Rotation of bearing-only sensor 0 relative to 3D sensor 1 (alg2).
 
     Matches sensor 0's unit line-of-sight directions against directions
-    to sensor 1's positions seen from sensor 0's location; ``estimates``
-    is [R, I] and the one cost their squared distance after rotation.
+    to sensor 1's positions seen from sensor 0's location, both from the
+    batch's ``directions()``; ``estimates`` is [R, I] and the one cost
+    their squared distance after rotation.
 
     Raises
     ------
@@ -322,17 +323,18 @@ def relative_hetero(batch: MeasurementBatch) -> CalibrationResult:
     """
     if batch.n_sensors != 2:
         raise ValueError(f"exactly 2 sensors required, got {batch.n_sensors}")
-    if not batch.sensors[1].is_3d:
+    if batch.kinds[1] != "3d":
         raise MissingRangeError("reference sensor must supply ranges")
-    shifted = batch.sensors[1].local_positions() \
+    rays = batch.directions()
+    shifted = batch.sensors[1].rng[:, np.newaxis] * rays[1] \
         + (batch.locations[1] - batch.locations[0])
     norms = np.linalg.norm(shifted, axis=1)
     if np.any(norms < 1e-12):
         raise ZeroVectorError("a target coincides with sensor 0's location")
-    directions, unit = batch.sensors[0].directions(), shifted / norms[:, np.newaxis]
-    rotation = solve_wahba(directions, unit)
+    unit = shifted / norms[:, np.newaxis]
+    rotation = solve_wahba(rays[0], unit)
     return CalibrationResult(estimates=[rotation, np.eye(3)],
-                             cost_trace=[wahba_cost(rotation, directions, unit)],
+                             cost_trace=[wahba_cost(rotation, rays[0], unit)],
                              iterations=1, converged=True)
 
 
@@ -495,14 +497,15 @@ def _warm_start(batch):
 
     Each sweep intersects every epoch's bias-compensated rays in closed
     form (``intersect_rays``) and aligns the tracks, the sensor-frame
-    positions those ranges give along the raw rays, one sensor at a time
-    (``_procrustes_sweep``).  The final Gauss-Newton fix
-    (``triangulate_batch``) of the compensated rays is where the joint
-    solve starts.  Returns the (S, 3, 3) rotations, the fixed points of
-    the epochs that triangulated and the mask of those epochs.
+    positions those ranges give along the raw rays (the batch's
+    ``directions()``), one sensor at a time (``_procrustes_sweep``).  The
+    final Gauss-Newton fix (``triangulate_batch``) of the compensated rays
+    is where the joint solve starts.  Returns the (S, 3, 3) rotations, the
+    fixed points of the epochs that triangulated and the mask of those
+    epochs.
     """
     locations = batch.locations
-    raw_dirs = np.stack([m.directions() for m in batch.sensors])
+    raw_dirs = batch.directions()
     rotations = np.stack([np.eye(3)] * batch.n_sensors)
     for _ in range(WARM_START_SWEEPS):
         points, ok = intersect_rays(locations, raw_dirs @ rotations.transpose(0, 2, 1))
@@ -645,9 +648,8 @@ class Algorithm:
         return ["2d", "3d"] if self.sensor_kind == "hetero" else [self.sensor_kind] * count
 
     def accepts(self, batch: MeasurementBatch) -> bool:
-        count = batch.n_sensors
-        return self.accepts_count(count) and self.sensor_kinds(count) == [
-            "3d" if m.is_3d else "2d" for m in batch.sensors]
+        return (self.accepts_count(batch.n_sensors)
+                and self.sensor_kinds(batch.n_sensors) == batch.kinds)
 
 
 # Every solver looks its entry point up on this module when it is called,

@@ -65,8 +65,7 @@ def _select_algorithm(batch, requested) -> str:
     for name in names:
         if ALGORITHMS[name].accepts(batch):
             return name
-    kinds = ["3d" if m.is_3d else "2d" for m in batch.sensors]
-    found = f"this batch has {batch.n_sensors} sensors of kinds {kinds}"
+    found = f"this batch has {batch.n_sensors} sensors of kinds {batch.kinds}"
     if not requested:
         raise RegistrationError(f"no algorithm takes this mix of sensor kinds: {found}")
     raise RegistrationError(f"{requested} takes {ALGORITHMS[requested].takes}, "

@@ -484,9 +484,9 @@ def write_batch(batch: MeasurementBatch, csv_path, sidecar_path) -> None:
         for s, meas in enumerate(batch.sensors)))
     write_json(sidecar_path, {"sensors": [{
         "id": s,
-        "location_m": [float(v) for v in batch.locations[s]],
-        "kind": "3d" if batch.sensors[s].is_3d else "2d",
-    } for s in range(batch.n_sensors)]})
+        "location_m": [float(v) for v in location],
+        "kind": kind,
+    } for s, (location, kind) in enumerate(zip(batch.locations, batch.kinds))]})
 
 
 def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
@@ -495,9 +495,10 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
     Both files are read as UTF-8 whatever the locale, with a leading BOM
     ignored.  Columns are found by header name.  A malformed file raises
     ``ValueError`` naming the file, the line and, for a bad cell, the
-    column; a malformed sidecar names the file and the sensor.  Plain
-    files are parsed in one vectorized pass; anything else goes row by
-    row, with the same result.
+    column; a malformed sidecar names the file and the sensor, and a
+    batch with too few sensors or epochs, or with uneven epoch counts,
+    names the file.  Plain files are parsed in one vectorized pass;
+    anything else goes row by row, with the same result.
     """
     locations, kinds = _read_sidecar(sidecar_path)
     try:
@@ -523,6 +524,10 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
         if not np.array_equal(epoch[rows], np.arange(len(rows))):
             raise ValueError(f"{csv_path}: sensor {s}: epoch indices must be "
                              f"0..n-1")
+        if sensors and len(rows) != sensors[0].n:
+            raise ValueError(f"{csv_path}: sensor {s} has {len(rows)} epochs but sensor "
+                             f"{ordered[0]} has {sensors[0].n}: every sensor must "
+                             f"report the same number of targets")
         present = has_rng[rows]
         if present.any() and not present.all():
             raise ValueError(f"{csv_path}: sensor {s}: rng_m must be all "
@@ -536,9 +541,12 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
                 rng=rng[rows] if present.all() else None))
         except DegenerateInputError as exc:
             raise DegenerateInputError(f"{csv_path}: sensor {s}: {exc}") from exc
-    return MeasurementBatch(
-        sensors=tuple(sensors),
-        locations=np.array([locations[s] for s in ordered], dtype=float))
+    try:
+        return MeasurementBatch(
+            sensors=tuple(sensors),
+            locations=np.array([locations[s] for s in ordered], dtype=float))
+    except ValueError as exc:  # too few sensors or epochs
+        raise ValueError(f"{csv_path}: {exc}") from exc
 
 
 # Bytes that csv and numpy's loadtxt split, and that int()/float() and

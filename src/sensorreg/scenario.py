@@ -110,15 +110,6 @@ class SensorTruth:
         if min(self.sigma_range, self.sigma_az, self.sigma_el) < 0.0:
             raise ValueError("noise sigmas must be nonnegative")
 
-    @property
-    def location_array(self) -> np.ndarray:
-        return np.asarray(self.location, dtype=float)
-
-    @property
-    def correcting_rotation(self) -> np.ndarray:
-        """Local-to-common rotation (what calibration should recover)."""
-        return euler_to_rotation(self.bias)
-
 
 @dataclass(frozen=True)
 class ScenarioTruth:
@@ -152,7 +143,7 @@ def build_batch(trajectory, sensors, seed) -> tuple:
                       for child in seed.spawn(len(sensors))])
     sigmas = np.array([[s.sigma_range, s.sigma_az, s.sigma_el] for s in sensors])
     rotations = euler_to_rotation([s.bias for s in sensors])
-    locations = np.stack([s.location_array for s in sensors])
+    locations = np.array([s.location for s in sensors], dtype=float)
 
     rel = points - locations[:, np.newaxis]
     near = np.linalg.norm(rel, axis=-1) < 1.0

@@ -32,6 +32,7 @@ from sensorreg.experiments import ExperimentConfig, realizations, run_experiment
 from sensorreg.geometry import (
     EulerAngles,
     cart_to_spherical,
+    direction_from_angles,
     euler_to_rotation,
     geodesic_angle,
     is_rotation_matrix,
@@ -105,18 +106,23 @@ class TestDataStructures:
         with pytest.raises(DegenerateInputError, match=f"^{field} .* at epoch {epoch}$"):
             SensorMeasurements(**values)
 
-    def test_local_positions_need_range(self):
-        m = SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1])
-        with pytest.raises(MissingRangeError):
-            m.local_positions()
-
     def test_batch_local_positions_stack_every_sensor(self):
         batch = noiseless_batch(make_targets(), RING_8[:5], sample_biases(
             5, np.random.default_rng(0)))
-        stacked = batch.local_positions()
-        assert stacked.shape == (5, 40, 3)
-        for got, sensor in zip(stacked, batch.sensors):
-            np.testing.assert_allclose(got, sensor.local_positions(), rtol=1e-15, atol=0)
+        rays, stacked = batch.directions(), batch.local_positions()
+        assert rays.shape == stacked.shape == (5, 40, 3)
+        for ray, got, sensor in zip(rays, stacked, batch.sensors):
+            one = direction_from_angles(sensor.az, sensor.el)
+            np.testing.assert_array_equal(ray, one)
+            np.testing.assert_array_equal(got, sensor.rng[:, np.newaxis] * one)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(["2d", "3d"]), min_size=2, max_size=8))
+    def test_kinds_name_each_sensor(self, kinds):
+        batch = noiseless_batch(make_targets(n=3), RING_8[:len(kinds)],
+                                [EulerAngles(0, 0, 0)] * len(kinds), kinds)
+        assert batch.kinds == kinds
+        assert batch.directions().shape == (len(kinds), 3, 3)
 
     @pytest.mark.parametrize("bearing_only", [0, 1, 2])
     def test_batch_local_positions_need_every_range(self, bearing_only):
@@ -339,8 +345,9 @@ class TestAbsolute3dPair:
         result = absolute_3d(batch, StoppingCriteria(rel_cost_tol=0.0,
                                                      max_iterations=200))
         a1, a2 = result.estimates
-        track1 = batch.sensors[0].local_positions() @ a1.T + locations[0]
-        track2 = batch.sensors[1].local_positions() @ a2.T + locations[1]
+        positions = batch.local_positions()
+        track1 = positions[0] @ a1.T + locations[0]
+        track2 = positions[1] @ a2.T + locations[1]
         np.testing.assert_allclose(track1, track2, atol=1e-5)
 
     def test_relative_rotation_is_gauge_invariant(self):
@@ -522,6 +529,13 @@ class TestAbsolute3d:
                     result = absolute_3d(batch, stopping)
                 for est in result.estimates:
                     assert is_rotation_matrix(est, tol=1e-9)
+
+    def test_sensors_at_one_location_warn(self):
+        # three coincident points have no dominant axis: spread ratio 0
+        locations = np.tile([2500.0, 8600.0, -600.0], (3, 1))
+        batch = noiseless_batch(make_targets(), locations, [EulerAngles(0, 0, 0)] * 3)
+        with pytest.warns(UserWarning, match=r"spread ratio 0\.00e\+00"):
+            absolute_3d(batch, StoppingCriteria(max_iterations=2))
 
 
 def n_pair_cost(rotations, positions, locations):

@@ -402,6 +402,11 @@ class TestMalformedBatch:
         self.assert_rejected(self.calibrate(bom + newline.join(lines) + newline),
                              "batch.csv line 6: not UTF-8 text\n")
 
+    def test_uneven_epoch_counts_name_the_file(self):
+        # the last row is sensor 2's last epoch
+        self.assert_rejected(self.calibrate_rows(self.rows[:-1]),
+                             "batch.csv: sensor 2 has 5 epochs but sensor 0 has 6")
+
     def test_header_without_range_column(self):
         rows = [[c for k, c in enumerate(r) if k != 2] for r in self.rows]
         self.assert_rejected(self.calibrate_rows(rows), "line 1", "rng_m")

@@ -576,6 +576,46 @@ class TestBatchFiles:
             read_batch(csv_path, sidecar)
         assert str(info.value).startswith(f"{csv_path}: sensor 0: ")
 
+    @pytest.mark.parametrize("counts, message", [
+        ({5: 3, 7: 2}, "sensor 7 has 2 epochs but sensor 5 has 3: every sensor "
+                       "must report the same number of targets"),
+        ({5: 3}, "a batch needs at least two sensors"),
+        ({5: 1, 7: 1}, "a batch needs at least two shared targets"),
+    ], ids=["uneven-epochs", "one-sensor", "one-epoch"])
+    def test_malformed_batch_names_the_file(self, tmp_path, counts, message):
+        csv_text = "sensor_id,epoch_index,rng_m,az_rad,el_rad\n" + "".join(
+            f"{sid},{epoch},,0.1,0.0\n" for sid, count in counts.items()
+            for epoch in range(count))
+        csv_path, sidecar = self.write_pair(
+            tmp_path, csv_text, [{"id": sid, "location_m": [100 * sid, 0, 0]}
+                                 for sid in counts])
+        with pytest.raises(ValueError) as info:
+            read_batch(csv_path, sidecar)
+        assert str(info.value) == f"{csv_path}: {message}"
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path):
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
+                            f"0,0,,{'1' * 200_000},0.0\n1,0,,0.1,0.0\n")
+        _, sidecar = self.write_pair(tmp_path, "", [
+            {"id": 0, "location_m": [0, 0, 0]}, {"id": 1, "location_m": [100, 0, 0]}])
+        with pytest.raises(ValueError) as info:
+            read_batch(csv_path, sidecar)
+        assert str(info.value) == (f"{csv_path} line 2: field larger than field "
+                                   f"limit ({csv.field_size_limit()})")
+
+    def test_sensor_id_beyond_int64(self, tmp_path):
+        big = 2**70
+        csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
+                    f"0,0,,0.1,0.0\n0,1,,0.2,0.0\n{big},0,,0.3,0.0\n{big},1,,0.4,0.0\n")
+        csv_path, sidecar = self.write_pair(
+            tmp_path, csv_text, [{"id": big, "location_m": [100, 0, 0]},
+                                 {"id": 0, "location_m": [0, 0, 0]}])
+        batch = read_batch(csv_path, sidecar)
+        assert batch.n_sensors == 2
+        np.testing.assert_array_equal(batch.locations, [[0, 0, 0], [100, 0, 0]])
+        np.testing.assert_array_equal(batch.sensors[1].az, [0.3, 0.4])
+
     def test_repeated_epoch_with_and_without_range(self, tmp_path):
         # sorting such rows as tuples compared a range with None
         csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from sensorreg.calibration import SensorMeasurements
 from sensorreg.errors import GimbalLockError, ZeroVectorError
 from sensorreg.geometry import (
     EulerAngles,
@@ -49,7 +48,7 @@ class TestWrapAngle:
 
 def to_cart(rng, az, el):
     """Cartesian positions of range/azimuth/elevation measurements."""
-    return SensorMeasurements(az=az, el=el, rng=rng).local_positions()
+    return np.asarray(rng)[..., np.newaxis] * direction_from_angles(az, el)
 
 
 class TestCartToSpherical:
@@ -327,6 +326,9 @@ class TestCollinearityRatio:
     def test_line_is_zero(self):
         pts = np.outer(np.arange(5, dtype=float), [1.0, 2.0, 0.5])
         assert collinearity_ratio(pts) == pytest.approx(0.0, abs=1e-12)
+
+    def test_coincident_points_are_zero(self):
+        assert collinearity_ratio(np.tile([2500.0, 8600.0, -600.0], (4, 1))) == 0.0
 
     def test_symmetric_spread_is_one(self):
         pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)

@@ -81,12 +81,6 @@ class TestSensorTruth:
         with pytest.raises(ValueError):
             SensorTruth(location=(0, 0, 0), sigma_az=-1.0)
 
-    def test_correcting_rotation(self):
-        bias = EulerAngles(0.1, -0.05, 0.02)
-        sensor = SensorTruth(location=(0, 0, 0), bias=bias)
-        assert geodesic_angle(sensor.correcting_rotation,
-                              euler_to_rotation(bias)) < 1e-15
-
 
 def observe(points, sensor):
     """Noiseless measurements of ``points`` by ``sensor``, from build_batch."""
@@ -127,7 +121,7 @@ class TestObserve:
         sensor = SensorTruth(location=(3000.0, -2000.0, -100.0), bias=bias)
         m = observe(traj, sensor)
         rot = Rotation.from_euler("ZYX", list(bias)).as_matrix()
-        local = (traj - sensor.location_array) @ rot
+        local = (traj - np.asarray(sensor.location)) @ rot
         np.testing.assert_allclose(m.rng, np.linalg.norm(local, axis=1),
                                    rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(m.az, np.arctan2(local[:, 1], local[:, 0]),
@@ -156,10 +150,23 @@ class TestBuildBatch:
         batch, truth = build_batch(generate_trajectory(), sensors, seed=3)
         # correcting the local positions with the true rotation must
         # reproduce the trajectory exactly
-        corrected = (batch.sensors[0].local_positions()
+        corrected = (batch.local_positions()[0]
                      @ truth.rotations[0].T) + [2000.0, 1000.0, -300.0]
         np.testing.assert_allclose(corrected, truth.target_positions,
                                    atol=1e-6)
+
+    def test_truth_rotations_follow_the_biases(self):
+        biases = [EulerAngles(0.1, -0.05, 0.02), EulerAngles(-0.3, 0.2, 0.4),
+                  EulerAngles(0.0, 0.0, 0.0)]
+        sensors = [SensorTruth(location=(1000.0 * k, 0.0, 0.0), kind=kind, bias=bias)
+                   for k, (kind, bias) in enumerate(zip(["3d", "2d", "3d"], biases))]
+        _, truth = build_batch(generate_trajectory(), sensors, seed=0)
+        assert truth.biases == biases
+        for rotation, bias in zip(truth.rotations, biases):
+            assert geodesic_angle(rotation, euler_to_rotation(bias)) < 1e-15
+            # scipy's intrinsic Z-Y-X rotation is the independent reference
+            np.testing.assert_allclose(
+                rotation, Rotation.from_euler("ZYX", list(bias)).as_matrix(), atol=1e-15)
 
     def test_noise_levels(self):
         point = np.array([5000.0, 3000.0, -2000.0])
