@@ -3,8 +3,9 @@
 Estimates one fixed correcting rotation per sensor from shared target
 observations: two sweeps of optimal-rotation (Wahba) updates, one
 sensor at a time, then Gauss-Newton steps on all rotations, for
-sensors with range measurements, and a joint Gauss-Newton solve over rotations and target
-positions for bearing-only sensors.  Includes a
+sensors with range measurements, and a joint Gauss-Newton solve over
+rotations and target positions for bearing-only sensors, started from
+each sensor pair's epipolar geometry where the rays fix it.  Includes a
 flight-scenario simulator and a seeded Monte-Carlo experiment harness.
 """
 

@@ -10,8 +10,9 @@ common frame.  One solver per measurement model returns a
 over rotations and target positions, i.e. bundle adjustment) take two
 or more sensors, start from sweeps that align one sensor at a time to
 all of its partners (for ``absolute_2d``, to the tracks of closed-form
-ray intersections), damp their steps in one Levenberg-Marquardt loop
-and flag a pair's baseline gauge themselves.
+ray intersections, unless its closed-form epipolar start is taken),
+damp their steps in one Levenberg-Marquardt loop and flag a pair's
+baseline gauge themselves.
 """
 
 import numbers
@@ -39,6 +40,12 @@ NEAR_POLE_EL = np.radians(80.0)
 # that first phase only has to reach the right basin, so it stops on
 # this tolerance whatever the caller asks of the final solve
 GATED_REL_COST_TOL = 1e-3
+# the epipolar start of absolute_2d fits each sensor pair by the
+# eight-point method, so it needs eight epochs; it picks among each pair's
+# four factorizations, and is checked against identity, on at most
+# EPIPOLAR_SAMPLE evenly spaced epochs
+EPIPOLAR_MIN_EPOCHS = 8
+EPIPOLAR_SAMPLE = 32
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,10 @@ class MeasurementBatch:
         n = self.sensors[0].n
         if n < 2:
             raise ValueError("a batch needs at least two shared targets")
-        if any(m.n != n for m in self.sensors):
-            raise ValueError("every sensor must report the same number of targets")
+        for s, m in enumerate(self.sensors):
+            if m.n != n:
+                raise ValueError(f"sensor {s} has {m.n} targets but sensor 0 has {n}: "
+                                 "every sensor must report the same number of targets")
 
     @property
     def n_sensors(self) -> int:
@@ -189,17 +198,19 @@ class CalibrationResult:
                         sweeps, then after each accepted Gauss-Newton step
     alg2                squared unit-vector distance
     alg6, alg7          rad^2, sum of squared az/el residuals; the first
-                        entry is the cost at the warm start (after its
-                        one Gauss-Newton triangulation)
+                        entry is the cost at the warm start's rotations
+                        (epipolar or swept) and the target positions of
+                        its one Gauss-Newton triangulation
     ==================  ==================================================
 
     ``gauge_ambiguous`` flags two-sensor absolute solutions, where any
     common rotation about the baseline fits equally well.
     ``dropped_indices`` counts the epochs left out of ``absolute_2d``'s
-    joint solve because the warm start's final Gauss-Newton
-    triangulation failed for them: their rays are near-parallel or not
-    finite, or the fix used up its 50 iterations.  The epochs left must
-    still determine the solve, or ``absolute_2d`` raises instead.
+    joint solve because that triangulation, of the rays turned by the
+    warm start's rotations, failed for them: their rays are
+    near-parallel or not finite, or the fix used up its 50 iterations.
+    The epochs left must still determine the solve, or ``absolute_2d``
+    raises instead.
     """
 
     estimates: list
@@ -210,20 +221,16 @@ class CalibrationResult:
     dropped_indices: int = 0
 
 
-def pairwise_cost(rotations, batch: MeasurementBatch) -> float:
+def pairwise_cost(rotations, positions, locations) -> float:
     """Total squared disagreement between corrected sensor tracks.
 
     sum over sensor pairs (s < t) and targets i of ||c_s^i - c_t^i||^2,
-    with c_s^i = R_s p_s^i + l_s for the local positions p_s^i of the
-    batch's 3D sensors.  It is summed as S sum_s,i ||c_s^i - c^i||^2 about
-    the mean c^i of target i's S tracks, the form of generalized
-    Procrustes analysis (Gower 1975), so no pair is ever gathered.
+    with c_s^i = R_s p_s^i + l_s for the (S, n, 3) local ``positions``
+    p_s^i (a batch's ``local_positions()``) and the (S, 3) ``locations``.
+    It is summed as S sum_s,i ||c_s^i - c^i||^2 about the mean c^i of
+    target i's S tracks, the form of generalized Procrustes analysis
+    (Gower 1975), so no pair is ever gathered.
     """
-    return _cost(rotations, batch.local_positions(), batch.locations)
-
-
-def _cost(rotations, positions, locations) -> float:
-    """``pairwise_cost`` of the (S, n, 3) ``positions``, in its centroid form."""
     common = positions @ np.transpose(rotations, (0, 2, 1))
     common += locations[:, np.newaxis]
     common -= common.mean(axis=0)
@@ -302,9 +309,9 @@ def relative_3d(batch: MeasurementBatch) -> CalibrationResult:
         raise ValueError(f"exactly 2 sensors required, got {batch.n_sensors}")
     positions = batch.local_positions()
     shifted = positions[1] + (batch.locations[1] - batch.locations[0])
-    rotation = solve_wahba(positions[0], shifted)
-    cost = pairwise_cost([rotation, np.eye(3)], batch)
-    return CalibrationResult(estimates=[rotation, np.eye(3)], cost_trace=[cost],
+    rotations = np.stack([solve_wahba(positions[0], shifted), np.eye(3)])
+    return CalibrationResult(estimates=list(rotations),
+                             cost_trace=[pairwise_cost(rotations, positions, batch.locations)],
                              iterations=1, converged=True)
 
 
@@ -365,10 +372,10 @@ def absolute_3d(batch: MeasurementBatch,
     locations = batch.locations
     xs, ys = _pair_moments(positions, locations)
     rotations = np.stack([np.eye(3)] * batch.n_sensors)
-    trace = [_cost(rotations, positions, locations)]
+    trace = [pairwise_cost(rotations, positions, locations)]
     for _ in range(WARM_START_SWEEPS):
         _procrustes_sweep(rotations, xs, ys)
-    trace.append(_cost(rotations, positions, locations))
+    trace.append(pairwise_cost(rotations, positions, locations))
 
     def linearize(rotations):
         gauge = _gauge_direction(rotations, locations) if gauge_ambiguous else None
@@ -377,7 +384,7 @@ def absolute_3d(batch: MeasurementBatch,
             hessian + lam * np.diag(np.diag(hessian)), rhs, gauge).reshape(-1, 3))
 
     rotations, iterations, converged = _levenberg_marquardt(
-        rotations, linearize, lambda rot: _cost(rot, positions, locations),
+        rotations, linearize, lambda rot: pairwise_cost(rot, positions, locations),
         trace, stopping.rel_cost_tol, stopping.max_iterations, iterations=1,
         converged=_stopped(trace[0], trace[1], stopping.rel_cost_tol))
     return CalibrationResult(estimates=list(rotations), cost_trace=trace,
@@ -433,12 +440,17 @@ def absolute_2d(batch: MeasurementBatch,
     ``absolute_3d``, with a Schur complement over the 3x3 point blocks
     (bundle adjustment), once per phase (below).  From
     identity rotations that solver can settle in a local minimum, so it
-    starts from two intersect-and-align sweeps: intersect every epoch's
-    bias-compensated rays in closed form (``intersect_rays``), then
-    align each sensor in turn to all of its partners' tracks at once
-    (``_procrustes_sweep``).  One Gauss-Newton triangulation
-    (``triangulate_batch``) of the compensated rays gives the starting
-    target positions; epochs whose fix fails there are left out.  Azimuths
+    starts from ``_warm_start``: with three or more sensors and at least
+    ``EPIPOLAR_MIN_EPOCHS`` epochs, the closed-form epipolar start
+    (``_epipolar_start``), one Wahba solve per sensor on its baselines,
+    which no bias size or world rotation moves; where the rays cannot
+    fix that start (short tracks), and for a pair, two intersect-and-align
+    sweeps from identity: intersect every epoch's bias-compensated rays
+    in closed form (``intersect_rays``), then align each sensor in turn
+    to all of its partners' tracks at once (``_procrustes_sweep``).  One
+    Gauss-Newton triangulation (``triangulate_batch``) of the compensated
+    rays gives the starting target positions; epochs whose fix fails
+    there are left out.  Azimuths
     of sightings within 10 degrees of a sensor's pole join the solve
     only once it has converged without them, so the cost trace may rise
     during that first phase; the two phases share one iteration budget.
@@ -493,30 +505,113 @@ def absolute_2d(batch: MeasurementBatch,
 
 
 def _warm_start(batch):
-    """Intersect-and-align sweeps, then one triangulation from the result.
+    """The start of ``absolute_2d``: rotations, then one triangulation.
 
-    Each sweep intersects every epoch's bias-compensated rays in closed
-    form (``intersect_rays``) and aligns the tracks, the sensor-frame
-    positions those ranges give along the raw rays (the batch's
-    ``directions()``), one sensor at a time (``_procrustes_sweep``).  The
-    final Gauss-Newton fix (``triangulate_batch``) of the compensated rays
-    is where the joint solve starts.  Returns the (S, 3, 3) rotations, the
-    fixed points of the epochs that triangulated and the mask of those
-    epochs.
+    The rotations come from the closed-form epipolar start
+    (``_epipolar_start``) where the rays fix it.  Otherwise, and always
+    for a pair, ``WARM_START_SWEEPS`` intersect-and-align sweeps start
+    from identity: each intersects every epoch's bias-compensated rays in
+    closed form (``intersect_rays``) and aligns the tracks, the
+    sensor-frame positions those ranges give along the raw rays (the
+    batch's ``directions()``), one sensor at a time
+    (``_procrustes_sweep``).  The final Gauss-Newton fix
+    (``triangulate_batch``) of the compensated rays is where the joint
+    solve starts.  Returns the (S, 3, 3) rotations, the fixed points of
+    the epochs that triangulated and the mask of those epochs.
     """
     locations = batch.locations
     raw_dirs = batch.directions()
-    rotations = np.stack([np.eye(3)] * batch.n_sensors)
-    for _ in range(WARM_START_SWEEPS):
-        points, ok = intersect_rays(locations, raw_dirs @ rotations.transpose(0, 2, 1))
-        _check_usable(ok, batch.n_sensors)
-        ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis, :], axis=-1)
-        positions = ranges[..., np.newaxis] * raw_dirs[:, ok]
-        _procrustes_sweep(rotations, *_pair_moments(positions, locations))
+    rotations = _epipolar_start(raw_dirs, locations)
+    if rotations is None:
+        rotations = np.stack([np.eye(3)] * batch.n_sensors)
+        for _ in range(WARM_START_SWEEPS):
+            points, ok = intersect_rays(locations, raw_dirs @ rotations.transpose(0, 2, 1))
+            _check_usable(ok, batch.n_sensors)
+            ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis, :], axis=-1)
+            positions = ranges[..., np.newaxis] * raw_dirs[:, ok]
+            _procrustes_sweep(rotations, *_pair_moments(positions, locations))
     fix = triangulate_batch(locations, raw_dirs @ rotations.transpose(0, 2, 1))
     ok = fix.status == STATUS_OK
     _check_usable(ok, batch.n_sensors)
     return rotations, fix.points[ok], ok
+
+
+def _epipolar_start(raw_dirs, locations):
+    """Every sensor's rotation in closed form, from the epipolar geometry
+    of its rays (S, n, 3) with its known baselines, whatever the biases
+    and the world frame; None for a pair, fewer than
+    ``EPIPOLAR_MIN_EPOCHS`` epochs, collinear sensors, or where the
+    sample's rays meet no better than at identity (``_ray_misfits``), as
+    on short tracks, whose eight-point fits are degenerate.
+
+    Sensors s and t see target i in one plane with their baseline, so
+    d_s^T E d_t = 0 for their raw rays, with E = [c]x R, the unit
+    baseline c = A_s^T (l_t - l_s) / |l_t - l_s| in s's frame and
+    R = A_s^T A_t (Longuet-Higgins 1981).  Each pair's E is the smallest
+    eigenvector of the 9x9 Gram matrix of its rows vec(d_s d_t^T), the
+    eight-point method (Hartley 1997).  Of the four (R, +-c) it factors
+    into, the one that puts both ray depths ahead on most sample epochs
+    is taken (cheirality; Hartley and Zisserman 2004, section 9.6); it
+    gives t's baseline -R^T c too.  One ``solve_wahba`` per sensor then
+    maps its S - 1 local baselines onto the common-frame ones.
+    """
+    n_sensors, n_epochs = raw_dirs.shape[:2]
+    if n_sensors < 3 or n_epochs < EPIPOLAR_MIN_EPOCHS:
+        return None
+    sample = raw_dirs[:, np.linspace(0, n_epochs - 1,
+                                     min(n_epochs, EPIPOLAR_SAMPLE)).astype(int)]
+    first, second = np.triu_indices(n_sensors, 1)
+    rows = (raw_dirs[first, :, :, np.newaxis] * raw_dirs[second, :, np.newaxis]) \
+        .reshape(len(first), -1, 9)
+    _, vectors = np.linalg.eigh(rows.transpose(0, 2, 1) @ rows)
+    u, _, vt = np.linalg.svd(vectors[:, :, 0].reshape(-1, 3, 3))
+    u *= np.linalg.det(u)[:, np.newaxis, np.newaxis]  # E's sign is free
+    vt *= np.linalg.det(vt)[:, np.newaxis, np.newaxis]
+    turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    relative = np.stack([u @ turn @ vt, u @ turn.T @ vt], axis=1)  # (P, 2, 3, 3)
+    baseline = u[:, np.newaxis, :, 2:]                             # (P, 1, 3, 1)
+    # the depths r_s, r_t of r_s d_s - r_t R d_t = c have the signs of
+    # p + m q and q + m p, with p = d_s.c, q = -(R d_t).c, m = d_s.(R d_t)
+    d_s = sample[first][:, np.newaxis]
+    d_t = sample[second][:, np.newaxis] @ relative.transpose(0, 1, 3, 2)
+    m = np.sum(d_s * d_t, axis=-1)
+    p, q = (d_s @ baseline)[..., 0], -(d_t @ baseline)[..., 0]
+    depth_s, depth_t = p + m * q, q + m * p
+    votes = np.stack([((depth_s > 0) & (depth_t > 0)).sum(axis=-1),
+                      ((depth_s < 0) & (depth_t < 0)).sum(axis=-1)], axis=-1)
+    best = votes.reshape(len(first), 4).argmax(axis=1)  # 2 x R's index + c's sign
+    seen = np.empty((n_sensors, n_sensors, 3))  # seen[s, t]: t's direction in s's frame
+    seen[first, second] = u[:, :, 2] * np.where(best % 2, -1.0, 1.0)[:, np.newaxis]
+    seen[second, first] = -(seen[first, second, np.newaxis]
+                            @ relative[np.arange(len(first)), best // 2])[:, 0]
+    others = ~np.eye(n_sensors, dtype=bool)
+    seen = seen[others].reshape(n_sensors, -1, 3)
+    common = (locations[np.newaxis] - locations[:, np.newaxis])[others].reshape(n_sensors, -1, 3)
+    common /= np.maximum(np.linalg.norm(common, axis=-1, keepdims=True), MIN_SENSOR_SEPARATION)
+    try:
+        rotations = np.stack([solve_wahba(seen[s], common[s]) for s in range(n_sensors)])
+    except DegenerateInputError:  # collinear sensors: no two baselines cross
+        return None
+    identity = np.broadcast_to(np.eye(3), rotations.shape)
+    closed, start = _ray_misfits(np.stack([rotations, identity]), sample, locations)
+    return rotations if closed < start else None
+
+
+def _ray_misfits(candidates, sample, locations):
+    """How badly the ``sample`` rays (S, m, 3) meet when turned by each of
+    the K (S, 3, 3) rotation sets of ``candidates``: the mean 1 - cos^2
+    between each ray and the offset from its sensor to its epoch's
+    ``intersect_rays`` point, where an epoch that is not ok counts 1.
+    All K sets go through one ``intersect_rays`` call; returns (K,)."""
+    n_sensors = len(locations)
+    dirs = (sample @ candidates.transpose(0, 1, 3, 2)).transpose(1, 0, 2, 3) \
+        .reshape(n_sensors, -1, 3)
+    points, ok = intersect_rays(locations, dirs)
+    offsets = points[ok] - locations[:, np.newaxis]
+    cos = np.sum(dirs[:, ok] * offsets, axis=-1) / np.linalg.norm(offsets, axis=-1)
+    misfit = np.ones(dirs.shape[:2])
+    misfit[:, ok] = 1.0 - cos * cos
+    return misfit.reshape(n_sensors, len(candidates), -1).mean(axis=(0, 2))
 
 
 def _check_usable(ok, n_sensors):
