@@ -157,14 +157,14 @@ class MeasurementBatch:
 
 @dataclass(frozen=True)
 class StoppingCriteria:
-    """Stop when the cost changes by less than ``rel_cost_tol``
-    (relative) between iterations, or after ``max_iterations``
-    iterations.  A tolerance of zero disables the cost rule, so the
-    iteration runs the full budget, except that both absolute solvers,
-    ``absolute_3d`` and ``absolute_2d``, also stop once no step lowers
-    their cost (their fixed point).  The
-    tolerance must be a finite, non-negative real number and the budget
-    an integer of at least 1 (neither a bool)."""
+    """Both absolute solvers' damped loop converges once an accepted
+    Gauss-Newton step lowers the cost by less than ``rel_cost_tol`` of
+    its value, or once no damped step lowers it (the fixed point, the
+    only rule at a tolerance of zero); else it stops unconverged after
+    ``max_iterations`` iterations.  A start is no step: ``absolute_3d``,
+    whose sweeps count as iteration 1, is unconverged at a budget of 1.
+    The tolerance must be a finite, non-negative real number and the
+    budget an integer of at least 1 (neither a bool)."""
 
     rel_cost_tol: float = 1e-3
     max_iterations: int = 100
@@ -261,25 +261,22 @@ def _procrustes_sweep(rotations, xs, ys):
         rotations[t] = solve_wahba(xs[t, others].reshape(-1, 3), ys[t, others].reshape(-1, 3))
 
 
-def _stopped(prev: float, cur: float, tol: float) -> bool:
-    if prev <= 0.0:
-        return True
-    return abs(prev - cur) < tol * prev
-
-
 def _levenberg_marquardt(state, linearize, objective, trace, tol, max_iterations,
-                         iterations=0, converged=False, cost=None):
+                         iterations=0, cost=None):
     """The damped loop of both absolute solvers (Levenberg-Marquardt as in
     Madsen, Nielsen and Tingleff 2004, section 3.2).  ``linearize(state)``
     builds one Gauss-Newton system (an iteration) and returns the map from
     the damping lambda to a trial state, kept only if it lowers
     ``objective``; then ``cost(state)`` goes on ``trace`` (without a
-    ``cost``, the objective, which then starts at ``trace[-1]``).
-    Converged once ``_stopped`` holds or no lambda up to its maximum
-    lowers the objective (a fixed point); stops there or after
-    ``max_iterations``.  Returns the state, iterations and converged."""
+    ``cost``, the objective, which then starts at ``trace[-1]``).  Every
+    call starts unconverged, never on a start's verdict: it converges on
+    an accepted step that lowers the objective by less than ``tol`` of
+    its value, or once no lambda up to its maximum lowers it (a fixed
+    point).  Stops there or after ``max_iterations``, ``iterations`` of
+    them already spent.  Returns the state, iterations and converged."""
     value = trace[-1] if cost is None else objective(state)
     lam = LAMBDA_INIT
+    converged = False
     while not converged and iterations < max_iterations:
         iterations += 1
         trial_at = linearize(state)
@@ -287,7 +284,7 @@ def _levenberg_marquardt(state, linearize, objective, trace, tol, max_iterations
             trial = trial_at(lam)
             trial_value = objective(trial)
             if trial_value < value:
-                converged = _stopped(value, trial_value, tol)
+                converged = value - trial_value < tol * value
                 state, value = trial, trial_value
                 trace.append(value if cost is None else cost(state))
                 lam = max(lam / 10.0, LAMBDA_MIN)
@@ -359,7 +356,8 @@ def absolute_3d(batch: MeasurementBatch,
     step is kept only if it lowers ``pairwise_cost``, so the cost trace
     never increases, for any number of sensors, and the solve stops at
     its fixed point once no damped step lowers the cost.  ``iterations``
-    counts the sweeps as one and each Gauss-Newton system built.
+    counts the sweeps as one and each Gauss-Newton system built; only a
+    step, never the sweeps, can end the solve ``converged``.
     Two sensors are only determined up to a common rotation about their
     baseline (``gauge_ambiguous``): the steps never move along it, and
     corrected tracks agree, but individual rotations need not match any
@@ -385,8 +383,7 @@ def absolute_3d(batch: MeasurementBatch,
 
     rotations, iterations, converged = _levenberg_marquardt(
         rotations, linearize, lambda rot: pairwise_cost(rot, positions, locations),
-        trace, stopping.rel_cost_tol, stopping.max_iterations, iterations=1,
-        converged=_stopped(trace[0], trace[1], stopping.rel_cost_tol))
+        trace, stopping.rel_cost_tol, stopping.max_iterations, iterations=1)
     return CalibrationResult(estimates=list(rotations), cost_trace=trace,
                              iterations=iterations, converged=converged,
                              gauge_ambiguous=gauge_ambiguous)

@@ -169,7 +169,7 @@ def intersect_rays(locations, directions):
     locations = np.asarray(locations, dtype=float)
     directions = np.asarray(directions, dtype=float)
     n_sensors = locations.shape[0]
-    along = directions @ locations[:, :, np.newaxis]                 # (S, n, 1)
+    along = np.sum(directions * locations[:, np.newaxis], axis=-1, keepdims=True)  # (S, n, 1)
     by_epoch = directions.transpose(1, 2, 0)                         # (n, 3, S)
     normal = n_sensors * np.eye(3) - by_epoch @ by_epoch.transpose(0, 2, 1)
     rhs = locations.sum(axis=0) - np.sum(directions * along, axis=0)  # (n, 3)

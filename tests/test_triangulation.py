@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -525,10 +525,13 @@ class TestPerTargetIndependence:
         assert np.sum(fix.status == STATUS_OK) >= 35
         assert np.all(mixed_batch(4)[3].status == STATUS_OK)
 
+    # one kept target is the case a stacked matmul computes with another
+    # kernel: S = 3 keeping only target 3 moved its point by 2.3e-13 m
     @settings(max_examples=60, deadline=None)
     @given(n_sensors=st.sampled_from([2, 3, 4]),
            keep=st.lists(st.booleans(), min_size=40, max_size=40)
            .filter(any))
+    @example(n_sensors=3, keep=[i == 3 for i in range(40)])
     def test_subset_fix_is_bit_identical(self, n_sensors, keep):
         locs, az, el, full = mixed_batch(n_sensors)
         keep = np.array(keep)
