@@ -42,10 +42,9 @@ def main():
     trace = result.cost_trace
     print(f"{args.sensors} sensors, {batch.n_epochs} epochs, "
           f"{'noiseless' if args.noiseless else 'noisy'} measurements")
-    print(f"converged: {result.converged} after {result.iterations} iterations "
-          "(two sweeps, then Gauss-Newton steps)")
-    print(f"cost: {trace[0]:.4e} initial, {trace[1]:.4e} after the sweeps, "
-          f"{trace[-1]:.4e} final\n")
+    print(f"converged: {result.converged} after {result.iterations} Gauss-Newton "
+          "iterations from two sweeps")
+    print(f"cost: {trace[0]:.4e} after the sweeps, {trace[-1]:.4e} final\n")
 
     print(f"{'sensor':>6} {'yaw est/true':>18} {'pitch est/true':>18} "
           f"{'roll est/true':>18} {'error mrad':>11}")

@@ -161,8 +161,7 @@ class StoppingCriteria:
     Gauss-Newton step lowers the cost by less than ``rel_cost_tol`` of
     its value, or once no damped step lowers it (the fixed point, the
     only rule at a tolerance of zero); else it stops unconverged after
-    ``max_iterations`` iterations.  A start is no step: ``absolute_3d``,
-    whose sweeps count as iteration 1, is unconverged at a budget of 1.
+    ``max_iterations`` iterations, each one Gauss-Newton system built.
     The tolerance must be a finite, non-negative real number and the
     budget an integer of at least 1 (neither a bool)."""
 
@@ -186,16 +185,16 @@ class CalibrationResult:
     """Estimated correcting rotations and fit diagnostics.
 
     estimates[s] maps sensor s's local coordinates into the common
-    frame (apply then add the sensor location).  ``cost_trace`` holds
-    the cost per iteration; for ``absolute_3d`` and ``absolute_2d`` its
-    first entry is the cost before the first iteration, and the one-shot
-    relative fits report one iteration and one cost.  Its unit depends
-    on the algorithm family:
+    frame (apply then add the sensor location).  For ``absolute_3d``
+    and ``absolute_2d``, ``cost_trace`` holds the cost at the start and
+    then after each accepted Gauss-Newton step, and ``iterations``
+    counts the Gauss-Newton systems built; the one-shot relative fits
+    report one iteration and one cost.  The cost's unit depends on the
+    algorithm family:
 
     ==================  ==================================================
     alg1                m^2, total pairwise track disagreement
-    alg3, alg4          m^2, the same cost: at identity, after the
-                        sweeps, then after each accepted Gauss-Newton step
+    alg3, alg4          m^2, the same cost, starting after the sweeps
     alg2                squared unit-vector distance
     alg6, alg7          rad^2, sum of squared az/el residuals; the first
                         entry is the cost at the warm start's rotations
@@ -355,9 +354,7 @@ def absolute_3d(batch: MeasurementBatch,
     loop that ``absolute_2d`` uses too (``_levenberg_marquardt``): a
     step is kept only if it lowers ``pairwise_cost``, so the cost trace
     never increases, for any number of sensors, and the solve stops at
-    its fixed point once no damped step lowers the cost.  ``iterations``
-    counts the sweeps as one and each Gauss-Newton system built; only a
-    step, never the sweeps, can end the solve ``converged``.
+    its fixed point once no damped step lowers the cost.
     Two sensors are only determined up to a common rotation about their
     baseline (``gauge_ambiguous``): the steps never move along it, and
     corrected tracks agree, but individual rotations need not match any
@@ -370,10 +367,9 @@ def absolute_3d(batch: MeasurementBatch,
     locations = batch.locations
     xs, ys = _pair_moments(positions, locations)
     rotations = np.stack([np.eye(3)] * batch.n_sensors)
-    trace = [pairwise_cost(rotations, positions, locations)]
     for _ in range(WARM_START_SWEEPS):
         _procrustes_sweep(rotations, xs, ys)
-    trace.append(pairwise_cost(rotations, positions, locations))
+    trace = [pairwise_cost(rotations, positions, locations)]
 
     def linearize(rotations):
         gauge = _gauge_direction(rotations, locations) if gauge_ambiguous else None
@@ -383,7 +379,7 @@ def absolute_3d(batch: MeasurementBatch,
 
     rotations, iterations, converged = _levenberg_marquardt(
         rotations, linearize, lambda rot: pairwise_cost(rot, positions, locations),
-        trace, stopping.rel_cost_tol, stopping.max_iterations, iterations=1)
+        trace, stopping.rel_cost_tol, stopping.max_iterations)
     return CalibrationResult(estimates=list(rotations), cost_trace=trace,
                              iterations=iterations, converged=converged,
                              gauge_ambiguous=gauge_ambiguous)

@@ -64,8 +64,9 @@ class TriangulationFix:
 
 
 class BatchFix(NamedTuple):
-    """Vectorized fixes for n targets (see ``triangulate_batch``); a status
-    is STATUS_NO_CONVERGENCE only where ``MAX_ITERATIONS`` ran out."""
+    """Vectorized fixes for n targets (see ``triangulate_batch``): a status
+    is STATUS_OK at a target's fixed point, STATUS_NO_CONVERGENCE only
+    where ``MAX_ITERATIONS`` ran out before it."""
 
     points: np.ndarray      # (n, 3)
     iterations: np.ndarray  # (n,)
@@ -267,9 +268,10 @@ def triangulate_batch(locations, directions) -> BatchFix:
 
     Each fix starts from ``intersect_rays`` on the same rays, and fits
     their azimuth/elevation.  A target runs while it is
-    STATUS_NO_CONVERGENCE, and is STATUS_OK at its fixed point: once an
-    accepted step lowers its cost by less than ``COST_DECREASE_TOL``, or
-    once no damped step lowers it (lambda past ``LAMBDA_MAX``).
+    STATUS_NO_CONVERGENCE, and is STATUS_OK at its fixed point: once a
+    trial step moves its cost by less than ``COST_DECREASE_TOL``, up or
+    down (a rise that small is rounding), or once no damped step lowers
+    it (lambda past ``LAMBDA_MAX``).
     Per-target failures are reported through ``status`` rather than
     raised, so one bad geometry does not abort the batch: rays with no
     intersection (near-parallel or not finite) are ill-conditioned at
@@ -311,7 +313,7 @@ def triangulate_batch(locations, directions) -> BatchFix:
 
         better = cost_t <= cost[idx]
         acc, rej = idx[better], idx[~better]
-        status[acc[cost[acc] - cost_t[better] < COST_DECREASE_TOL]] = STATUS_OK
+        status[idx[np.abs(cost[idx] - cost_t) < COST_DECREASE_TOL]] = STATUS_OK
         x[acc], cost[acc] = trial[better], cost_t[better]
         res[acc], jac[acc] = res_t[better], jac_t[better]
         lam[acc] = np.maximum(lam[acc] / 10.0, LAMBDA_MIN)

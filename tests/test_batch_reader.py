@@ -19,7 +19,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensorreg import experiments
@@ -77,6 +77,10 @@ DAMAGES = ["extra cell", "missing cell", "float in int column",
            "CR in header", "NUL", "separator char", "duplicate epoch",
            "unnamed column", "repeated column"]
 NOTE = st.text(string.ascii_letters + string.digits + " .-", max_size=8)
+# a range cell as long as the vectorized pass's text fields, which may
+# have cut it short, so the file must go row by row
+LONG_RANGE_CSV = (f"{HEADER}\n0,0,{1000.0:.40e},0.1,0.2\n0,1,2000.0,0.3,0.4\n"
+                  "1,0,,0.5,0.6\n1,1,,0.7,0.8\n")
 
 
 @st.composite
@@ -173,6 +177,7 @@ def batch_files(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(files=batch_files())
+@example(files=(LONG_RANGE_CSV, VALID_SIDECAR, "long range cell"))
 def test_vectorized_pass_matches_row_parser(files):
     text, sidecar, damage = files
     fast = outcome(text, sidecar)

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensorreg import calibration
@@ -584,12 +584,11 @@ def n_pair_start(batch):
     passes from identity, each fitting every sensor in turn by one Wahba
     solve on all n (S - 1) target pairs against its partners' current
     tracks.  At S = 2 each pass is the paper's pair update.  Returns the
-    rotations and the costs before and after."""
+    rotations and the cost there."""
     positions, locations = batch.local_positions(), batch.locations
     n_sensors = batch.n_sensors
     rotations = [np.eye(3)] * n_sensors
 
-    trace = [n_pair_cost(rotations, positions, locations)]
     for _ in range(calibration.WARM_START_SWEEPS):
         for t in range(n_sensors):
             others = [s for s in range(n_sensors) if s != t]
@@ -597,18 +596,17 @@ def n_pair_start(batch):
                        for s in others]
             rotations[t] = solve_wahba(np.concatenate([positions[t]] * len(others)),
                                        np.concatenate(targets))
-    trace.append(n_pair_cost(rotations, positions, locations))
-    return rotations, trace
+    return rotations, n_pair_cost(rotations, positions, locations)
 
 
 class TestMomentSweep:
     # absolute_3d starts with WARM_START_SWEEPS per-sensor passes from
-    # identity before its Gauss-Newton steps; with a budget of one
-    # iteration it stops there, unconverged whatever the tolerance
+    # identity before its Gauss-Newton steps; with the damped loop stubbed
+    # out it returns that start, at the cost its trace begins with
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 6),
-           n=st.integers(5, 120), tol=st.sampled_from([0.0, 1e-6, 1e-3]))
-    def test_matches_n_pair_sweep(self, seed, n_sensors, n, tol):
+           n=st.integers(5, 120))
+    def test_matches_n_pair_sweep(self, seed, n_sensors, n):
         rng = np.random.default_rng(seed)
         points = rng.uniform(-20000.0, 20000.0, size=(n, 3)) + [0.0, 0.0, -5000.0]
         locations = rng.uniform(-20000.0, 20000.0, size=(n_sensors, 3))
@@ -618,13 +616,13 @@ class TestMomentSweep:
             az=m.az + 3e-3 * rng.normal(size=n), el=m.el + 3e-3 * rng.normal(size=n),
             rng=m.rng + 10.0 * rng.normal(size=n)) for m in exact.sensors),
             locations=locations)
-        stopping = StoppingCriteria(rel_cost_tol=tol, max_iterations=1)
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), mock.patch.object(
+                calibration, "_levenberg_marquardt", lambda state, *args: (state, 0, False)):
             warnings.simplefilter("ignore", UserWarning)  # near-collinear draws
-            result = absolute_3d(batch, stopping)
-        rotations, trace = n_pair_start(batch)
-        assert result.iterations == 1 and result.converged is False
-        np.testing.assert_allclose(result.cost_trace, trace, rtol=1e-11, atol=0)
+            result = absolute_3d(batch)
+        rotations, cost = n_pair_start(batch)
+        assert result.iterations == 0 and result.converged is False
+        np.testing.assert_allclose(result.cost_trace, [cost], rtol=1e-11, atol=0)
         for got, want in zip(result.estimates, rotations):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -633,13 +631,13 @@ class TestMomentSweep:
         # with a tolerance of 1 any accepted step converges, but the sweeps
         # are no step: from them one damped Gauss-Newton step still lowers
         # the cost (alg4 5.069e6 -> 2.217e6 m^2, alg3 3.481e5 -> 3.280e5),
-        # where a verdict on the sweeps' own decrease stopped at 1 iteration
+        # where a verdict on the sweeps' own decrease stopped before it
         cfg = ExperimentConfig(algorithm=algorithm, sensor_count=count, seed=0, mc_runs=1,
                                sensor_locations_m=RING_8[:count])
         batch, _ = next(iter(realizations(cfg, 1)))
         result = absolute_3d(batch, StoppingCriteria(rel_cost_tol=1.0))
-        assert result.converged and result.iterations == 2
-        assert len(result.cost_trace) == 3 and result.cost_trace[2] < result.cost_trace[1]
+        assert result.converged and result.iterations == 1
+        assert len(result.cost_trace) == 2 and result.cost_trace[1] < result.cost_trace[0]
 
     def test_damped_steps_reach_a_pair_far_from_the_sweep(self):
         # with 20-40 degree biases the start leaves these two pairs far
@@ -654,8 +652,8 @@ class TestMomentSweep:
         for batch in (batches[22], batches[25]):
             swept = n_pair_absolute_3d(batch, tight)[1][-1]
             result = absolute_3d(batch, tight)
-            assert result.converged and result.iterations <= 8
-            assert result.cost_trace[1] > 20.0 * swept
+            assert result.converged and result.iterations <= 7
+            assert result.cost_trace[0] > 20.0 * swept
             assert result.cost_trace[-1] <= swept * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("n_sensors", [2, 3, 4, 8])
@@ -859,6 +857,33 @@ def test_both_absolute_solvers_stop_at_their_fixed_point_or_budget(algorithm, ki
     budget = result.iterations - 1
     cut = solve(batch, StoppingCriteria(rel_cost_tol=0.0, max_iterations=budget))
     assert not cut.converged and cut.iterations == budget
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2), count=st.integers(3, 5), budget=st.integers(1, 4),
+       tol=st.sampled_from([0.0, 1e-3]))
+@example(seed=0, count=3, budget=1, tol=1e-3)
+@pytest.mark.parametrize("algorithm", sorted(calibration.ALGORITHMS))
+def test_every_selector_counts_gauss_newton_systems(algorithm, seed, count, budget, tol):
+    # every selector counts one way: iterations is the number of
+    # Gauss-Newton systems built, at least one and at most max_iterations,
+    # and the cost trace holds the start's cost and at most one more per
+    # system; the one-shot relative fits build none and report one
+    # iteration and one cost
+    batch = world_frame_batch(algorithm, count, seed)
+    with mock.patch.object(calibration, "_pair_normal_equations",
+                           side_effect=calibration._pair_normal_equations) as pair, \
+            mock.patch.object(calibration, "_normal_equations",
+                              side_effect=calibration._normal_equations) as joint:
+        result = calibration.ALGORITHMS[algorithm].solve(
+            batch, StoppingCriteria(rel_cost_tol=tol, max_iterations=budget))
+        systems = pair.call_count + joint.call_count
+    assert result.iterations <= budget
+    assert len(result.cost_trace) <= result.iterations + 1
+    if calibration.ALGORITHMS[algorithm].relative:
+        assert systems == 0 and result.iterations == 1 and len(result.cost_trace) == 1
+    else:
+        assert 1 <= systems == result.iterations
 
 
 @settings(max_examples=10, deadline=None)

@@ -20,7 +20,7 @@ def is_private(name):
 
 def private_uses(path):
     """Private names ``path`` imports from, or reads off, another module."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = set()
     found = []
     for node in ast.walk(tree):
@@ -43,7 +43,7 @@ def private_uses(path):
 def demo_imports():
     names = set()
     for path in DEMOS:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and node.module \
                     and node.module.split(".")[0] == "sensorreg":
                 names.update(alias.name for alias in node.names)
@@ -77,7 +77,7 @@ def test_all_covers_demo_imports():
 
 
 def test_readme_quick_start_runs(capsys):
-    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
                           flags=re.DOTALL)
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)

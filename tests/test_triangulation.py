@@ -12,6 +12,7 @@ from scipy.spatial.transform import Rotation
 from sensorreg import triangulation
 from sensorreg.errors import (DegenerateInputError, IllConditionedError,
                               NoConvergenceError, RegistrationError)
+from sensorreg.experiments import ExperimentConfig, realizations
 from sensorreg.geometry import (cart_to_spherical, direction_from_angles,
                                 rotation_from_rotvec)
 from sensorreg.triangulation import (
@@ -258,6 +259,26 @@ class TestTriangulateBatch:
         assert fix.iterations[1] == 1
         assert np.isnan(fix.points[1]).all()
         np.testing.assert_allclose(fix.points[[0, 2]], targets[[0, 2]], atol=1e-6)
+
+    @pytest.mark.parametrize("seed", range(1000, 1010))
+    def test_a_rise_by_rounding_ends_the_fix(self, seed):
+        # realization 0 of a 451-epoch alg7 study on six ring sensors, its
+        # rays turned by the true rotations: the slowest targets' last
+        # accepted step lowers the cost by just over COST_DECREASE_TOL, and
+        # every later trial rises by rounding (7e-20 to 7e-18 rad^2).  A
+        # move below the tolerance either way ends the fix, so every
+        # target is OK by iteration 4; with only a decrease ending it, the
+        # slowest target of each took 6 to 16 iterations, lambda x10 each
+        ring = [[14500.0, 1700.0, -300.0], [2500.0, 8600.0, -600.0],
+                [2500.0, -5100.0, -150.0], [-1500.0, 1700.0, -450.0],
+                [10500.0, 8600.0, -750.0], [10500.0, -5100.0, -900.0]]
+        cfg = ExperimentConfig(algorithm="alg7", sensor_count=6, seed=seed, mc_runs=1,
+                               duration_s=900.0, sample_period_s=2.0, sensor_locations_m=ring)
+        batch, truth = next(iter(realizations(cfg, 1)))
+        fix = triangulate_batch(batch.locations,
+                                batch.directions() @ truth.rotations.transpose(0, 2, 1))
+        assert fix.status.shape == (451,) and (fix.status == STATUS_OK).all()
+        assert fix.iterations.max() <= 4
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 4, 3), (2, 4, 1, 3), (2, 4, 2)])
     def test_bearing_shapes_must_match_locations(self, shape):
