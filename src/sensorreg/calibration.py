@@ -445,8 +445,9 @@ def absolute_2d(batch: MeasurementBatch,
     rays gives the starting target positions; epochs whose fix fails
     there are left out.  Azimuths
     of sightings within 10 degrees of a sensor's pole join the solve
-    only once it has converged without them, so the cost trace may rise
-    during that first phase; the two phases share one iteration budget.
+    only once it has converged without them, unless the sensor has no
+    sighting outside that cap, so the cost trace may rise during that
+    first phase; the two phases share one iteration budget.
     It never steps along a pair's common rotation about the baseline,
     which stays where the warm start left it.  It raises
     ``DegenerateInputError`` for a pair at one location, or if too few
@@ -463,11 +464,15 @@ def absolute_2d(batch: MeasurementBatch,
     # from the pole can trap the solver in a false minimum.  Solve
     # without those azimuths first, then with every residual: each
     # phase is a weight per residual and its own stopping tolerance.
+    # A sensor with no sighting outside its pole cap keeps its azimuths,
+    # since elevations alone leave its yaw about its own z axis free.
     ones = np.ones((points.shape[0], 2 * batch.n_sensors))
     phases = [(ones, stopping.rel_cost_tol)]
-    if (np.abs(el) >= NEAR_POLE_EL).any():
+    near = np.abs(el) >= NEAR_POLE_EL
+    near &= ~near.all(axis=1, keepdims=True)
+    if near.any():
         gated_weights = ones.copy()
-        gated_weights[:, 0::2] = (np.abs(el) < NEAR_POLE_EL).T
+        gated_weights[:, 0::2] = ~near.T
         phases.insert(0, (gated_weights, GATED_REL_COST_TOL))
 
     def linearize(state, weights):

@@ -44,46 +44,38 @@ def epoch_count(duration, sample_period) -> int:
     return int(round(ratio)) + 1
 
 
+def _chord(heading, rate, dt):
+    """The (..., 2) horizontal move of ``dt`` s at ``SPEED`` from ``heading``
+    at turn ``rate``: a chord SPEED dt sinc(rate dt / 2) long along heading
+    + rate dt / 2, which for a rate of 0 is the straight segment itself."""
+    half = 0.5 * rate * dt
+    length = SPEED * dt * np.sinc(half / np.pi)
+    return length[..., np.newaxis] * np.stack([np.cos(heading + half), np.sin(heading + half)], -1)
+
+
 def generate_trajectory(duration=900.0, sample_period=10.0) -> np.ndarray:
     """Sample the racetrack uniformly, returning (n, 3) positions in meters.
 
-    Horizontal motion integrates each leg exactly (line segments and
-    circular arcs), so ground speed is ``SPEED`` at every instant;
-    vertical motion is a constant climb.  ``epoch_count`` gives n.
+    Each sample is placed in closed form from its time: its lap, its leg
+    and its time into that leg give a point on a line segment or a
+    circular arc, so ground speed is ``SPEED`` at every instant and a
+    finer sampling passes exactly through the points of a coarser one.
+    Vertical motion is a constant climb.  ``epoch_count`` gives n.
     """
     n = epoch_count(duration, sample_period)
-    out = np.empty((n, 3))
-    out[0, :2] = START[:2]
-
-    x, y = START[0], START[1]
-    heading = 0.0
-    leg_idx = 0
-    leg_left = LEGS[0][0]
-    for k in range(1, n):
-        remaining = sample_period
-        while remaining > 1e-9:
-            dt = min(remaining, leg_left)
-            turn_rate = LEGS[leg_idx][1]
-            if turn_rate:
-                radius = SPEED / turn_rate
-                new_heading = heading + turn_rate * dt
-                x += radius * (math.sin(new_heading) - math.sin(heading))
-                y -= radius * (math.cos(new_heading) - math.cos(heading))
-                heading = new_heading
-            else:
-                x += SPEED * dt * math.cos(heading)
-                y += SPEED * dt * math.sin(heading)
-            remaining -= dt
-            leg_left -= dt
-            if leg_left <= 1e-9:
-                leg_idx = (leg_idx + 1) % len(LEGS)
-                leg_left = LEGS[leg_idx][0]
-        out[k, 0] = x
-        out[k, 1] = y
-
+    durations, rates = np.array(LEGS).T
+    ends = np.cumsum(durations)
+    headings = np.cumsum(rates * durations) - rates * durations
+    chords = _chord(headings, rates, durations)
+    corners = np.cumsum(chords, axis=0) - chords  # each leg's start, from START
+    # a lap turns through whole turns, so laps differ only by its displacement
+    lap_shift = chords.sum(axis=0)
     times = np.arange(n) * sample_period
-    out[:, 2] = START[2] - CLIMB_RATE * times
-    return out
+    lap, into = np.divmod(times, ends[-1])
+    leg = np.searchsorted(ends, into, side="right")
+    xy = (START[:2] + lap[:, np.newaxis] * lap_shift + corners[leg]
+          + _chord(headings[leg], rates[leg], into - (ends - durations)[leg]))
+    return np.column_stack([xy, START[2] - CLIMB_RATE * times])
 
 
 @dataclass(frozen=True)

@@ -1248,6 +1248,28 @@ class TestAbsolute2d:
         assert len(result.cost_trace) <= result.iterations + 1
         assert gated == [True, True]
 
+    @pytest.mark.parametrize("count", [3, 4])
+    @pytest.mark.parametrize("epochs", [8, 20, 60])
+    def test_sensor_that_sees_only_near_its_pole(self, count, epochs):
+        # sensor 0 sees a target circling 10 km overhead on an 800 m
+        # radius, every sighting at 82-89 degrees elevation; weighting out
+        # all of its azimuths would leave nothing to fix its yaw about its
+        # own z axis, and the damped system singular
+        angle = np.linspace(0.0, 2.0 * np.pi, epochs, endpoint=False)
+        trajectory = np.column_stack([800.0 * np.cos(angle), 800.0 * np.sin(angle),
+                                      np.full(epochs, -10000.0)])
+        locations = [(0.0, 0.0, 0.0), (15000.0, 3000.0, -100.0),
+                     (4000.0, -12000.0, -50.0), (-9000.0, 8000.0, -20.0)]
+        biases = sample_biases(count, np.random.default_rng(epochs), low=0.0, high=0.5 * DEG)
+        sensors = [SensorTruth(location=loc, kind="2d", bias=bias,
+                               sigma_az=3e-3, sigma_el=3e-3)
+                   for loc, bias in zip(locations, biases)]
+        batch, _ = build_batch(trajectory, sensors, seed=count)
+        assert (np.abs(batch.sensors[0].el) >= calibration.NEAR_POLE_EL).all()
+        result = absolute_2d(batch)
+        assert result.converged
+        assert all(is_rotation_matrix(est) for est in result.estimates)
+
     def test_stops_at_its_fixed_point(self):
         # the default tolerance must leave the estimate where a much
         # tighter one would, not part-way along a slow approach

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sensorreg import calibration
@@ -26,7 +26,7 @@ from sensorreg.cli import _select_algorithm, main
 from sensorreg.errors import RegistrationError
 from sensorreg import experiments
 from sensorreg.experiments import (BATCH_COLUMNS, ExperimentConfig, read_batch,
-                                   run_experiment, write_batch)
+                                   realizations, run_experiment, write_batch)
 from sensorreg.geometry import EulerAngles, euler_to_rotation
 from sensorreg.scenario import SensorTruth, build_batch, generate_trajectory
 
@@ -44,6 +44,15 @@ NOISELESS_CONFIG = {
     "sigma_el_mrad": 0.0,
     "fixed_biases_deg": [[2.0, -1.0, 1.0], [-1.0, 2.0, -1.0], [1.0, 1.0, 2.0]],
     "sensor_locations_m": RING,
+}
+
+# sensor 0 stands under the middle of the flight's first 3 s, 300 m of track
+# 1000 m up, so every one of its sightings lies within 10 degrees of its pole
+NEAR_POLE_CONFIG = {
+    "algorithm": "alg7", "sensor_count": 4, "seed": 0, "mc_runs": 5,
+    "duration_s": 3, "sample_period_s": 1, "bias_low_deg": 0.0, "bias_high_deg": 0.5,
+    "sensor_locations_m": [[150, 0, 0], [14500, 1700, -300], [2500, 8600, -600],
+                           [2500, -5100, -150]],
 }
 
 
@@ -600,12 +609,62 @@ class TestExperiment:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {path}: {problem}")
 
+    def test_sensor_that_sees_only_near_its_pole(self, tmp_path):
+        # weighting out all of sensor 0's azimuths would leave its yaw
+        # free and the solve singular: calibrate and the study must run
+        path = tmp_path / "near-pole.json"
+        path.write_text(json.dumps(NEAR_POLE_CONFIG))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(sim)]) == 0
+        assert main(["calibrate", "--batch", str(sim / "batch.csv"),
+                     "--sensors-file", str(sim / "sensors.json"),
+                     "--out", str(tmp_path / "result.json")]) == 0
+        assert main(["experiment", "--config", str(path),
+                     "--out-dir", str(tmp_path / "study")]) == 0
+
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"algorithm": "alg4", "sigma": 1.0}))
         rc = main(["experiment", "--config", str(path)])
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+
+@st.composite
+def studies(draw):
+    """A simulated study: any selector with a sensor count it takes, 1 to
+    59 periods of 1 to 10 s, biases up to 0.5 to 170 degrees, drawn
+    sensors in a box of 0.2 to 20 km a side, default or zero noise."""
+    algorithm = draw(st.sampled_from(sorted(calibration.ALGORITHMS)))
+    period = draw(st.sampled_from([1, 2, 5, 10]))
+    noise = {} if draw(st.booleans()) else {
+        "sigma_range_m": 0.0, "sigma_az_mrad": 0.0, "sigma_el_mrad": 0.0}
+    return {"algorithm": algorithm, "seed": draw(st.integers(0, 2**16)), "mc_runs": 1,
+            "sensor_count": (2 if calibration.ALGORITHMS[algorithm].pair
+                             else draw(st.integers(3, 8))),
+            "sample_period_s": period, "duration_s": period * draw(st.integers(1, 59)),
+            "bias_low_deg": 0.0, "bias_high_deg": draw(st.sampled_from([0.5, 4, 40, 170])),
+            "placement_box_km": draw(st.lists(st.sampled_from([0.2, 2, 20]),
+                                              min_size=3, max_size=3)),
+            **noise}
+
+
+@settings(max_examples=100, deadline=None)
+@given(study=studies())
+@example(study=NEAR_POLE_CONFIG)
+def test_no_study_gives_an_opaque_error(study):
+    # solving a simulated batch returns a result or names the problem
+    # with a RegistrationError, never a bare numpy error
+    cfg = ExperimentConfig(**study)
+    try:
+        batch, _ = next(realizations(cfg, 1))
+    except (RegistrationError, ValueError):
+        assume(False)  # simulate refuses it too
+    try:
+        result = calibration.ALGORITHMS[cfg.algorithm].solve(batch, cfg.stopping())
+    except RegistrationError:
+        return
+    assert isinstance(result, CalibrationResult)
 
 
 class TestSweep:

@@ -36,10 +36,20 @@ class TestGenerateTrajectory:
 
     def test_sample_count(self):
         # a finer sampling of the same flight passes through the same
-        # points: legs are integrated exactly, not stepped
+        # points: each sample is placed from its time, not stepped to
         fine = generate_trajectory(900.0, 2.0)
         assert fine.shape == (451, 3)
-        np.testing.assert_allclose(fine[::5], self.traj, rtol=0.0, atol=1e-6)
+        np.testing.assert_array_equal(fine[::5], self.traj)
+
+    @pytest.mark.parametrize("period", [0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 5.0, 7.5, 10.0, 12.5])
+    def test_finer_sampling_nests_exactly(self, period):
+        # every k-th sample of one sampling is, bit for bit, the sample
+        # of the k times coarser one, over 1 to 3 laps of 360 s
+        for k in range(2, 13):
+            for laps in (1, 2, 3):
+                duration = k * period * math.ceil(laps * 360.0 / (k * period))
+                assert np.array_equal(generate_trajectory(duration, period)[::k],
+                                      generate_trajectory(duration, k * period))
 
     def test_constant_climb(self):
         # 10 m/s up in NED: z drops 100 m per 10 s sample
