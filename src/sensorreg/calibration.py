@@ -641,46 +641,57 @@ def _normal_equations(res, jac, jac_rot, weights):
     U (S, 3, 3), the rotation-point blocks W (n, S, 3, 3) and the
     descent right-hand sides for the rotations (S, 3) and the points
     (n, 3).
+
+    The Jacobians' epoch axis is the contiguous one, so every block is
+    a contraction along it: V, W and the point right-hand side come
+    back as views of (3, 3, n), (S, 3, 3, n) and (3, n) memory, the
+    order ``_damped_step`` solves in.
     """
     n, n_rows = res.shape
     n_sensors = n_rows // 2
-    res = res * weights
-    jac = jac * weights[..., np.newaxis]
-    jac_rot = jac_rot * weights[..., np.newaxis]
-    jac_t = jac.transpose(0, 2, 1)
-    v = jac_t @ jac
-    b_pts = -(jac_t @ res[..., np.newaxis])[..., 0]
-    by_sensor = jac_rot.reshape(n, n_sensors, 2, 3).transpose(1, 0, 2, 3) \
-        .reshape(n_sensors, 2 * n, 3)
-    u = by_sensor.transpose(0, 2, 1) @ by_sensor
-    b_rot = -(res.T[:, np.newaxis, :] @ jac_rot.transpose(1, 0, 2)) \
-        .reshape(n_sensors, 2, 3).sum(axis=1)
-    w = jac_rot.reshape(n, n_sensors, 2, 3).transpose(0, 1, 3, 2) \
-        @ jac.reshape(n, n_sensors, 2, 3)
-    return v, u, w, b_rot, b_pts
+    by_row = weights.T
+    res = res.T * by_row                                   # (2S, n)
+    jac = jac.transpose(2, 1, 0) * by_row                  # (3, 2S, n)
+    jac_rot = jac_rot.transpose(2, 1, 0) * by_row
+    v = np.einsum("arn,brn->abn", jac, jac)
+    b_pts = -np.einsum("arn,rn->an", jac, res)
+    by_sensor = jac_rot.reshape(3, n_sensors, 2 * n).transpose(1, 0, 2)  # (S, 3, 2n)
+    u = by_sensor @ by_sensor.transpose(0, 2, 1)
+    b_rot = -np.einsum("sam,sm->sa", by_sensor, res.reshape(n_sensors, 2 * n))
+    w = np.einsum("asjn,bsjn->sabn", jac_rot.reshape(3, n_sensors, 2, n),
+                  jac.reshape(3, n_sensors, 2, n))
+    return v.transpose(2, 0, 1), u, w.transpose(3, 0, 1, 2), b_rot, b_pts.T
 
 
 def _damped_step(v, u, w, b_rot, b_pts, lam, gauge):
     """Solve the Marquardt-damped normal equations via the Schur
     complement over the point blocks; the rotation step is held off the
-    ``gauge`` direction when one is given (``_confined_solve``)."""
+    ``gauge`` direction when one is given (``_confined_solve``).
+
+    Takes ``_normal_equations``' blocks and works in their memory order:
+    V as (3, 3, n), W as (S, 3, 3, n) and the point right-hand side as
+    (3, n), each with the epoch axis contiguous.
+    """
     n, n_sensors = v.shape[0], u.shape[0]
     eye = np.eye(3)
-    damped_v = v + lam * v * eye
-    w_mat = w.transpose(1, 2, 0, 3).reshape(3 * n_sensors, 3 * n)
+    v = v.transpose(1, 2, 0)
+    damped_v = v + lam * v * eye[..., np.newaxis]
+    w_mat = w.transpose(1, 2, 3, 0).reshape(3 * n_sensors, 3 * n)  # rows (s, a), columns (b, i)
     # V_i is symmetric, so solving V_i Z_i = W_i^T gives Z_i^T = W_i V_i^-1;
-    # y holds the W_si V_i^-1 in w_mat's (3S, 3n) layout, so that one GEMM
-    # forms sum_i W_si V_i^-1 W_ti^T
-    y = solve_positive_definite(damped_v, w.transpose(0, 3, 1, 2).reshape(n, 3, -1)) \
-        .transpose(2, 0, 1).reshape(3 * n_sensors, 3 * n)
+    # one solve of [W_i^T, b_i] factors each V_i once, and its solution keeps
+    # the right-hand side's memory order, so y holds the W_si V_i^-1 in
+    # w_mat's layout and one GEMM forms sum_i W_si V_i^-1 W_ti^T
+    rhs = np.concatenate([w_mat.reshape(3 * n_sensors, 3, n), b_pts.T[np.newaxis]])
+    solved = solve_positive_definite(damped_v, rhs.transpose(1, 0, 2)).transpose(1, 0, 2)
+    y = solved[:-1].reshape(3 * n_sensors, 3 * n)
     reduced = -(y @ w_mat.T)
     blocks = reduced.reshape(n_sensors, 3, n_sensors, 3)
     diag = np.arange(n_sensors)
     blocks[diag, :, diag, :] += u + lam * u * eye
-    d_rot = _confined_solve(reduced, b_rot.ravel() - y @ b_pts.ravel(), gauge)
-    back = b_pts - (w_mat.T @ d_rot).reshape(n, 3)
-    d_pts = solve_positive_definite(damped_v, back)
-    return d_rot.reshape(n_sensors, 3), d_pts
+    d_rot = _confined_solve(reduced, b_rot.ravel() - y @ b_pts.T.ravel(), gauge)
+    # V_i^-1 (b_i - W_i^T d) = V_i^-1 b_i - Z_i d
+    d_pts = solved[-1] - (d_rot @ y).reshape(3, n)
+    return d_rot.reshape(n_sensors, 3), d_pts.T
 
 
 def _gauge_direction(rotations, locations):

@@ -98,6 +98,10 @@ def bearing_residuals(points, locations, az, el, rotations=None):
         rho^2 = dx^2 + dy^2, the azimuth row is
         (-dx dz / rho^2, -dy dz / rho^2, 1) and the elevation row
         (dy / rho, -dx / rho, 0).
+
+    With ``rotations``, both Jacobians are views of (3, 2S, n) memory
+    (``jac.transpose(2, 1, 0)`` is C-contiguous): the epoch axis is the
+    contiguous one, and the joint bearing-only solve contracts along it.
     """
     points = np.asarray(points, dtype=float)
     locations = np.asarray(locations, dtype=float)
@@ -170,13 +174,14 @@ def intersect_rays(locations, directions):
     locations = np.asarray(locations, dtype=float)
     directions = np.asarray(directions, dtype=float)
     n_sensors = locations.shape[0]
-    along = np.sum(directions * locations[:, np.newaxis], axis=-1, keepdims=True)  # (S, n, 1)
+    along = np.einsum("snk,sk->sn", directions, locations)[..., np.newaxis]  # (S, n, 1)
     by_epoch = directions.transpose(1, 2, 0)                         # (n, 3, S)
     normal = n_sensors * np.eye(3) - by_epoch @ by_epoch.transpose(0, 2, 1)
     rhs = locations.sum(axis=0) - np.sum(directions * along, axis=0)  # (n, 3)
     solvable = ~_ill_conditioned(normal)
     points = np.full(rhs.shape, np.nan)
-    points[solvable] = solve_positive_definite(normal[solvable], rhs[solvable])
+    points[solvable] = solve_positive_definite(normal[solvable].transpose(1, 2, 0),
+                                               rhs[solvable].T).T
     offsets = points - locations[:, np.newaxis, :]                   # (S, n, 3)
     ahead = (np.sum(directions * offsets, axis=-1) > 0.0).all(axis=0)
     return points, solvable & ahead
@@ -187,13 +192,16 @@ def solve_positive_definite(m, b) -> np.ndarray:
 
     Parameters
     ----------
-    m : (n, 3, 3); only the upper triangle of each matrix is read.
-    b : (n, 3) or (n, 3, k) right-hand sides.
+    m : (3, 3, *stack); only the upper triangle of each matrix is read.
+    b : (3, *stack) or (3, k, *stack) right-hand sides.
 
-    A closed-form LDL^T factorization and substitution, element-wise
-    over the stack: as accurate as Cholesky (the error is of order
-    cond(m) times the machine epsilon), and no solution depends on the
-    rest of the stack.
+    The stack axes come last, so a stack whose epoch axis is the
+    contiguous one (as in ``bearing_residuals``' Jacobians) is solved
+    along contiguous memory, and the solution is laid out in ``b``'s
+    memory order.  A closed-form LDL^T factorization and substitution,
+    element-wise over the stack: as accurate as Cholesky (the error is
+    of order cond(m) times the machine epsilon), and no solution depends
+    on the rest of the stack or on the memory order.
 
     Raises
     ------
@@ -206,26 +214,23 @@ def solve_positive_definite(m, b) -> np.ndarray:
     if bad.any():
         first = int(np.argmax(bad))
         raise DegenerateInputError(f"3x3 matrix {first} of {det.size} is singular "
-                                   f"or not finite (determinant {det[first]})")
-    if b.ndim == 3:
-        l1, l2, l3 = l1[:, np.newaxis], l2[:, np.newaxis], l3[:, np.newaxis]
-        d1, d2, d3 = d1[:, np.newaxis], d2[:, np.newaxis], d3[:, np.newaxis]
-    x = np.empty(b.shape)
-    y1 = b[:, 1] - l1 * b[:, 0]
-    x[:, 2] = (b[:, 2] - l2 * b[:, 0] - l3 * y1) / d3
-    x[:, 1] = y1 / d2 - l3 * x[:, 2]
-    x[:, 0] = b[:, 0] / d1 - l1 * x[:, 1] - l2 * x[:, 2]
+                                   f"or not finite (determinant {det.flat[first]})")
+    x = np.empty_like(b, dtype=float)
+    y1 = b[1] - l1 * b[0]
+    x[2] = (b[2] - l2 * b[0] - l3 * y1) / d3
+    x[1] = y1 / d2 - l3 * x[2]
+    x[0] = b[0] / d1 - l1 * x[1] - l2 * x[2]
     return x
 
 
 def _ldl(m):
-    """Closed-form m = L D L^T of a stack of symmetric 3x3 matrices, from
-    their upper triangles: the below-diagonal entries of L (rows 1, 2, 2
-    of columns 0, 0, 1), the pivots (the diagonal of D) and the
-    determinants, each (n,).  A zero pivot makes the determinant zero
-    or NaN, without a warning."""
-    a, b, c = m[:, 0, 0], m[:, 0, 1], m[:, 0, 2]
-    d, e, f = m[:, 1, 1], m[:, 1, 2], m[:, 2, 2]
+    """Closed-form m = L D L^T of a stack of symmetric 3x3 matrices
+    (3, 3, *stack), from their upper triangles: the below-diagonal
+    entries of L (rows 1, 2, 2 of columns 0, 0, 1), the pivots (the
+    diagonal of D) and the determinants, each of the stack's shape.  A
+    zero pivot makes the determinant zero or NaN, without a warning."""
+    a, b, c = m[0]
+    d, e, f = m[1, 1], m[1, 2], m[2, 2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         l1, l2 = b / a, c / a
         d2 = d - l1 * b
@@ -251,7 +256,7 @@ def _ill_conditioned(jtj) -> np.ndarray:
     finite = np.flatnonzero(~bad)
     m = jtj[finite]
     tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
-    candidate = finite[~(tr ** 3 < CONDITION_LIMIT * _ldl(m)[2])]
+    candidate = finite[~(tr ** 3 < CONDITION_LIMIT * _ldl(m.transpose(1, 2, 0))[2])]
     if candidate.size:
         bad[candidate] = np.linalg.cond(jtj[candidate]) > CONDITION_LIMIT
     return bad
@@ -307,7 +312,7 @@ def triangulate_batch(locations, directions) -> BatchFix:
             idx, jtj, rhs = idx[~bad], jtj[~bad], rhs[~bad]
 
         damped = jtj + lam[idx, np.newaxis, np.newaxis] * (jtj * np.eye(3))
-        trial = x[idx] + solve_positive_definite(damped, rhs)
+        trial = x[idx] + solve_positive_definite(damped.transpose(1, 2, 0), rhs.T).T
         res_t, jac_t = bearing_residuals(trial, locations, az[:, idx], el[:, idx])
         cost_t = np.sum(res_t * res_t, axis=1)
 

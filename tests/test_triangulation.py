@@ -432,7 +432,9 @@ class TestConditionScreen:
 
 
 class TestSolvePositiveDefinite:
-    """The closed-form LDL^T solve against ``np.linalg.solve``."""
+    """The closed-form LDL^T solve against ``np.linalg.solve``.  The solve
+    takes the matrix axes first and the stack last, so each test turns its
+    (n, 3, 3) stack into a (3, 3, n) view."""
 
     @staticmethod
     def spd_stack(seed, specs, rank=3):
@@ -453,9 +455,10 @@ class TestSolvePositiveDefinite:
         rng = np.random.default_rng(seed)
         b = rng.normal(size=(len(specs), 3, max(columns, 1)))
         if columns == 0:
-            x = solve_positive_definite(m, b[..., 0])[..., np.newaxis]
+            x = solve_positive_definite(m.transpose(1, 2, 0), b[..., 0].T).T[..., np.newaxis]
         else:
-            x = solve_positive_definite(m, b)
+            x = solve_positive_definite(m.transpose(1, 2, 0),
+                                        b.transpose(1, 2, 0)).transpose(2, 0, 1)
         expected = np.linalg.solve(m, b)
         error = np.linalg.norm(x - expected, axis=1) \
             / np.linalg.norm(expected, axis=1)
@@ -472,13 +475,38 @@ class TestSolvePositiveDefinite:
                  for _ in keep]
         m = self.spd_stack(seed, specs)
         b = rng.normal(size=(keep.size, 3))
-        x = solve_positive_definite(m, b)
-        np.testing.assert_array_equal(solve_positive_definite(m[keep], b[keep]),
-                                      x[keep])
+        x = solve_positive_definite(m.transpose(1, 2, 0), b.T).T
+        np.testing.assert_array_equal(
+            solve_positive_definite(m[keep].transpose(1, 2, 0), b[keep].T).T, x[keep])
         first = int(np.argmax(keep))
         np.testing.assert_array_equal(
-            solve_positive_definite(m[first:first + 1], b[first:first + 1]),
+            solve_positive_definite(m[first:first + 1].transpose(1, 2, 0),
+                                    b[first:first + 1].T).T,
             x[first:first + 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           columns=st.sampled_from([0, 1, 7]),
+           m_last=st.booleans(), b_last=st.booleans())
+    def test_memory_order_does_not_change_a_bit(self, seed, n, columns,
+                                                m_last, b_last):
+        # the same stack in C-contiguous (n, 3, 3) memory and in epoch-last
+        # (3, 3, n) memory, the layout of bearing_residuals' Jacobians: the
+        # arithmetic is element-wise, so every bit agrees, and the solution
+        # keeps the right-hand side's memory order
+        rng = np.random.default_rng(seed)
+        specs = [(rng.uniform(-8, 8), rng.uniform(0, 12), rng.uniform())
+                 for _ in range(n)]
+        m = self.spd_stack(seed, specs).transpose(1, 2, 0)
+        b = np.moveaxis(rng.normal(size=(n, 3) + (columns,) * (columns > 0)), 0, -1)
+        expected = solve_positive_definite(m, b)
+        if m_last:
+            m = np.ascontiguousarray(m)
+        if b_last:
+            b = np.ascontiguousarray(b)
+        x = solve_positive_definite(m, b)
+        np.testing.assert_array_equal(x, expected)
+        assert (x if b_last else np.moveaxis(x, -1, 0)).flags.c_contiguous
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
@@ -499,7 +527,7 @@ class TestSolvePositiveDefinite:
         else:
             m[bad, entry[0], entry[1]] = m[bad, entry[1], entry[0]] = flaw
         with pytest.raises(DegenerateInputError, match=f"matrix {bad} of {n} "):
-            solve_positive_definite(m, rng.normal(size=(n, 3)))
+            solve_positive_definite(m.transpose(1, 2, 0), rng.normal(size=(3, n)))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-8.0, 8.0),
@@ -508,7 +536,7 @@ class TestSolvePositiveDefinite:
         # singular only up to rounding: an error or a finite (huge) solution
         m = self.spd_stack(seed, [(log_scale, 0.0, 0.5)], rank)
         try:
-            x = solve_positive_definite(m, np.ones((1, 3)))
+            x = solve_positive_definite(m.transpose(1, 2, 0), np.ones((3, 1)))
         except DegenerateInputError:
             return
         assert np.isfinite(x).all()
