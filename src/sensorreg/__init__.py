@@ -4,9 +4,10 @@ Estimates one fixed correcting rotation per sensor from shared target
 observations: two sweeps of optimal-rotation (Wahba) updates, one
 sensor at a time, then Gauss-Newton steps on all rotations, for
 sensors with range measurements, and a joint Gauss-Newton solve over
-rotations and target positions for bearing-only sensors, started from
-each sensor pair's epipolar geometry where the rays fix it.  Includes a
-flight-scenario simulator and a seeded Monte-Carlo experiment harness.
+rotations and target positions for bearing-only sensors, a pair as well
+as a network, started from each sensor pair's epipolar geometry where
+the rays fix it.  Includes a flight-scenario simulator and a seeded
+Monte-Carlo experiment harness.
 """
 
 # the names the README, the demos and the command line import

@@ -33,19 +33,15 @@ COLLINEAR_WARN_RATIO = 0.01
 # per-sensor alignment sweeps that bring both absolute solvers into the
 # basin of the right minimum before their Gauss-Newton steps start
 WARM_START_SWEEPS = 2
-# sightings this close to a sensor's pole (|el| above it) keep their
-# azimuth out of the first phase of the joint solve; warm-start rotation
-# errors stay well below the 10 degrees this leaves
-NEAR_POLE_EL = np.radians(80.0)
-# that first phase only has to reach the right basin, so it stops on
-# this tolerance whatever the caller asks of the final solve
-GATED_REL_COST_TOL = 1e-3
 # the epipolar start of absolute_2d fits each sensor pair by the
 # eight-point method, so it needs eight epochs; it picks among each pair's
-# four factorizations, and is checked against identity, on at most
+# four factorizations, and scores its rays' misfit, on at most
 # EPIPOLAR_SAMPLE evenly spaced epochs
 EPIPOLAR_MIN_EPOCHS = 8
 EPIPOLAR_SAMPLE = 32
+# the start is kept only where its rays miss their intersections by a mean
+# 1 - cos^2 below this (sin^2 of about 71 mrad) and below identity's
+EPIPOLAR_MAX_MISFIT = 5e-3
 
 
 @dataclass(frozen=True)
@@ -187,9 +183,9 @@ class CalibrationResult:
     estimates[s] maps sensor s's local coordinates into the common
     frame (apply then add the sensor location).  For ``absolute_3d``
     and ``absolute_2d``, ``cost_trace`` holds the cost at the start and
-    then after each accepted Gauss-Newton step, and ``iterations``
-    counts the Gauss-Newton systems built; the one-shot relative fits
-    report one iteration and one cost.  The cost's unit depends on the
+    then after each accepted Gauss-Newton step, so it never increases,
+    and ``iterations`` counts the Gauss-Newton systems built; the
+    one-shot relative fits report one iteration and one cost.  The cost's unit depends on the
     algorithm family:
 
     ==================  ==================================================
@@ -203,7 +199,10 @@ class CalibrationResult:
     ==================  ==================================================
 
     ``gauge_ambiguous`` flags two-sensor absolute solutions, where any
-    common rotation about the baseline fits equally well.
+    common rotation about the baseline fits equally well; the solvers
+    keep it where their start put it (for a bearing-only pair's epipolar
+    start, the smallest rotation that lays sensor 0's baseline on the
+    common one), so only A_1^T A_0 is determined.
     ``dropped_indices`` counts the epochs left out of ``absolute_2d``'s
     joint solve because that triangulation, of the rays turned by the
     warm start's rotations, failed for them: their rays are
@@ -260,22 +259,21 @@ def _procrustes_sweep(rotations, xs, ys):
         rotations[t] = solve_wahba(xs[t, others].reshape(-1, 3), ys[t, others].reshape(-1, 3))
 
 
-def _levenberg_marquardt(state, linearize, objective, trace, tol, max_iterations,
-                         iterations=0, cost=None):
+def _levenberg_marquardt(state, linearize, objective, trace, tol, max_iterations):
     """The damped loop of both absolute solvers (Levenberg-Marquardt as in
-    Madsen, Nielsen and Tingleff 2004, section 3.2).  ``linearize(state)``
-    builds one Gauss-Newton system (an iteration) and returns the map from
-    the damping lambda to a trial state, kept only if it lowers
-    ``objective``; then ``cost(state)`` goes on ``trace`` (without a
-    ``cost``, the objective, which then starts at ``trace[-1]``).  Every
-    call starts unconverged, never on a start's verdict: it converges on
-    an accepted step that lowers the objective by less than ``tol`` of
-    its value, or once no lambda up to its maximum lowers it (a fixed
-    point).  Stops there or after ``max_iterations``, ``iterations`` of
-    them already spent.  Returns the state, iterations and converged."""
-    value = trace[-1] if cost is None else objective(state)
+    Madsen, Nielsen and Tingleff 2004, section 3.2).  ``trace`` holds the
+    ``objective`` at the start ``state``.  ``linearize(state)`` builds one
+    Gauss-Newton system (an iteration) and returns the map from the
+    damping lambda to a trial state, kept only if it lowers the
+    objective, whose value then goes on ``trace``.  It starts
+    unconverged, never on a start's verdict: it converges on an accepted
+    step that lowers the objective by less than ``tol`` of its value, or
+    once no lambda up to its maximum lowers it (a fixed point).  Stops
+    there or after ``max_iterations``.  Returns the state, iterations and
+    converged."""
+    value = trace[-1]
     lam = LAMBDA_INIT
-    converged = False
+    iterations, converged = 0, False
     while not converged and iterations < max_iterations:
         iterations += 1
         trial_at = linearize(state)
@@ -285,7 +283,7 @@ def _levenberg_marquardt(state, linearize, objective, trace, tol, max_iterations
             if trial_value < value:
                 converged = value - trial_value < tol * value
                 state, value = trial, trial_value
-                trace.append(value if cost is None else cost(state))
+                trace.append(value)
                 lam = max(lam / 10.0, LAMBDA_MIN)
                 break
             lam *= 10.0
@@ -429,27 +427,21 @@ def absolute_2d(batch: MeasurementBatch,
 
     Minimizes the wrapped az/el residuals of every sensor's bearings
     against A_s^T (x_i - l_s) over all rotations A_s and target
-    positions x_i at once, by the Levenberg-Marquardt loop of
+    positions x_i at once, by one run of the Levenberg-Marquardt loop of
     ``absolute_3d``, with a Schur complement over the 3x3 point blocks
-    (bundle adjustment), once per phase (below).  From
+    (bundle adjustment), so the cost trace never increases.  From
     identity rotations that solver can settle in a local minimum, so it
-    starts from ``_warm_start``: with three or more sensors and at least
-    ``EPIPOLAR_MIN_EPOCHS`` epochs, the closed-form epipolar start
-    (``_epipolar_start``), one Wahba solve per sensor on its baselines,
-    which no bias size or world rotation moves; where the rays cannot
-    fix that start (short tracks), and for a pair, two intersect-and-align
-    sweeps from identity: intersect every epoch's bias-compensated rays
-    in closed form (``intersect_rays``), then align each sensor in turn
-    to all of its partners' tracks at once (``_procrustes_sweep``).  One
-    Gauss-Newton triangulation (``triangulate_batch``) of the compensated
-    rays gives the starting target positions; epochs whose fix fails
-    there are left out.  Azimuths
-    of sightings within 10 degrees of a sensor's pole join the solve
-    only once it has converged without them, unless the sensor has no
-    sighting outside that cap, so the cost trace may rise during that
-    first phase; the two phases share one iteration budget.
-    It never steps along a pair's common rotation about the baseline,
-    which stays where the warm start left it.  It raises
+    starts from ``_warm_start``: with at least ``EPIPOLAR_MIN_EPOCHS``
+    epochs, the closed-form epipolar start (``_epipolar_start``), which
+    no bias size or world rotation moves; where the rays cannot fix that
+    start (short tracks), two intersect-and-align sweeps from identity:
+    intersect every epoch's bias-compensated rays in closed form
+    (``intersect_rays``), then align each sensor in turn to all of its
+    partners' tracks at once (``_procrustes_sweep``).  One Gauss-Newton
+    triangulation (``triangulate_batch``) of the compensated rays gives
+    the starting target positions; epochs whose fix fails there are left
+    out.  It never steps along a pair's common rotation about the
+    baseline, which stays where the warm start left it.  It raises
     ``DegenerateInputError`` for a pair at one location, or if too few
     epochs are usable to determine the solve: six for a pair, four for
     three sensors, else three.
@@ -459,25 +451,10 @@ def absolute_2d(batch: MeasurementBatch,
     rotations, points, ok = _warm_start(batch)
     az = np.stack([m.az[ok] for m in batch.sensors])
     el = np.stack([m.el[ok] for m in batch.sensors])
-    # Near the pole of a sensor's frame the azimuth swings fast with the
-    # line of sight, so a rotation error larger than a sighting's angle
-    # from the pole can trap the solver in a false minimum.  Solve
-    # without those azimuths first, then with every residual: each
-    # phase is a weight per residual and its own stopping tolerance.
-    # A sensor with no sighting outside its pole cap keeps its azimuths,
-    # since elevations alone leave its yaw about its own z axis free.
-    ones = np.ones((points.shape[0], 2 * batch.n_sensors))
-    phases = [(ones, stopping.rel_cost_tol)]
-    near = np.abs(el) >= NEAR_POLE_EL
-    near &= ~near.all(axis=1, keepdims=True)
-    if near.any():
-        gated_weights = ones.copy()
-        gated_weights[:, 0::2] = ~near.T
-        phases.insert(0, (gated_weights, GATED_REL_COST_TOL))
 
-    def linearize(state, weights):
+    def linearize(state):
         rotations, points, res, jac, jac_rot = state
-        normal = _normal_equations(res, jac, jac_rot, weights)
+        normal = _normal_equations(res, jac, jac_rot)
         gauge = _gauge_direction(rotations, locations) if gauge_ambiguous else None
 
         def trial(lam):
@@ -490,12 +467,9 @@ def absolute_2d(batch: MeasurementBatch,
         return float(np.sum(state[2] * state[2]))
 
     state = (rotations, points) + bearing_residuals(points, locations, az, el, rotations)
-    trace, iterations = [cost(state)], 0
-    for weights, tol in phases:
-        state, iterations, converged = _levenberg_marquardt(
-            state, lambda st: linearize(st, weights),
-            lambda st: float(np.sum((st[2] * weights) ** 2)),
-            trace, tol, stopping.max_iterations, iterations, cost=cost)
+    trace = [cost(state)]
+    state, iterations, converged = _levenberg_marquardt(
+        state, linearize, cost, trace, stopping.rel_cost_tol, stopping.max_iterations)
     return CalibrationResult(estimates=list(state[0]), cost_trace=trace,
                              iterations=iterations, converged=converged,
                              gauge_ambiguous=gauge_ambiguous,
@@ -506,8 +480,8 @@ def _warm_start(batch):
     """The start of ``absolute_2d``: rotations, then one triangulation.
 
     The rotations come from the closed-form epipolar start
-    (``_epipolar_start``) where the rays fix it.  Otherwise, and always
-    for a pair, ``WARM_START_SWEEPS`` intersect-and-align sweeps start
+    (``_epipolar_start``), for a pair too, where the rays fix it.
+    Otherwise ``WARM_START_SWEEPS`` intersect-and-align sweeps start
     from identity: each intersects every epoch's bias-compensated rays in
     closed form (``intersect_rays``) and aligns the tracks, the
     sensor-frame positions those ranges give along the raw rays (the
@@ -537,10 +511,11 @@ def _warm_start(batch):
 def _epipolar_start(raw_dirs, locations):
     """Every sensor's rotation in closed form, from the epipolar geometry
     of its rays (S, n, 3) with its known baselines, whatever the biases
-    and the world frame; None for a pair, fewer than
-    ``EPIPOLAR_MIN_EPOCHS`` epochs, collinear sensors, or where the
-    sample's rays meet no better than at identity (``_ray_misfits``), as
-    on short tracks, whose eight-point fits are degenerate.
+    and the world frame; None for fewer than ``EPIPOLAR_MIN_EPOCHS``
+    epochs, three or more collinear sensors, or where the sample's rays
+    turned by it meet no better than at identity or not within
+    ``EPIPOLAR_MAX_MISFIT`` (``_ray_misfits``), as on short tracks, whose
+    eight-point fits are degenerate.
 
     Sensors s and t see target i in one plane with their baseline, so
     d_s^T E d_t = 0 for their raw rays, with E = [c]x R, the unit
@@ -551,10 +526,13 @@ def _epipolar_start(raw_dirs, locations):
     into, the one that puts both ray depths ahead on most sample epochs
     is taken (cheirality; Hartley and Zisserman 2004, section 9.6); it
     gives t's baseline -R^T c too.  One ``solve_wahba`` per sensor then
-    maps its S - 1 local baselines onto the common-frame ones.
+    maps its S - 1 local baselines onto the common-frame ones.  A pair
+    has one baseline: A_0 is the smallest rotation that maps sensor 0's
+    local baseline onto the common one b / |b|, and A_1 = A_0 R, which
+    leaves the pair's gauge about b where that rotation puts it.
     """
     n_sensors, n_epochs = raw_dirs.shape[:2]
-    if n_sensors < 3 or n_epochs < EPIPOLAR_MIN_EPOCHS:
+    if n_epochs < EPIPOLAR_MIN_EPOCHS:
         return None
     sample = raw_dirs[:, np.linspace(0, n_epochs - 1,
                                      min(n_epochs, EPIPOLAR_SAMPLE)).astype(int)]
@@ -586,13 +564,22 @@ def _epipolar_start(raw_dirs, locations):
     seen = seen[others].reshape(n_sensors, -1, 3)
     common = (locations[np.newaxis] - locations[:, np.newaxis])[others].reshape(n_sensors, -1, 3)
     common /= np.maximum(np.linalg.norm(common, axis=-1, keepdims=True), MIN_SENSOR_SEPARATION)
-    try:
-        rotations = np.stack([solve_wahba(seen[s], common[s]) for s in range(n_sensors)])
-    except DegenerateInputError:  # collinear sensors: no two baselines cross
-        return None
+    if n_sensors == 2:
+        # sine is 0 only for (anti)parallel baselines: then no turn, which
+        # the misfit check refuses where it is wrong
+        axis = np.cross(seen[0, 0], common[0, 0])
+        sine = np.linalg.norm(axis)
+        angle = np.arctan2(sine, seen[0, 0] @ common[0, 0])
+        base = rotation_from_rotvec(axis * (angle / max(sine, np.finfo(float).tiny)))
+        rotations = np.stack([base, base @ relative[0, best[0] // 2]])
+    else:
+        try:
+            rotations = np.stack([solve_wahba(seen[s], common[s]) for s in range(n_sensors)])
+        except DegenerateInputError:  # collinear sensors: no two baselines cross
+            return None
     identity = np.broadcast_to(np.eye(3), rotations.shape)
     closed, start = _ray_misfits(np.stack([rotations, identity]), sample, locations)
-    return rotations if closed < start else None
+    return rotations if closed < min(start, EPIPOLAR_MAX_MISFIT) else None
 
 
 def _ray_misfits(candidates, sample, locations):
@@ -627,20 +614,18 @@ def _check_usable(ok, n_sensors):
                                    f"{needed} usable epochs, got {count}")
 
 
-def _normal_equations(res, jac, jac_rot, weights):
+def _normal_equations(res, jac, jac_rot):
     """Gauss-Newton blocks of the joint bearing-only problem.
 
     Takes the residuals (n, 2S) and their point and rotation Jacobians
-    (n, 2S, 3) from ``bearing_residuals``, and the (n, 2S) weight of
-    each residual.  The rotation rows are the closed-form ones of
-    ``bearing_residuals``, in each sensor's own frame: with
-    d = A_s^T (x_i - l_s) and rho^2 = dx^2 + dy^2, azimuth
+    (n, 2S, 3) from ``bearing_residuals``.  The rotation rows are the
+    closed-form ones of ``bearing_residuals``, in each sensor's own
+    frame: with d = A_s^T (x_i - l_s) and rho^2 = dx^2 + dy^2, azimuth
     (-dx dz / rho^2, -dy dz / rho^2, 1) and elevation
-    (dy / rho, -dx / rho, 0).  Every row is weighted like its residual.
-    Returns the point blocks V (n, 3, 3), the rotation blocks
-    U (S, 3, 3), the rotation-point blocks W (n, S, 3, 3) and the
-    descent right-hand sides for the rotations (S, 3) and the points
-    (n, 3).
+    (dy / rho, -dx / rho, 0).  Returns the point blocks V (n, 3, 3),
+    the rotation blocks U (S, 3, 3), the rotation-point blocks
+    W (n, S, 3, 3) and the descent right-hand sides for the rotations
+    (S, 3) and the points (n, 3).
 
     The Jacobians' epoch axis is the contiguous one, so every block is
     a contraction along it: V, W and the point right-hand side come
@@ -649,10 +634,9 @@ def _normal_equations(res, jac, jac_rot, weights):
     """
     n, n_rows = res.shape
     n_sensors = n_rows // 2
-    by_row = weights.T
-    res = res.T * by_row                                   # (2S, n)
-    jac = jac.transpose(2, 1, 0) * by_row                  # (3, 2S, n)
-    jac_rot = jac_rot.transpose(2, 1, 0) * by_row
+    res = res.T                                            # (2S, n)
+    jac = jac.transpose(2, 1, 0)                           # (3, 2S, n)
+    jac_rot = jac_rot.transpose(2, 1, 0)
     v = np.einsum("arn,brn->abn", jac, jac)
     b_pts = -np.einsum("arn,rn->an", jac, res)
     by_sensor = jac_rot.reshape(3, n_sensors, 2 * n).transpose(1, 0, 2)  # (S, 3, 2n)

@@ -610,8 +610,9 @@ class TestExperiment:
         assert line.startswith(f"error: {path}: {problem}")
 
     def test_sensor_that_sees_only_near_its_pole(self, tmp_path):
-        # weighting out all of sensor 0's azimuths would leave its yaw
-        # free and the solve singular: calibrate and the study must run
+        # only sensor 0's azimuths fix its yaw about its own z axis, near
+        # its pole as they all are: calibrate and the study must run (a
+        # solve that left them out raised on a singular system)
         path = tmp_path / "near-pole.json"
         path.write_text(json.dumps(NEAR_POLE_CONFIG))
         sim = tmp_path / "sim"
