@@ -137,18 +137,25 @@ class MeasurementBatch:
         """Each sensor's kind: "3d" with ranges, else "2d" (bearing-only)."""
         return ["3d" if m.is_3d else "2d" for m in self.sensors]
 
-    def directions(self) -> np.ndarray:
-        """Every sensor's unit lines of sight in its own frame, (S, n, 3)."""
-        return direction_from_angles(np.stack([m.az for m in self.sensors]),
-                                     np.stack([m.el for m in self.sensors]))
+    def directions(self, sensors=None) -> np.ndarray:
+        """The unit lines of sight of the listed ``sensors`` (indices; every
+        sensor by default), each in its own frame: (len(sensors), n, 3)."""
+        chosen = self._chosen(sensors)
+        return direction_from_angles(np.stack([m.az for m in chosen]),
+                                     np.stack([m.el for m in chosen]))
 
-    def local_positions(self) -> np.ndarray:
-        """Every sensor's Cartesian positions in its own frame, (S, n, 3):
-        its ranges along ``directions()``; raises ``MissingRangeError`` if
-        any sensor is bearing-only."""
-        if "2d" in self.kinds:
+    def local_positions(self, sensors=None) -> np.ndarray:
+        """The Cartesian positions of the listed ``sensors`` (every sensor
+        by default), each in its own frame: their ranges along
+        ``directions()``; raises ``MissingRangeError`` if any of them is
+        bearing-only."""
+        chosen = self._chosen(sensors)
+        if not all(m.is_3d for m in chosen):
             raise MissingRangeError("bearing-only sensor has no Cartesian positions")
-        return np.stack([m.rng for m in self.sensors])[..., np.newaxis] * self.directions()
+        return np.stack([m.rng for m in chosen])[..., np.newaxis] * self.directions(sensors)
+
+    def _chosen(self, sensors):
+        return self.sensors if sensors is None else [self.sensors[s] for s in sensors]
 
 
 @dataclass(frozen=True)
@@ -312,10 +319,10 @@ def relative_3d(batch: MeasurementBatch) -> CalibrationResult:
 def relative_hetero(batch: MeasurementBatch) -> CalibrationResult:
     """Rotation of bearing-only sensor 0 relative to 3D sensor 1 (alg2).
 
-    Matches sensor 0's unit line-of-sight directions against directions
-    to sensor 1's positions seen from sensor 0's location, both from the
-    batch's ``directions()``; ``estimates`` is [R, I] and the one cost
-    their squared distance after rotation.
+    Matches sensor 0's unit line-of-sight directions (the batch's
+    ``directions()``) against directions to sensor 1's positions (its
+    ``local_positions()``) seen from sensor 0's location; ``estimates`` is
+    [R, I] and the one cost their squared distance after rotation.
 
     Raises
     ------
@@ -326,16 +333,15 @@ def relative_hetero(batch: MeasurementBatch) -> CalibrationResult:
         raise ValueError(f"exactly 2 sensors required, got {batch.n_sensors}")
     if batch.kinds[1] != "3d":
         raise MissingRangeError("reference sensor must supply ranges")
-    rays = batch.directions()
-    shifted = batch.sensors[1].rng[:, np.newaxis] * rays[1] \
-        + (batch.locations[1] - batch.locations[0])
+    rays = batch.directions([0])[0]
+    shifted = batch.local_positions([1])[0] + (batch.locations[1] - batch.locations[0])
     norms = np.linalg.norm(shifted, axis=1)
     if np.any(norms < 1e-12):
         raise ZeroVectorError("a target coincides with sensor 0's location")
     unit = shifted / norms[:, np.newaxis]
-    rotation = solve_wahba(rays[0], unit)
+    rotation = solve_wahba(rays, unit)
     return CalibrationResult(estimates=[rotation, np.eye(3)],
-                             cost_trace=[wahba_cost(rotation, rays[0], unit)],
+                             cost_trace=[wahba_cost(rotation, rays, unit)],
                              iterations=1, converged=True)
 
 
@@ -536,10 +542,19 @@ def _epipolar_start(raw_dirs, locations):
         return None
     sample = raw_dirs[:, np.linspace(0, n_epochs - 1,
                                      min(n_epochs, EPIPOLAR_SAMPLE)).astype(int)]
-    first, second = np.triu_indices(n_sensors, 1)
-    rows = (raw_dirs[first, :, :, np.newaxis] * raw_dirs[second, :, np.newaxis]) \
-        .reshape(len(first), -1, 9)
-    _, vectors = np.linalg.eigh(rows.transpose(0, 2, 1) @ rows)
+    # the pairs s < t in np.triu_indices' order, without its call overhead
+    first, second = np.nonzero(np.arange(n_sensors)[:, np.newaxis] < np.arange(n_sensors))
+    # the Gram entry of rows (a, b) and (c, d) is sum_i P_s[a, c] P_t[b, d]
+    # for the moments P = d d^T of each epoch's rays, so every pair's Gram
+    # comes from the 6x6 products of two sensors' distinct moment entries
+    # (S^2 small products: one (6S x n)(n x 6S) product runs on OpenBLAS
+    # worker threads, which spin on after it)
+    moments = (raw_dirs[..., [0, 0, 0, 1, 1, 2]] * raw_dirs[..., [0, 1, 2, 1, 2, 2]]) \
+        .transpose(0, 2, 1)
+    entry = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # the moment entry that holds P[a, c]
+    blocks = (moments[:, np.newaxis] @ moments.transpose(0, 2, 1))[first, second]  # (P, 6, 6)
+    gram = blocks[:, entry[:, np.newaxis, :, np.newaxis], entry[np.newaxis, :, np.newaxis, :]]
+    _, vectors = np.linalg.eigh(gram.reshape(len(first), 9, 9))
     u, _, vt = np.linalg.svd(vectors[:, :, 0].reshape(-1, 3, 3))
     u *= np.linalg.det(u)[:, np.newaxis, np.newaxis]  # E's sign is free
     vt *= np.linalg.det(vt)[:, np.newaxis, np.newaxis]

@@ -37,8 +37,19 @@ class EulerAngles(NamedTuple):
 
 
 def wrap_angle(angle):
-    """Wrap an angle (or array of angles) to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(angle, dtype=float), 2.0 * np.pi)
+    """Wrap an angle (or array of angles) to (-pi, pi].
+
+    The value is pi - mod(pi - angle, 2 pi) to the bit; the mod is the
+    identity on [0, 2 pi), so only the entries outside it (and NaN) pay
+    for one.
+    """
+    turned = np.pi - np.asarray(angle, dtype=float)
+    if turned.size and not (np.minimum.reduce(turned, axis=None) >= 0.0
+                            and np.maximum.reduce(turned, axis=None) < 2.0 * np.pi):
+        turned = np.array(turned)  # writable, for a scalar too
+        np.mod(turned, 2.0 * np.pi, out=turned,
+               where=~((turned >= 0.0) & (turned < 2.0 * np.pi)))
+    return np.pi - turned
 
 
 def cart_to_spherical(p) -> Spherical:

@@ -99,9 +99,10 @@ def bearing_residuals(points, locations, az, el, rotations=None):
         (-dx dz / rho^2, -dy dz / rho^2, 1) and the elevation row
         (dy / rho, -dx / rho, 0).
 
-    With ``rotations``, both Jacobians are views of (3, 2S, n) memory
+    Every Jacobian is a view of (3, 2S, n) memory
     (``jac.transpose(2, 1, 0)`` is C-contiguous): the epoch axis is the
-    contiguous one, and the joint bearing-only solve contracts along it.
+    contiguous one, and both the batch fix and the joint bearing-only
+    solve contract along it.  ``res`` is C-contiguous (n, 2S).
     """
     points = np.asarray(points, dtype=float)
     locations = np.asarray(locations, dtype=float)
@@ -126,14 +127,10 @@ def bearing_residuals(points, locations, az, el, rotations=None):
     ax, ay = dy / rho2, -dx / rho2
     ex, ey, ez = dx * dz / (r2 * rho), dy * dz / (r2 * rho), -rho / r2
     if rotations is None:
-        jac = np.empty((n, 2 * s, 3))
-        jac[:, 0::2, 0] = ax.T
-        jac[:, 0::2, 1] = ay.T
-        jac[:, 0::2, 2] = 0.0
-        jac[:, 1::2, 0] = ex.T
-        jac[:, 1::2, 1] = ey.T
-        jac[:, 1::2, 2] = ez.T
-        return res, jac
+        rows = np.empty((3, 2 * s, n))  # rows[c, 2s + j]: component c of row j of sensor s
+        rows[0, 0::2], rows[1, 0::2], rows[2, 0::2] = ax, ay, 0.0
+        rows[0, 1::2], rows[1, 1::2], rows[2, 1::2] = ex, ey, ez
+        return res, rows.transpose(2, 1, 0)
 
     # rows[0, c, s, j, i]: point row j of sensor s and epoch i, component c;
     # rows[1]: its rotation row
@@ -170,21 +167,45 @@ def intersect_rays(locations, directions):
     ok : (n,) True where the normal matrix passes the condition screen
         and the point lies ahead of every sensor (d_s . (x - l_s) > 0).
         Near-parallel and non-finite rays come back not ok.
+
+    The rays and their offsets d_s . l_s are copied once into (4, S, n)
+    memory, so the normal matrices are a (3, 3, n) stack, summed over
+    sensors in a fixed order (``_outer_sums``), and the points come back
+    as a view of (3, n) memory: the epoch axis is the contiguous one.
     """
     locations = np.asarray(locations, dtype=float)
     directions = np.asarray(directions, dtype=float)
     n_sensors = locations.shape[0]
-    along = np.einsum("snk,sk->sn", directions, locations)[..., np.newaxis]  # (S, n, 1)
-    by_epoch = directions.transpose(1, 2, 0)                         # (n, 3, S)
-    normal = n_sensors * np.eye(3) - by_epoch @ by_epoch.transpose(0, 2, 1)
-    rhs = locations.sum(axis=0) - np.sum(directions * along, axis=0)  # (n, 3)
+    rays = np.empty((4,) + directions.shape[:2])  # (4, S, n): d_s, then d_s . l_s
+    rays[:3] = directions.transpose(2, 0, 1)
+    tails = locations.T[..., np.newaxis]          # (3, S, 1)
+    rays[3] = rays[0] * tails[0] + rays[1] * tails[1] + rays[2] * tails[2]
+    outer, weighted = _outer_sums(rays)
+    normal = (n_sensors * np.eye(3))[..., np.newaxis] - outer
+    rhs = locations.sum(axis=0)[:, np.newaxis] - weighted
     solvable = ~_ill_conditioned(normal)
     points = np.full(rhs.shape, np.nan)
-    points[solvable] = solve_positive_definite(normal[solvable].transpose(1, 2, 0),
-                                               rhs[solvable].T).T
-    offsets = points - locations[:, np.newaxis, :]                   # (S, n, 3)
-    ahead = (np.sum(directions * offsets, axis=-1) > 0.0).all(axis=0)
-    return points, solvable & ahead
+    points[:, solvable] = solve_positive_definite(np.compress(solvable, normal, axis=-1),
+                                                  np.compress(solvable, rhs, axis=-1))
+    offsets = points[:, np.newaxis] - tails       # (3, S, n)
+    ahead = rays[0] * offsets[0] + rays[1] * offsets[1] + rays[2] * offsets[2] > 0.0
+    return points.T, solvable & ahead.all(axis=0)
+
+
+def _outer_sums(rows):
+    """sum_r u_r u_r^T, a (3, 3, n) stack, and sum_r w_r u_r, (3, n), over
+    the rows (u_r, w_r) = rows[:, r] of a (4, R, n) stack: the normal
+    matrices and right-hand sides of ray intersections and Gauss-Newton
+    fixes.  The rows are added one after another, each as a (4, 3, n)
+    block.  numpy's own reductions and stacked products pick their
+    summation order by the memory layout, which changes with the number
+    of epochs (at one epoch, say); this order does not, so no epoch's
+    sums depend on the others, to the bit."""
+    total = rows[:, np.newaxis, 0] * rows[:3, 0]
+    term = np.empty_like(total)
+    for r in range(1, rows.shape[1]):
+        total += np.multiply(rows[:, np.newaxis, r], rows[:3, r], out=term)
+    return total[:3], total[3]
 
 
 def solve_positive_definite(m, b) -> np.ndarray:
@@ -242,9 +263,10 @@ def _ldl(m):
 
 
 def _ill_conditioned(jtj) -> np.ndarray:
-    """``np.linalg.cond(jtj) > CONDITION_LIMIT`` for a stack of symmetric
-    positive semi-definite 3x3 matrices; a matrix with a non-finite entry
-    counts as ill-conditioned.
+    """``np.linalg.cond > CONDITION_LIMIT`` for a (3, 3, n) stack of
+    symmetric positive semi-definite 3x3 matrices, matrix axes first as
+    ``solve_positive_definite`` takes them; a matrix with a non-finite
+    entry counts as ill-conditioned.  Returns (n,).
 
     lambda_max <= trace and lambda_min >= det / trace^2, so cond <= trace^3 / det.
     Only the finite matrices that bound does not clear (det <= 0 and the
@@ -252,13 +274,13 @@ def _ill_conditioned(jtj) -> np.ndarray:
     The determinant is the product of the LDL^T pivots; a zero leading
     pivot makes it NaN, which the bound does not clear either.
     """
-    bad = ~np.isfinite(jtj).all(axis=(1, 2))
+    bad = ~np.isfinite(jtj).all(axis=(0, 1))
     finite = np.flatnonzero(~bad)
-    m = jtj[finite]
-    tr = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
-    candidate = finite[~(tr ** 3 < CONDITION_LIMIT * _ldl(m.transpose(1, 2, 0))[2])]
+    m = jtj if finite.size == bad.size else np.take(jtj, finite, axis=-1)
+    tr = m[0, 0] + m[1, 1] + m[2, 2]
+    candidate = finite[~(tr ** 3 < CONDITION_LIMIT * _ldl(m)[2])]
     if candidate.size:
-        bad[candidate] = np.linalg.cond(jtj[candidate]) > CONDITION_LIMIT
+        bad[candidate] = np.linalg.cond(jtj[..., candidate].transpose(2, 0, 1)) > CONDITION_LIMIT
     return bad
 
 
@@ -281,6 +303,11 @@ def triangulate_batch(locations, directions) -> BatchFix:
     raised, so one bad geometry does not abort the batch: rays with no
     intersection (near-parallel or not finite) are ill-conditioned at
     iteration 1, with a NaN point.
+
+    The points and the Jacobians stay in ``intersect_rays``' and
+    ``bearing_residuals``' epoch-last memory, (3, n) and (3, 2S, n), so the
+    normal matrices are a (3, 3, n) stack, summed over residual rows in a
+    fixed order (``_outer_sums``); ``points`` is a view of (3, n) memory.
     """
     locations = np.asarray(locations, dtype=float)
     directions = np.asarray(directions, dtype=float)
@@ -289,10 +316,12 @@ def triangulate_batch(locations, directions) -> BatchFix:
                          f"{locations.shape}, got {directions.shape}")
     n = directions.shape[1]
 
-    x = intersect_rays(locations, directions)[0]
+    x = intersect_rays(locations, directions)[0].T          # (3, n)
     _, az, el = cart_to_spherical(directions)
-    res, jac = bearing_residuals(x, locations, az, el)
+    res, jac = bearing_residuals(x.T, locations, az, el)
     cost = np.sum(res * res, axis=1)
+    # rows[:3, r]: the point Jacobian of residual row r, rows[3, r]: minus the residual
+    rows = np.concatenate([jac.transpose(2, 1, 0), -res.T[np.newaxis]])  # (4, 2S, n)
     lam = np.full(n, LAMBDA_INIT)
     status = np.full(n, STATUS_NO_CONVERGENCE, dtype=int)
     iterations = np.zeros(n, dtype=int)
@@ -301,33 +330,32 @@ def triangulate_batch(locations, directions) -> BatchFix:
         idx = np.flatnonzero(status == STATUS_NO_CONVERGENCE)
         if not idx.size:
             break
-        j = jac[idx]
-        jt = j.transpose(0, 2, 1)
-        jtj = jt @ j
-        rhs = -(jt @ res[idx, :, np.newaxis])[..., 0]
+        jtj, rhs = _outer_sums(rows if idx.size == n else np.take(rows, idx, axis=-1))
         iterations[idx] = it
         bad = _ill_conditioned(jtj)
         if bad.any():
             status[idx[bad]] = STATUS_ILL_CONDITIONED
-            idx, jtj, rhs = idx[~bad], jtj[~bad], rhs[~bad]
+            idx, jtj, rhs = (np.compress(~bad, a, axis=-1) for a in (idx, jtj, rhs))
 
-        damped = jtj + lam[idx, np.newaxis, np.newaxis] * (jtj * np.eye(3))
-        trial = x[idx] + solve_positive_definite(damped.transpose(1, 2, 0), rhs.T).T
-        res_t, jac_t = bearing_residuals(trial, locations, az[:, idx], el[:, idx])
+        damped = jtj + lam[idx] * (jtj * np.eye(3)[..., np.newaxis])
+        trial = np.take(x, idx, axis=-1) + solve_positive_definite(damped, rhs)
+        res_t, jac_t = bearing_residuals(trial.T, locations, np.take(az, idx, axis=-1),
+                                         np.take(el, idx, axis=-1))
         cost_t = np.sum(res_t * res_t, axis=1)
 
         better = cost_t <= cost[idx]
         acc, rej = idx[better], idx[~better]
         status[idx[np.abs(cost[idx] - cost_t) < COST_DECREASE_TOL]] = STATUS_OK
-        x[acc], cost[acc] = trial[better], cost_t[better]
-        res[acc], jac[acc] = res_t[better], jac_t[better]
+        x[:, acc], cost[acc] = trial[:, better], cost_t[better]
+        rows[:3, :, acc] = np.compress(better, jac_t.transpose(2, 1, 0), axis=-1)
+        rows[3][:, acc] = -res_t[better].T
         lam[acc] = np.maximum(lam[acc] / 10.0, LAMBDA_MIN)
 
         lam[rej] *= 10.0
         # no damped step lowers the cost: a fixed point, as in absolute_2d
         status[rej[lam[rej] > LAMBDA_MAX]] = STATUS_OK
 
-    return BatchFix(points=x, iterations=iterations, status=status)
+    return BatchFix(points=x.T, iterations=iterations, status=status)
 
 
 def triangulate(bearings: BearingSet) -> TriangulationFix:

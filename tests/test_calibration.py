@@ -131,6 +131,15 @@ class TestDataStructures:
         batch = noiseless_batch(make_targets(), RING[:3], [EulerAngles(0, 0, 0)] * 3, kinds)
         with pytest.raises(MissingRangeError):
             batch.local_positions()
+        with pytest.raises(MissingRangeError):
+            batch.local_positions([bearing_only])
+        # the ranging sensors alone, in the order asked for
+        ranging = [s for s in (2, 1, 0) if s != bearing_only]
+        rays, positions = batch.directions(ranging), batch.local_positions(ranging)
+        for ray, got, s in zip(rays, positions, ranging):
+            one = direction_from_angles(batch.sensors[s].az, batch.sensors[s].el)
+            np.testing.assert_array_equal(ray, one)
+            np.testing.assert_array_equal(got, batch.sensors[s].rng[:, np.newaxis] * one)
 
     def test_batch_validation(self):
         m = SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1], rng=[1.0, 2.0])

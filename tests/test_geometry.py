@@ -1,5 +1,7 @@
 """Tests for coordinate conversions and rotation parametrizations."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,47 @@ class TestWrapAngle:
         turns = rng.integers(-5, 6, 100)
         wrapped = wrap_angle(base + 2 * np.pi * turns)
         np.testing.assert_allclose(wrapped, base, atol=1e-9)
+
+    @staticmethod
+    def mod_form(angle):
+        return np.pi - np.mod(np.pi - np.asarray(angle, dtype=float), 2.0 * np.pi)
+
+    @staticmethod
+    def bits_and_warnings(wrap, angle):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = wrap(angle)
+        return out, np.asarray(out).view(np.uint64), \
+            [(w.category, str(w.message)) for w in caught]
+
+    # the mod form's edges: both signs of zero and pi with their neighbours,
+    # whole turns, huge and subnormal angles, and the non-finite ones
+    EDGES = [edge * sign for sign in (1.0, -1.0) for edge in
+             (0.0, np.pi, np.nextafter(np.pi, 0.0), np.nextafter(np.pi, 4.0),
+              2.0 * np.pi, np.nextafter(2.0 * np.pi, 0.0), 4.0 * np.pi, 6.0 * np.pi,
+              np.nextafter(0.0, 1.0), 2.2250738585072014e-308, 1e300, np.inf)] + [np.nan]
+
+    @settings(max_examples=300, deadline=None)
+    @given(angles=st.lists(st.one_of(st.sampled_from(EDGES), st.floats()), max_size=12))
+    def test_equals_the_mod_form_bit_for_bit(self, angles):
+        # the same bits (signbit and NaN included), type and warnings, for
+        # the array and for each angle alone
+        for angle in [np.array(angles)] + angles:
+            got, got_bits, got_warnings = self.bits_and_warnings(wrap_angle, angle)
+            want, want_bits, want_warnings = self.bits_and_warnings(self.mod_form, angle)
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(got_bits, want_bits)
+            assert got_warnings == want_warnings
+
+    def test_scalar_is_a_numpy_float(self):
+        assert type(wrap_angle(0.5)) is np.float64
+        assert type(wrap_angle(np.float64(7.0))) is np.float64
+
+    def test_infinite_angle_warns(self):
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in remainder"):
+            assert np.isnan(wrap_angle(np.inf))
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in remainder"):
+            assert np.isnan(wrap_angle(np.array([0.5, -np.inf]))[1])
 
 
 def to_cart(rng, az, el):
