@@ -39,8 +39,8 @@ WARM_START_SWEEPS = 2
 # EPIPOLAR_SAMPLE evenly spaced epochs
 EPIPOLAR_MIN_EPOCHS = 8
 EPIPOLAR_SAMPLE = 32
-# the start is kept only where its rays miss their intersections by a mean
-# 1 - cos^2 below this (sin^2 of about 71 mrad) and below identity's
+# the start is kept exactly where its rays miss their intersections by a
+# mean 1 - cos^2 below this (sin^2 of about 71 mrad)
 EPIPOLAR_MAX_MISFIT = 5e-3
 
 
@@ -519,9 +519,9 @@ def _epipolar_start(raw_dirs, locations):
     of its rays (S, n, 3) with its known baselines, whatever the biases
     and the world frame; None for fewer than ``EPIPOLAR_MIN_EPOCHS``
     epochs, three or more collinear sensors, or where the sample's rays
-    turned by it meet no better than at identity or not within
-    ``EPIPOLAR_MAX_MISFIT`` (``_ray_misfits``), as on short tracks, whose
-    eight-point fits are degenerate.
+    turned by it do not meet within ``EPIPOLAR_MAX_MISFIT``
+    (``_ray_misfits``), as on short tracks, whose eight-point fits are
+    degenerate.
 
     Sensors s and t see target i in one plane with their baseline, so
     d_s^T E d_t = 0 for their raw rays, with E = [c]x R, the unit
@@ -592,26 +592,21 @@ def _epipolar_start(raw_dirs, locations):
             rotations = np.stack([solve_wahba(seen[s], common[s]) for s in range(n_sensors)])
         except DegenerateInputError:  # collinear sensors: no two baselines cross
             return None
-    identity = np.broadcast_to(np.eye(3), rotations.shape)
-    closed, start = _ray_misfits(np.stack([rotations, identity]), sample, locations)
-    return rotations if closed < min(start, EPIPOLAR_MAX_MISFIT) else None
+    return rotations if _ray_misfits(rotations, sample, locations) < EPIPOLAR_MAX_MISFIT else None
 
 
-def _ray_misfits(candidates, sample, locations):
-    """How badly the ``sample`` rays (S, m, 3) meet when turned by each of
-    the K (S, 3, 3) rotation sets of ``candidates``: the mean 1 - cos^2
-    between each ray and the offset from its sensor to its epoch's
-    ``intersect_rays`` point, where an epoch that is not ok counts 1.
-    All K sets go through one ``intersect_rays`` call; returns (K,)."""
-    n_sensors = len(locations)
-    dirs = (sample @ candidates.transpose(0, 1, 3, 2)).transpose(1, 0, 2, 3) \
-        .reshape(n_sensors, -1, 3)
+def _ray_misfits(rotations, sample, locations):
+    """How badly the ``sample`` rays (S, m, 3) meet when turned by the
+    (S, 3, 3) ``rotations``: the mean 1 - cos^2 between each ray and the
+    offset from its sensor to its epoch's ``intersect_rays`` point, where
+    an epoch that is not ok counts 1."""
+    dirs = sample @ rotations.transpose(0, 2, 1)
     points, ok = intersect_rays(locations, dirs)
     offsets = points[ok] - locations[:, np.newaxis]
     cos = np.sum(dirs[:, ok] * offsets, axis=-1) / np.linalg.norm(offsets, axis=-1)
     misfit = np.ones(dirs.shape[:2])
     misfit[:, ok] = 1.0 - cos * cos
-    return misfit.reshape(n_sensors, len(candidates), -1).mean(axis=(0, 2))
+    return misfit.mean()
 
 
 def _check_usable(ok, n_sensors):
