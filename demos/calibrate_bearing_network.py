@@ -4,10 +4,15 @@
 Same joint estimation idea as the ranging-network case, but none of
 the sensors measures range, so target positions are unknown too. The
 rotations and the target positions are solved for together by damped
-Gauss-Newton. It starts from two sweeps that intersect the rays in
-closed form and align the sensor pairs, then one Gauss-Newton
-triangulation; epochs whose triangulation fails are left out and
-counted.
+Gauss-Newton. It starts from the closed-form epipolar start: every
+sensor pair's relative rotation and baseline from the eight-point
+method, then one rotation per sensor that lays its baselines on the
+known ones. Where the rays cannot fix that start (fewer than eight
+epochs, short tracks, collinear sensors), the measured rays are
+intersected once in closed form and two sweeps align each sensor to
+all of its partners' tracks instead. One Gauss-Newton triangulation
+then gives the starting target positions; epochs whose triangulation
+fails are left out and counted.
 """
 
 import argparse

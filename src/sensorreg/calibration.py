@@ -9,10 +9,10 @@ common frame.  One solver per measurement model returns a
 (Gauss-Newton steps on all rotations) and ``absolute_2d`` (Gauss-Newton
 over rotations and target positions, i.e. bundle adjustment) take two
 or more sensors, start from sweeps that align one sensor at a time to
-all of its partners (for ``absolute_2d``, to the tracks of closed-form
-ray intersections, unless its closed-form epipolar start is taken),
-damp their steps in one Levenberg-Marquardt loop and flag a pair's
-baseline gauge themselves.
+all of its partners (for ``absolute_2d``, to the tracks of one
+closed-form intersection of its rays, unless its closed-form epipolar
+start is taken), damp their steps in one Levenberg-Marquardt loop and
+flag a pair's baseline gauge themselves.
 """
 
 import numbers
@@ -247,7 +247,8 @@ def _pair_moments(positions, locations):
     Aligning sensor a to b has the profile matrix sum_i (R_b p_b^i + l_b - l_a)
     p_a^iT = R_b P_b^T P_a + (l_b - l_a) c_a^T, with c_a = sum_i p_a^i: that of
     the four pairs xs[a, b] = [P_b^T P_a; c_a^T], ys[a, b] = [R_b^T; (l_b - l_a)^T].
-    ``_procrustes_sweep`` writes R_b^T into ys[a, b, :3] before each solve."""
+    Formed once per start; each sweep update and each Gauss-Newton system
+    writes the current R_b^T into ys[a, b, :3]."""
     padded = np.concatenate([positions, np.ones(positions.shape[:2] + (1,))], axis=2)
     xs = padded.transpose(0, 2, 1)[np.newaxis] @ positions[:, np.newaxis]
     ys = np.empty_like(xs)
@@ -255,15 +256,20 @@ def _pair_moments(positions, locations):
     return xs, ys
 
 
-def _procrustes_sweep(rotations, xs, ys):
-    # Gauss-Seidel over sensors, as in generalized Procrustes analysis
-    # (Gower 1975): each update aligns one sensor to all of its partners
-    # at once, the exact minimizer of the whole pair cost with the others
-    # held fixed (Ten Berge 1977); for a pair it is the paper's pair update.
-    for t in range(len(rotations)):
-        others = np.arange(len(rotations)) != t
+def _procrustes_sweeps(positions, locations):
+    """The start of both absolute solvers: ``WARM_START_SWEEPS`` sweeps
+    from identity, Gauss-Seidel over sensors as in generalized Procrustes
+    analysis (Gower 1975).  Each update aligns one sensor to all of its
+    partners' tracks at once, the exact minimizer of the whole pair cost
+    with the others held fixed (Ten Berge 1977); for a pair it is the
+    paper's pair update.  Returns the rotations and ``_pair_moments``."""
+    xs, ys = _pair_moments(positions, locations)
+    rotations = np.stack([np.eye(3)] * len(positions))
+    for t in list(range(len(positions))) * WARM_START_SWEEPS:
+        others = np.arange(len(positions)) != t
         ys[t, :, :3] = rotations.transpose(0, 2, 1)
         rotations[t] = solve_wahba(xs[t, others].reshape(-1, 3), ys[t, others].reshape(-1, 3))
+    return rotations, xs, ys
 
 
 def _levenberg_marquardt(state, linearize, objective, trace, tol, max_iterations):
@@ -349,10 +355,9 @@ def absolute_3d(batch: MeasurementBatch,
                 stopping: StoppingCriteria = StoppingCriteria()) -> CalibrationResult:
     """Estimate all rotations of two or more 3D sensors (alg3, alg4).
 
-    Starts from identity with ``WARM_START_SWEEPS`` sweeps that align
-    each sensor in turn to all of its partners (``_procrustes_sweep``),
-    as ``absolute_2d``'s warm start does; for a pair each is the paper's
-    pair update.  The sweeps approach the least-squares point slowly.
+    Starts from the sweeps that align each sensor in turn to all of its
+    partners (``_procrustes_sweeps``), as ``absolute_2d``'s fallback
+    start does.  The sweeps approach the least-squares point slowly.
     Gauss-Newton steps on all rotations at once, from the same pair
     moments (``_pair_normal_equations``), take it there, damped in the
     loop that ``absolute_2d`` uses too (``_levenberg_marquardt``): a
@@ -369,10 +374,7 @@ def absolute_3d(batch: MeasurementBatch,
     gauge_ambiguous = _gauge_ambiguous(batch)
     positions = batch.local_positions()
     locations = batch.locations
-    xs, ys = _pair_moments(positions, locations)
-    rotations = np.stack([np.eye(3)] * batch.n_sensors)
-    for _ in range(WARM_START_SWEEPS):
-        _procrustes_sweep(rotations, xs, ys)
+    rotations, xs, ys = _procrustes_sweeps(positions, locations)
     trace = [pairwise_cost(rotations, positions, locations)]
 
     def linearize(rotations):
@@ -440,10 +442,8 @@ def absolute_2d(batch: MeasurementBatch,
     starts from ``_warm_start``: with at least ``EPIPOLAR_MIN_EPOCHS``
     epochs, the closed-form epipolar start (``_epipolar_start``), which
     no bias size or world rotation moves; where the rays cannot fix that
-    start (short tracks), two intersect-and-align sweeps from identity:
-    intersect every epoch's bias-compensated rays in closed form
-    (``intersect_rays``), then align each sensor in turn to all of its
-    partners' tracks at once (``_procrustes_sweep``).  One Gauss-Newton
+    start (short tracks), one closed-form intersection of the measured
+    rays and ``absolute_3d``'s sweeps on its tracks.  One Gauss-Newton
     triangulation (``triangulate_batch``) of the compensated rays gives
     the starting target positions; epochs whose fix fails there are left
     out.  It never steps along a pair's common rotation about the
@@ -487,27 +487,22 @@ def _warm_start(batch):
 
     The rotations come from the closed-form epipolar start
     (``_epipolar_start``), for a pair too, where the rays fix it.
-    Otherwise ``WARM_START_SWEEPS`` intersect-and-align sweeps start
-    from identity: each intersects every epoch's bias-compensated rays in
-    closed form (``intersect_rays``) and aligns the tracks, the
-    sensor-frame positions those ranges give along the raw rays (the
-    batch's ``directions()``), one sensor at a time
-    (``_procrustes_sweep``).  The final Gauss-Newton fix
-    (``triangulate_batch``) of the compensated rays is where the joint
-    solve starts.  Returns the (S, 3, 3) rotations, the fixed points of
-    the epochs that triangulated and the mask of those epochs.
+    Otherwise every epoch's raw rays (the batch's ``directions()``) are
+    intersected once in closed form (``intersect_rays``), and the
+    sensor-frame positions those ranges give along them start
+    ``absolute_3d``'s sweeps (``_procrustes_sweeps``).  The final
+    Gauss-Newton fix (``triangulate_batch``) of the compensated rays is
+    where the joint solve starts.  Returns the (S, 3, 3) rotations, the
+    fixed points of the epochs that triangulated and their mask.
     """
     locations = batch.locations
     raw_dirs = batch.directions()
     rotations = _epipolar_start(raw_dirs, locations)
     if rotations is None:
-        rotations = np.stack([np.eye(3)] * batch.n_sensors)
-        for _ in range(WARM_START_SWEEPS):
-            points, ok = intersect_rays(locations, raw_dirs @ rotations.transpose(0, 2, 1))
-            _check_usable(ok, batch.n_sensors)
-            ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis, :], axis=-1)
-            positions = ranges[..., np.newaxis] * raw_dirs[:, ok]
-            _procrustes_sweep(rotations, *_pair_moments(positions, locations))
+        points, ok = intersect_rays(locations, raw_dirs)
+        _check_usable(ok, batch.n_sensors)
+        ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis], axis=-1)
+        rotations = _procrustes_sweeps(ranges[..., np.newaxis] * raw_dirs[:, ok], locations)[0]
     fix = triangulate_batch(locations, raw_dirs @ rotations.transpose(0, 2, 1))
     ok = fix.status == STATUS_OK
     _check_usable(ok, batch.n_sensors)

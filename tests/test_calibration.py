@@ -781,8 +781,8 @@ class TestLevenbergMarquardt:
 
 
 class TestProcrustesSweep:
-    # the pass of both absolute solvers' starts: one Wahba solve per
-    # sensor, against all of its partners at once
+    # the start of both absolute solvers: WARM_START_SWEEPS sweeps from
+    # identity, one Wahba solve per sensor against all of its partners
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_sensors=st.integers(2, 8),
            n=st.integers(3, 40))
@@ -790,18 +790,21 @@ class TestProcrustesSweep:
         rng = np.random.default_rng(seed)
         positions = rng.normal(size=(n_sensors, n, 3)) * 4000.0
         locations = rng.normal(size=(n_sensors, 3)) * 10000.0
-        rotations = rotation_from_rotvec(rng.normal(size=(n_sensors, 3)))
-        costs = []
+        # the sweeps update sensors 0, 1, ..., S - 1 in turn, so the spy
+        # tracks the rotations they hold from the results it hands back
+        current = np.stack([np.eye(3)] * n_sensors)
+        costs = [pairwise_cost(current, positions, locations)]
 
-        def cost_then_solve(xs, ys):
-            costs.append(pairwise_cost(rotations, positions, locations))
-            return solve_wahba(xs, ys)
+        def solve_then_cost(xs, ys):
+            t = (len(costs) - 1) % n_sensors
+            current[t] = solve_wahba(xs, ys)
+            costs.append(pairwise_cost(current, positions, locations))
+            return current[t].copy()
 
-        with mock.patch.object(calibration, "solve_wahba", cost_then_solve):
-            calibration._procrustes_sweep(
-                rotations, *calibration._pair_moments(positions, locations))
-        costs.append(pairwise_cost(rotations, positions, locations))
-        assert len(costs) == n_sensors + 1
+        with mock.patch.object(calibration, "solve_wahba", solve_then_cost):
+            rotations = calibration._procrustes_sweeps(positions, locations)[0]
+        assert len(costs) == calibration.WARM_START_SWEEPS * n_sensors + 1
+        assert np.array_equal(rotations, current)
         for before, after in zip(costs, costs[1:]):
             assert after <= before * (1.0 + 1e-12)
 
@@ -1165,6 +1168,47 @@ class TestEpipolarStart:
             assert solves == tried + [4 * (count - 1)] * (calibration.WARM_START_SWEEPS * count)
             assert len(misfits) == (case != "7 epochs")
 
+    @pytest.mark.parametrize("case", ["7 epochs", "200-s track"])
+    def test_the_fallback_intersects_the_rays_once(self, monkeypatch, case):
+        # where no epipolar start is kept, the measured rays are
+        # intersected once and absolute_3d's sweeps run on the tracks their
+        # ranges give (intersecting the turned rays again before each sweep
+        # did no better on 200-s tracks).  The 200-s tracks' epipolar start
+        # intersects its sample, here every epoch, inside _ray_misfits
+        short = {"sample_count": 7} if case == "7 epochs" else {
+            "duration_s": 200.0, "bias_low_deg": 20.0, "bias_high_deg": 40.0}
+        cfg = ExperimentConfig(algorithm="alg7", sensor_count=4, seed=0, mc_runs=3,
+                               sensor_locations_m=RING, **short)
+        intersect, ray_misfits = calibration.intersect_rays, calibration._ray_misfits
+        calls, scoring = [], []
+
+        def counting_intersect(locations, directions):
+            calls.append((bool(scoring), directions.shape[1]))
+            return intersect(locations, directions)
+
+        def flagged_misfits(*args):
+            scoring.append(True)
+            try:
+                return ray_misfits(*args)
+            finally:
+                scoring.pop()
+
+        for batch, _ in realizations(cfg, cfg.mc_runs):
+            raw_dirs, locations = batch.directions(), batch.locations
+            assert calibration._epipolar_start(raw_dirs, locations) is None
+            points, ok = intersect(locations, raw_dirs)
+            ranges = np.linalg.norm(points[ok] - locations[:, np.newaxis], axis=-1)
+            want = calibration._procrustes_sweeps(ranges[..., np.newaxis] * raw_dirs[:, ok],
+                                                  locations)[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(calibration, "intersect_rays", counting_intersect)
+                patch.setattr(calibration, "_ray_misfits", flagged_misfits)
+                del calls[:]
+                rotations = calibration._warm_start(batch)[0]
+            assert np.array_equal(rotations, want)
+            assert [n for scored, n in calls if not scored] == [batch.n_epochs]
+            assert len(calls) == 1 + (case == "200-s track")
+
     def test_a_long_track_pair_starts_without_wahba(self, monkeypatch):
         # on a 900-s track a pair's epipolar start is kept: the smallest
         # rotation that lays sensor 0's local baseline on the common one,
@@ -1226,7 +1270,7 @@ class TestEpipolarStart:
         # off, and the solves from them ended 2729 and 3117 mrad off,
         # reported converged.  Their rays miss by more than
         # EPIPOLAR_MAX_MISFIT, so both are refused: from the sweeps run 6
-        # ends 7.1 mrad off, and run 3 keeps no epoch, which is refused too
+        # ends 5.8 mrad off, and run 3 keeps no epoch, which is refused too
         cfg = ExperimentConfig(algorithm="alg7", sensor_count=8, seed=0, mc_runs=7,
                                duration_s=200.0, bias_low_deg=20.0, bias_high_deg=40.0)
         batches = list(realizations(cfg, cfg.mc_runs))
@@ -1246,7 +1290,7 @@ class TestEpipolarStart:
         # per-sensor Wahba solve on them is degenerate and the start gives
         # up before its misfit check; absolute_2d warns and sweeps instead
         # (the roll about the line is unobservable: this run ends about
-        # 44 mrad from the truth)
+        # 42 mrad from the truth)
         line = [[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0], [10000.0, 0.0, 0.0], [15000.0, 0.0, 0.0]]
         cfg = ExperimentConfig(algorithm="alg7", sensor_count=4, seed=0, mc_runs=1,
                                sensor_locations_m=line)
