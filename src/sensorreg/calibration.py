@@ -96,21 +96,26 @@ class MeasurementBatch:
 
     Index i refers to the same target/epoch for every sensor.
     ``locations`` are the true sensor positions in the common frame,
-    shape (S, 3).  ``directions()``, ``local_positions()`` and ``kinds``
-    are the one place where measurements become geometry.
+    shape (S, 3), and ``ids`` name the sensors as a batch file does
+    (0..S-1 by default).  ``directions()``, ``local_positions()`` and
+    ``kinds`` are the one place where measurements become geometry.
     """
 
     sensors: tuple
     locations: np.ndarray
+    ids: tuple = None
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
         object.__setattr__(self, "locations", np.asarray(self.locations, dtype=float))
         s = len(self.sensors)
+        object.__setattr__(self, "ids", tuple(range(s) if self.ids is None else self.ids))
         if s < 2:
             raise ValueError("a batch needs at least two sensors")
         if self.locations.shape != (s, 3):
             raise ValueError(f"locations must be ({s}, 3)")
+        if len(self.ids) != s or len(set(self.ids)) != s:
+            raise ValueError(f"ids must be {s} distinct sensor ids, got {list(self.ids)}")
         finite = np.isfinite(self.locations).all(axis=1)
         if not finite.all():
             bad = int(np.argmin(finite))
@@ -367,9 +372,9 @@ def absolute_3d(batch: MeasurementBatch,
     Two sensors are only determined up to a common rotation about their
     baseline (``gauge_ambiguous``): the steps never move along it, and
     corrected tracks agree, but individual rotations need not match any
-    externally known truth; a pair at one location raises
-    ``DegenerateInputError``.  Three or more non-collinear sensors break
-    that ambiguity.
+    externally known truth.  Three or more non-collinear sensors break
+    that ambiguity.  Sensors that all share one location raise
+    ``DegenerateInputError``.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
     positions = batch.local_positions()
@@ -448,9 +453,9 @@ def absolute_2d(batch: MeasurementBatch,
     the starting target positions; epochs whose fix fails there are left
     out.  It never steps along a pair's common rotation about the
     baseline, which stays where the warm start left it.  It raises
-    ``DegenerateInputError`` for a pair at one location, or if too few
-    epochs are usable to determine the solve: six for a pair, four for
-    three sensors, else three.
+    ``DegenerateInputError`` for sensors that all share one location, or
+    if too few epochs are usable to determine the solve: six for a pair,
+    four for three sensors, else three.
     """
     gauge_ambiguous = _gauge_ambiguous(batch)
     locations = batch.locations
@@ -695,14 +700,17 @@ def _gauge_direction(rotations, locations):
 
 def _gauge_ambiguous(batch) -> bool:
     """Whether the batch is a sensor pair, whose rotations are only
-    determined up to a common rotation about its baseline; a pair at one
-    location has no baseline and is refused.  Three or more sensors
-    whose locations are nearly collinear get a warning, raised at the
-    solver's caller."""
+    determined up to a common rotation about its baseline.  Sensors that
+    all share one location are refused, however many there are: a common
+    rotation about it leaves every track unchanged.  Three or more
+    sensors whose locations are nearly collinear get a warning, raised at
+    the solver's caller."""
+    if np.linalg.norm(batch.locations - batch.locations[0], axis=1).max() < MIN_SENSOR_SEPARATION:
+        *rest, last = range(batch.n_sensors)
+        raise DegenerateInputError(f"sensors {', '.join(map(str, rest))} and {last} share the "
+                                   f"location {batch.locations[0].tolist()}: a common "
+                                   f"rotation about it moves no track")
     if batch.n_sensors == 2:
-        if np.linalg.norm(batch.locations[1] - batch.locations[0]) < MIN_SENSOR_SEPARATION:
-            raise DegenerateInputError(f"sensors 0 and 1 share the location "
-                                       f"{batch.locations[0].tolist()}: a pair needs a baseline")
         return True
     ratio = collinearity_ratio(batch.locations)
     if ratio < COLLINEAR_WARN_RATIO:

@@ -78,8 +78,8 @@ def cmd_calibrate(args) -> int:
     result = ALGORITHMS[algorithm].solve(batch, StoppingCriteria())
 
     sensors = []
-    for s, rot in enumerate(result.estimates):
-        entry = {"id": s, "rotation": np.asarray(rot).tolist()}
+    for sid, rot in zip(batch.ids, result.estimates):
+        entry = {"id": sid, "rotation": np.asarray(rot).tolist()}
         try:
             angles = rotation_to_euler(rot)
             entry["yaw_deg"] = math.degrees(angles.psi)

@@ -262,7 +262,8 @@ def run_experiment(cfg: ExperimentConfig) -> ErrorReport:
     """Run the full seeded Monte-Carlo study described by ``cfg``.
 
     Realizations are scored against the simulated truth: per-sensor
-    Euler-angle errors (wrapped), plus the geodesic rotation angle.
+    differences between the Euler angles of the estimate and of the true
+    rotation (wrapped), plus the geodesic rotation angle.
     Failed realizations are recorded and skipped in the aggregates; the
     experiment itself fails if fewer than 80% succeed, naming the first
     failed run and why it failed.
@@ -294,8 +295,10 @@ def _score_run(r, cfg, batch, truth, stopping) -> RunRecord:
     try:
         result = ALGORITHMS[cfg.algorithm].solve(batch, stopping)
         estimates = np.asarray(result.estimates)
-        est_angles = np.stack(rotation_to_euler(estimates), axis=-1)
-        errors = wrap_angle(est_angles - np.asarray(truth.biases)) * RAD_TO_MRAD
+        # the true rotation's own angles, not truth.biases: a drawn pitch
+        # beyond +/-90 deg is outside rotation_to_euler's convention
+        angles = np.stack(rotation_to_euler(np.stack([estimates, truth.rotations])), axis=-1)
+        errors = wrap_angle(angles[0] - angles[1]) * RAD_TO_MRAD
         geodesic = geodesic_angle(estimates, truth.rotations) * RAD_TO_MRAD
         return RunRecord(run=r, converged=result.converged, iterations=result.iterations,
                          final_cost=result.cost_trace[-1],
@@ -478,15 +481,15 @@ def write_batch(batch: MeasurementBatch, csv_path, sidecar_path) -> None:
     # every value is finite (SensorMeasurements checks), so repr suffices;
     # one write per sensor bounds the text held in memory
     _write_csv(csv_path, BATCH_COLUMNS, (
-        zip(repeat(str(s)), map(str, range(meas.n)),
+        zip(repeat(str(sid)), map(str, range(meas.n)),
             map(repr, meas.rng.tolist()) if meas.is_3d else repeat("", meas.n),
             map(repr, meas.az.tolist()), map(repr, meas.el.tolist()))
-        for s, meas in enumerate(batch.sensors)))
+        for sid, meas in zip(batch.ids, batch.sensors)))
     write_json(sidecar_path, {"sensors": [{
-        "id": s,
+        "id": sid,
         "location_m": [float(v) for v in location],
         "kind": kind,
-    } for s, (location, kind) in enumerate(zip(batch.locations, batch.kinds))]})
+    } for sid, location, kind in zip(batch.ids, batch.locations, batch.kinds)]})
 
 
 def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
@@ -498,7 +501,8 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
     column; a malformed sidecar names the file and the sensor, and a
     batch with too few sensors or epochs, or with uneven epoch counts,
     names the file.  Plain files are parsed in one vectorized pass;
-    anything else goes row by row, with the same result.
+    anything else goes row by row, with the same result.  The batch
+    holds the sensors in ascending ``sensor_id`` order, as its ``ids``.
     """
     locations, kinds = _read_sidecar(sidecar_path)
     try:
@@ -544,7 +548,7 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
     try:
         return MeasurementBatch(
             sensors=tuple(sensors),
-            locations=np.array([locations[s] for s in ordered], dtype=float))
+            locations=np.array([locations[s] for s in ordered], dtype=float), ids=ordered)
     except ValueError as exc:  # too few sensors or epochs
         raise ValueError(f"{csv_path}: {exc}") from exc
 

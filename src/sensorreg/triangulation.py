@@ -168,7 +168,7 @@ def intersect_rays(locations, directions):
         and the point lies ahead of every sensor (d_s . (x - l_s) > 0).
         Near-parallel and non-finite rays come back not ok.
 
-    The rays and their offsets d_s . l_s are copied once into (4, S, n)
+    The rays and their offsets d_s . l_s are copied once into (S, 4, n)
     memory, so the normal matrices are a (3, 3, n) stack, summed over
     sensors in a fixed order (``_outer_sums``), and the points come back
     as a view of (3, n) memory: the epoch axis is the contiguous one.
@@ -176,10 +176,10 @@ def intersect_rays(locations, directions):
     locations = np.asarray(locations, dtype=float)
     directions = np.asarray(directions, dtype=float)
     n_sensors = locations.shape[0]
-    rays = np.empty((4,) + directions.shape[:2])  # (4, S, n): d_s, then d_s . l_s
-    rays[:3] = directions.transpose(2, 0, 1)
+    rays = np.empty((n_sensors, 4, directions.shape[1]))  # (S, 4, n): d_s, then d_s . l_s
+    rays[:, :3] = directions.transpose(0, 2, 1)
     tails = locations.T[..., np.newaxis]          # (3, S, 1)
-    rays[3] = rays[0] * tails[0] + rays[1] * tails[1] + rays[2] * tails[2]
+    rays[:, 3] = rays[:, 0] * tails[0] + rays[:, 1] * tails[1] + rays[:, 2] * tails[2]
     outer, weighted = _outer_sums(rays)
     normal = (n_sensors * np.eye(3))[..., np.newaxis] - outer
     rhs = locations.sum(axis=0)[:, np.newaxis] - weighted
@@ -188,23 +188,19 @@ def intersect_rays(locations, directions):
     points[:, solvable] = solve_positive_definite(np.compress(solvable, normal, axis=-1),
                                                   np.compress(solvable, rhs, axis=-1))
     offsets = points[:, np.newaxis] - tails       # (3, S, n)
-    ahead = rays[0] * offsets[0] + rays[1] * offsets[1] + rays[2] * offsets[2] > 0.0
+    ahead = rays[:, 0] * offsets[0] + rays[:, 1] * offsets[1] + rays[:, 2] * offsets[2] > 0.0
     return points.T, solvable & ahead.all(axis=0)
 
 
 def _outer_sums(rows):
     """sum_r u_r u_r^T, a (3, 3, n) stack, and sum_r w_r u_r, (3, n), over
-    the rows (u_r, w_r) = rows[:, r] of a (4, R, n) stack: the normal
+    the rows (u_r, w_r) = rows[r] of an (R, 4, n) stack: the normal
     matrices and right-hand sides of ray intersections and Gauss-Newton
-    fixes.  The rows are added one after another, each as a (4, 3, n)
-    block.  numpy's own reductions and stacked products pick their
-    summation order by the memory layout, which changes with the number
-    of epochs (at one epoch, say); this order does not, so no epoch's
-    sums depend on the others, to the bit."""
-    total = rows[:, np.newaxis, 0] * rows[:3, 0]
-    term = np.empty_like(total)
-    for r in range(1, rows.shape[1]):
-        total += np.multiply(rows[:, np.newaxis, r], rows[:3, r], out=term)
+    fixes.  The row axis must be the outermost one in memory (a
+    C-contiguous stack): einsum then reduces over it in its outer loop,
+    at any number of epochs, one included, so the rows are added one
+    after another and no epoch's sums depend on the others, to the bit."""
+    total = np.einsum("ran,rbn->abn", rows, rows[:, :3])
     return total[:3], total[3]
 
 
@@ -304,10 +300,10 @@ def triangulate_batch(locations, directions) -> BatchFix:
     intersection (near-parallel or not finite) are ill-conditioned at
     iteration 1, with a NaN point.
 
-    The points and the Jacobians stay in ``intersect_rays``' and
-    ``bearing_residuals``' epoch-last memory, (3, n) and (3, 2S, n), so the
-    normal matrices are a (3, 3, n) stack, summed over residual rows in a
-    fixed order (``_outer_sums``); ``points`` is a view of (3, n) memory.
+    The points stay in ``intersect_rays``' epoch-last (3, n) memory, and
+    the residual rows are laid out as (2S, 4, n), so the normal matrices
+    are a (3, 3, n) stack, summed over the rows in a fixed order
+    (``_outer_sums``); ``points`` is a view of (3, n) memory.
     """
     locations = np.asarray(locations, dtype=float)
     directions = np.asarray(directions, dtype=float)
@@ -320,8 +316,8 @@ def triangulate_batch(locations, directions) -> BatchFix:
     _, az, el = cart_to_spherical(directions)
     res, jac = bearing_residuals(x.T, locations, az, el)
     cost = np.sum(res * res, axis=1)
-    # rows[:3, r]: the point Jacobian of residual row r, rows[3, r]: minus the residual
-    rows = np.concatenate([jac.transpose(2, 1, 0), -res.T[np.newaxis]])  # (4, 2S, n)
+    # rows[r, :3]: the point Jacobian of residual row r, rows[r, 3]: minus the residual
+    rows = np.concatenate([jac.transpose(1, 2, 0), -res.T[:, np.newaxis]], axis=1)  # (2S, 4, n)
     lam = np.full(n, LAMBDA_INIT)
     status = np.full(n, STATUS_NO_CONVERGENCE, dtype=int)
     iterations = np.zeros(n, dtype=int)
@@ -347,8 +343,8 @@ def triangulate_batch(locations, directions) -> BatchFix:
         acc, rej = idx[better], idx[~better]
         status[idx[np.abs(cost[idx] - cost_t) < COST_DECREASE_TOL]] = STATUS_OK
         x[:, acc], cost[acc] = trial[:, better], cost_t[better]
-        rows[:3, :, acc] = np.compress(better, jac_t.transpose(2, 1, 0), axis=-1)
-        rows[3][:, acc] = -res_t[better].T
+        rows[:, :3, acc] = np.compress(better, jac_t.transpose(1, 2, 0), axis=-1)
+        rows[:, 3, acc] = -res_t[better].T
         lam[acc] = np.maximum(lam[acc] / 10.0, LAMBDA_MIN)
 
         lam[rej] *= 10.0

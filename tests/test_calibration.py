@@ -152,6 +152,10 @@ class TestDataStructures:
             MeasurementBatch(sensors=(short, short), locations=np.zeros((2, 3)))
         with pytest.raises(ValueError):
             MeasurementBatch(sensors=(m, m), locations=np.zeros((3, 3)))
+        assert MeasurementBatch(sensors=(m, m), locations=np.zeros((2, 3))).ids == (0, 1)
+        for ids in ((30,), (30, 30), (30, 70, 90)):
+            with pytest.raises(ValueError, match="ids must be 2 distinct sensor ids"):
+                MeasurementBatch(sensors=(m, m), locations=np.zeros((2, 3)), ids=ids)
 
     def test_uneven_target_counts_name_the_sensor(self):
         # the first sensor whose count differs from sensor 0's, and both counts
@@ -551,12 +555,16 @@ class TestAbsolute3d:
                 for est in result.estimates:
                     assert is_rotation_matrix(est, tol=1e-9)
 
-    def test_sensors_at_one_location_warn(self):
-        # three coincident points have no dominant axis: spread ratio 0
-        locations = np.tile([2500.0, 8600.0, -600.0], (3, 1))
-        batch = noiseless_batch(make_targets(), locations, [EulerAngles(0, 0, 0)] * 3)
-        with pytest.warns(UserWarning, match=r"spread ratio 0\.00e\+00"):
-            absolute_3d(batch, StoppingCriteria(max_iterations=2))
+    def test_sensors_at_one_location_are_refused(self):
+        # a common rotation about the shared point moves no track, so no
+        # absolute rotation is observable, however many sensors share it
+        for algorithm in ("alg4", "alg7"):
+            cfg = ExperimentConfig(algorithm=algorithm, sensor_count=3, mc_runs=5,
+                                   sensor_locations_m=[RING[0]] * 3)
+            batch, _ = next(iter(realizations(cfg, 1)))
+            with pytest.raises(DegenerateInputError, match=r"^sensors 0, 1 and 2 share the "
+                                                            r"location \[14500\.0, 1700\.0, -300\.0\]"):
+                calibration.ALGORITHMS[algorithm].solve(batch, StoppingCriteria())
 
 
 def n_pair_cost(rotations, positions, locations):

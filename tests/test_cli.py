@@ -301,6 +301,27 @@ class TestCalibrate:
         np.testing.assert_allclose(sensors[0]["rotation"], locked)
         assert set(sensors[1]) == {"id", "rotation", "yaw_deg", "pitch_deg", "roll_deg"}
 
+    def test_result_names_sensors_by_their_file_ids(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--algorithm", "alg7", "--sensors", "3", "--seed", "0",
+                     "--out-dir", str(out)]) == 0
+        ids = {"0": "30", "1": "70", "2": "90"}
+        lines = (out / "batch.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "batch.csv").write_text(lines[0] + "".join(
+            ids[line.split(",", 1)[0]] + "," + line.split(",", 1)[1] for line in lines[1:]))
+        sidecar = json.loads((out / "sensors.json").read_text())
+        for entry in sidecar["sensors"]:
+            entry["id"] = int(ids[str(entry["id"])])
+        (tmp_path / "sensors.json").write_text(json.dumps(sidecar))
+        for batch_dir, name in ((out, "plain.json"), (tmp_path, "renamed.json")):
+            assert main(["calibrate", "--batch", str(batch_dir / "batch.csv"),
+                         "--sensors-file", str(batch_dir / "sensors.json"),
+                         "--out", str(tmp_path / name)]) == 0
+        plain, renamed = (json.loads((tmp_path / name).read_text())["sensors"]
+                          for name in ("plain.json", "renamed.json"))
+        assert [entry["id"] for entry in renamed] == [30, 70, 90]
+        assert [entry["rotation"] for entry in renamed] == [entry["rotation"] for entry in plain]
+
     def test_pair_at_one_location_is_refused(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert main(["simulate", "--algorithm", "alg3", "--sensors", "2", "--seed", "0",

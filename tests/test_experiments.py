@@ -225,6 +225,18 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert np.all(report.rms_mrad < 1e-6)
 
+    def test_errors_compare_the_angles_of_the_true_rotation(self):
+        # a 120 deg pitch is outside rotation_to_euler's [-90, 90] deg: the
+        # same rotation reads (yaw + 180, 60, roll + 180) there
+        report = run_experiment(quiet_config(fixed_biases_deg=[
+            [10.0, 120.0, 20.0], [-1.0, 2.0, -1.0], [1.0, 1.0, 2.0]]))
+        assert report.success_rate == 1.0
+        assert np.all(report.rms_mrad < 1e-6)
+        # at exactly 90 deg the truth has no yaw and roll of its own
+        with pytest.raises(ExperimentError, match="GimbalLockError"):
+            run_experiment(quiet_config(fixed_biases_deg=[
+                [10.0, 90.0, 20.0], [-1.0, 2.0, -1.0], [1.0, 1.0, 2.0]]))
+
     def test_same_seed_same_result(self):
         noisy = dict(sigma_range_m=10.0, sigma_az_mrad=3.0, sigma_el_mrad=3.0,
                      fixed_biases_deg=None)
@@ -487,6 +499,11 @@ class TestBatchFiles:
                 np.testing.assert_array_equal(back.rng, orig.rng)
             else:
                 assert back.rng is None
+        assert loaded.ids == (0, 1)
+        # the files carry each sensor's id
+        renamed = MeasurementBatch(batch.sensors, batch.locations, ids=(30, 70))
+        write_batch(renamed, csv_path, sidecar)
+        assert read_batch(csv_path, sidecar).ids == (30, 70)
 
     def test_csv_header_and_empty_range_cells(self, tmp_path):
         batch = self.make_batch()

@@ -21,6 +21,7 @@ from sensorreg.triangulation import (
     STATUS_OK,
     BearingSet,
     _ill_conditioned,
+    _outer_sums,
     bearing_residuals,
     intersect_rays,
     solve_positive_definite,
@@ -625,3 +626,34 @@ class TestPerTargetIndependence:
         np.testing.assert_array_equal(fix.points[rest], full.points[rest])
         np.testing.assert_array_equal(fix.status[rest], full.status[rest])
         np.testing.assert_array_equal(fix.iterations[rest], full.iterations[rest])
+
+
+def sequential_outer_sums(rows):
+    """The reference for ``_outer_sums``: each row's (4, 3, n) products,
+    added to the total one row after another."""
+    total = rows[0, :, np.newaxis] * rows[0, np.newaxis, :3]
+    term = np.empty_like(total)
+    for r in range(1, len(rows)):
+        total += np.multiply(rows[r, :, np.newaxis], rows[r, np.newaxis, :3], out=term)
+    return total[:3], total[3]
+
+
+class TestOuterSums:
+    """``_outer_sums`` adds an (R, 4, n) stack's rows in the order of the
+    sequential loop, whatever the number of epochs, so each epoch's sums
+    are those it would have alone."""
+
+    @pytest.mark.parametrize("n_rows", [2, 3, 4, 6, 8, 12, 16])
+    def test_matches_the_sequential_loop(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        for n in list(range(1, 13)) + [91]:
+            # magnitudes over six decades, so rounding depends on the order
+            rows = rng.normal(size=(n_rows, 4, n)) * 10.0 ** rng.uniform(-3, 3, (n_rows, 4, n))
+            outer, weighted = _outer_sums(rows)
+            ref_outer, ref_weighted = sequential_outer_sums(rows)
+            np.testing.assert_array_equal(outer, ref_outer)
+            np.testing.assert_array_equal(weighted, ref_weighted)
+            for i in range(n):
+                one_outer, one_weighted = _outer_sums(np.take(rows, [i], axis=-1))
+                np.testing.assert_array_equal(one_outer[..., 0], outer[..., i])
+                np.testing.assert_array_equal(one_weighted[..., 0], weighted[..., i])
