@@ -11,9 +11,9 @@ Monte-Carlo experiment harness.
 """
 
 # the names the README, the demos and the command line import
-from .calibration import (ALGORITHMS, MeasurementBatch, SensorMeasurements,
-                          StoppingCriteria, absolute_2d, absolute_3d,
-                          relative_3d, relative_hetero)
+from .calibration import (ALGORITHMS, MeasurementBatch, StoppingCriteria,
+                          absolute_2d, absolute_3d, relative_3d,
+                          relative_hetero)
 from .errors import GimbalLockError, RegistrationError
 from .experiments import (SWEEP_AXES, ExperimentConfig, emit_reports,
                           emit_sweep_reports, read_batch, realizations,
@@ -30,8 +30,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "BearingSet", "EulerAngles", "ExperimentConfig",
     "GimbalLockError", "MeasurementBatch", "RegistrationError", "SWEEP_AXES",
-    "SensorMeasurements", "SensorTruth", "StoppingCriteria", "absolute_2d",
-    "absolute_3d", "build_batch", "cart_to_spherical", "emit_reports",
+    "SensorTruth", "StoppingCriteria", "absolute_2d", "absolute_3d",
+    "build_batch", "cart_to_spherical", "emit_reports",
     "emit_sweep_reports", "euler_to_rotation", "generate_trajectory",
     "geodesic_angle", "read_batch", "realizations", "relative_3d",
     "relative_hetero", "rotation_to_euler", "run_experiment", "sample_biases",

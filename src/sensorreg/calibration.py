@@ -45,73 +45,35 @@ EPIPOLAR_MAX_MISFIT = 5e-3
 
 
 @dataclass(frozen=True)
-class SensorMeasurements:
-    """Measurements of n targets by one sensor (angles in radians).
+class MeasurementBatch:
+    """Aligned measurements of the same n targets from S sensors.
 
-    ``rng`` is None for a bearing-only sensor, otherwise meters; the
-    rays and positions they give come from ``MeasurementBatch``.
+    ``az``, ``el`` (radians) and ``rng`` (meters) are (S, n) arrays whose
+    column i is the same target/epoch for every sensor; a bearing-only
+    sensor's ``rng`` row is all NaN.  ``locations`` are the true sensor
+    positions in the common frame, shape (S, 3), and ``ids`` name the
+    sensors as a batch file does (0..S-1 by default).  ``directions()``,
+    ``local_positions()`` and ``kinds`` are the one place where
+    measurements become geometry.
     """
 
     az: np.ndarray
     el: np.ndarray
-    rng: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "az", np.asarray(self.az, dtype=float))
-        object.__setattr__(self, "el", np.asarray(self.el, dtype=float))
-        if self.az.ndim != 1 or self.el.shape != self.az.shape:
-            raise ValueError("az and el must be equal-length 1-D arrays")
-        if self.rng is not None:
-            object.__setattr__(self, "rng", np.asarray(self.rng, dtype=float))
-            if self.rng.shape != self.az.shape:
-                raise ValueError("rng must match az/el length")
-        _check_values("az", self.az)
-        _check_values("el", self.el)
-        if self.rng is not None:
-            _check_values("rng", self.rng, positive=True)
-
-    @property
-    def n(self) -> int:
-        return self.az.shape[0]
-
-    @property
-    def is_3d(self) -> bool:
-        return self.rng is not None
-
-
-def _check_values(name, values, positive=False):
-    bad = ~np.isfinite(values)
-    if positive:
-        bad |= values <= 0.0
-    if bad.any():
-        epoch = int(np.argmax(bad))
-        rule = "finite and positive" if positive else "finite"
-        raise DegenerateInputError(
-            f"{name} must be {rule}, got {values[epoch]} at epoch {epoch}")
-
-
-@dataclass(frozen=True)
-class MeasurementBatch:
-    """Aligned measurements of the same n targets from S sensors.
-
-    Index i refers to the same target/epoch for every sensor.
-    ``locations`` are the true sensor positions in the common frame,
-    shape (S, 3), and ``ids`` name the sensors as a batch file does
-    (0..S-1 by default).  ``directions()``, ``local_positions()`` and
-    ``kinds`` are the one place where measurements become geometry.
-    """
-
-    sensors: tuple
+    rng: np.ndarray
     locations: np.ndarray
     ids: tuple = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sensors", tuple(self.sensors))
-        object.__setattr__(self, "locations", np.asarray(self.locations, dtype=float))
-        s = len(self.sensors)
+        for name in ("az", "el", "rng", "locations"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.az.ndim != 2 or self.el.shape != self.az.shape or self.rng.shape != self.az.shape:
+            raise ValueError("az, el and rng must be (S, n) arrays of one shape")
+        s, n = self.az.shape
         object.__setattr__(self, "ids", tuple(range(s) if self.ids is None else self.ids))
         if s < 2:
             raise ValueError("a batch needs at least two sensors")
+        if n < 2:
+            raise ValueError("a batch needs at least two shared targets")
         if self.locations.shape != (s, 3):
             raise ValueError(f"locations must be ({s}, 3)")
         if len(self.ids) != s or len(set(self.ids)) != s:
@@ -121,46 +83,47 @@ class MeasurementBatch:
             bad = int(np.argmin(finite))
             raise DegenerateInputError(f"location of sensor {bad} must be finite, "
                                        f"got {self.locations[bad].tolist()}")
-        n = self.sensors[0].n
-        if n < 2:
-            raise ValueError("a batch needs at least two shared targets")
-        for s, m in enumerate(self.sensors):
-            if m.n != n:
-                raise ValueError(f"sensor {s} has {m.n} targets but sensor 0 has {n}: "
-                                 "every sensor must report the same number of targets")
+        # a row with any range is ranged, and then every range must be
+        # finite and positive; (S, 3, n), fields in the order named
+        ranged = ~np.isnan(self.rng).all(axis=1, keepdims=True)
+        bad = np.stack([~np.isfinite(self.az), ~np.isfinite(self.el),
+                        ranged & ~(np.isfinite(self.rng) & (self.rng > 0.0))], axis=1)
+        if bad.any():
+            sensor, field = np.argwhere(bad.any(axis=2))[0]
+            epoch = int(np.argmax(bad[sensor, field]))
+            name = ("az", "el", "rng")[field]
+            rule = "finite and positive" if name == "rng" else "finite"
+            raise DegenerateInputError(
+                f"sensor {self.ids[sensor]}: {name} must be {rule}, "
+                f"got {getattr(self, name)[sensor, epoch]} at epoch {epoch}")
 
     @property
     def n_sensors(self) -> int:
-        return len(self.sensors)
+        return self.az.shape[0]
 
     @property
     def n_epochs(self) -> int:
-        return self.sensors[0].n
+        return self.az.shape[1]
 
     @property
     def kinds(self) -> list:
         """Each sensor's kind: "3d" with ranges, else "2d" (bearing-only)."""
-        return ["3d" if m.is_3d else "2d" for m in self.sensors]
+        return ["2d" if none else "3d" for none in np.isnan(self.rng[:, 0])]
 
-    def directions(self, sensors=None) -> np.ndarray:
+    def directions(self, sensors=slice(None)) -> np.ndarray:
         """The unit lines of sight of the listed ``sensors`` (indices; every
         sensor by default), each in its own frame: (len(sensors), n, 3)."""
-        chosen = self._chosen(sensors)
-        return direction_from_angles(np.stack([m.az for m in chosen]),
-                                     np.stack([m.el for m in chosen]))
+        return direction_from_angles(self.az[sensors], self.el[sensors])
 
-    def local_positions(self, sensors=None) -> np.ndarray:
+    def local_positions(self, sensors=slice(None)) -> np.ndarray:
         """The Cartesian positions of the listed ``sensors`` (every sensor
         by default), each in its own frame: their ranges along
         ``directions()``; raises ``MissingRangeError`` if any of them is
         bearing-only."""
-        chosen = self._chosen(sensors)
-        if not all(m.is_3d for m in chosen):
+        rng = self.rng[sensors]
+        if np.isnan(rng).any():
             raise MissingRangeError("bearing-only sensor has no Cartesian positions")
-        return np.stack([m.rng for m in chosen])[..., np.newaxis] * self.directions(sensors)
-
-    def _chosen(self, sensors):
-        return self.sensors if sensors is None else [self.sensors[s] for s in sensors]
+        return rng[..., np.newaxis] * self.directions(sensors)
 
 
 @dataclass(frozen=True)
@@ -460,8 +423,7 @@ def absolute_2d(batch: MeasurementBatch,
     gauge_ambiguous = _gauge_ambiguous(batch)
     locations = batch.locations
     rotations, points, ok = _warm_start(batch)
-    az = np.stack([m.az[ok] for m in batch.sensors])
-    el = np.stack([m.el[ok] for m in batch.sensors])
+    az, el = batch.az[:, ok], batch.el[:, ok]
 
     def linearize(state):
         rotations, points, res, jac, jac_rot = state

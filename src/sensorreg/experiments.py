@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (ALGORITHMS, MeasurementBatch, SensorMeasurements,
-                          StoppingCriteria)
+from .calibration import ALGORITHMS, MeasurementBatch, StoppingCriteria
 from .errors import (ConfigError, DegenerateInputError, ExperimentError,
                      RegistrationError)
 from .geometry import (EulerAngles, geodesic_angle, rotation_to_euler,
@@ -478,13 +477,15 @@ def write_batch(batch: MeasurementBatch, csv_path, sidecar_path) -> None:
     CSV columns: sensor_id, epoch_index, rng_m (empty for bearing-only
     sensors), az_rad, el_rad.
     """
-    # every value is finite (SensorMeasurements checks), so repr suffices;
-    # one write per sensor bounds the text held in memory
+    # every value is finite but a bearing-only sensor's NaN ranges
+    # (MeasurementBatch checks), so repr suffices; one write per sensor
+    # bounds the text held in memory
+    n = batch.n_epochs
     _write_csv(csv_path, BATCH_COLUMNS, (
-        zip(repeat(str(sid)), map(str, range(meas.n)),
-            map(repr, meas.rng.tolist()) if meas.is_3d else repeat("", meas.n),
-            map(repr, meas.az.tolist()), map(repr, meas.el.tolist()))
-        for sid, meas in zip(batch.ids, batch.sensors)))
+        zip(repeat(str(sid)), map(str, range(n)),
+            repeat("", n) if kind == "2d" else map(repr, rng.tolist()),
+            map(repr, az.tolist()), map(repr, el.tolist()))
+        for sid, kind, az, el, rng in zip(batch.ids, batch.kinds, batch.az, batch.el, batch.rng)))
     write_json(sidecar_path, {"sensors": [{
         "id": sid,
         "location_m": [float(v) for v in location],
@@ -500,7 +501,8 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
     ``ValueError`` naming the file, the line and, for a bad cell, the
     column; a malformed sidecar names the file and the sensor, and a
     batch with too few sensors or epochs, or with uneven epoch counts,
-    names the file.  Plain files are parsed in one vectorized pass;
+    names the file, and a value the batch refuses (``rng_m`` cells that
+    all read nan too) the file and the sensor.  Plain files are parsed in one vectorized pass;
     anything else goes row by row, with the same result.  The batch
     holds the sensors in ascending ``sensor_id`` order, as its ``ids``.
     """
@@ -521,16 +523,16 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
     if set(ordered) != set(locations):
         raise ValueError(f"sensor ids {ordered} in {csv_path} do not match "
                          f"the ids {sorted(locations)} in {sidecar_path}")
-    sensors = []
+    table = []
     for s in ordered:
         rows = np.flatnonzero(sid == s)
         rows = rows[np.argsort(epoch[rows], kind="stable")]
         if not np.array_equal(epoch[rows], np.arange(len(rows))):
             raise ValueError(f"{csv_path}: sensor {s}: epoch indices must be "
                              f"0..n-1")
-        if sensors and len(rows) != sensors[0].n:
+        if table and len(rows) != len(table[0]):
             raise ValueError(f"{csv_path}: sensor {s} has {len(rows)} epochs but sensor "
-                             f"{ordered[0]} has {sensors[0].n}: every sensor must "
+                             f"{ordered[0]} has {len(table[0])}: every sensor must "
                              f"report the same number of targets")
         present = has_rng[rows]
         if present.any() and not present.all():
@@ -539,18 +541,19 @@ def read_batch(csv_path, sidecar_path) -> MeasurementBatch:
         if kinds[s] is not None and (kinds[s] == "3d") != present.all():
             raise ValueError(f"{sidecar_path}: sensor {s} has kind {kinds[s]!r} but "
                              f"its rng_m cells {'hold ranges' if present.all() else 'are empty'}")
-        try:
-            sensors.append(SensorMeasurements(
-                az=az[rows], el=el[rows],
-                rng=rng[rows] if present.all() else None))
-        except DegenerateInputError as exc:
-            raise DegenerateInputError(f"{csv_path}: sensor {s}: {exc}") from exc
+        # empty cells read as NaN, so cells that all read nan would pass
+        # for a bearing-only sensor
+        if present.all() and np.isnan(rng[rows]).all():
+            raise DegenerateInputError(f"{csv_path}: sensor {s}: rng must be finite "
+                                       f"and positive, got nan at epoch 0")
+        table.append(rows)
+    rows = np.array(table, dtype=np.intp, ndmin=2)
     try:
         return MeasurementBatch(
-            sensors=tuple(sensors),
+            az=az[rows], el=el[rows], rng=rng[rows],
             locations=np.array([locations[s] for s in ordered], dtype=float), ids=ordered)
-    except ValueError as exc:  # too few sensors or epochs
-        raise ValueError(f"{csv_path}: {exc}") from exc
+    except (ValueError, DegenerateInputError) as exc:  # too few sensors or epochs, bad values
+        raise type(exc)(f"{csv_path}: {exc}") from exc
 
 
 # Bytes that csv and numpy's loadtxt split, and that int()/float() and

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import MeasurementBatch, SensorMeasurements
+from .calibration import MeasurementBatch
 from .errors import DegenerateInputError
 from .geometry import (EulerAngles, cart_to_spherical, collinearity_ratio,
                        euler_to_rotation, wrap_angle)
@@ -99,7 +99,7 @@ class SensorTruth:
     def __post_init__(self):
         if self.kind not in ("2d", "3d"):
             raise ValueError(f"unknown sensor kind {self.kind!r}")
-        if min(self.sigma_range, self.sigma_az, self.sigma_el) < 0.0:
+        if not all(sigma >= 0.0 for sigma in (self.sigma_range, self.sigma_az, self.sigma_el)):
             raise ValueError("noise sigmas must be nonnegative")
 
 
@@ -147,11 +147,9 @@ def build_batch(trajectory, sensors, seed) -> tuple:
     rng_m = sph.rng + sigmas[:, 0:1] * noise[..., 0]
     az = wrap_angle(sph.az + sigmas[:, 1:2] * noise[..., 1])
     el = sph.el + sigmas[:, 2:3] * noise[..., 2]
-    measurements = tuple(
-        SensorMeasurements(az=az[k], el=el[k], rng=rng_m[k] if sensor.kind == "3d" else None)
-        for k, sensor in enumerate(sensors))
-
-    batch = MeasurementBatch(sensors=measurements, locations=locations)
+    bearing_only = np.array([[s.kind == "2d"] for s in sensors])
+    batch = MeasurementBatch(az=az, el=el, rng=np.where(bearing_only, np.nan, rng_m),
+                             locations=locations)
     truth = ScenarioTruth(target_positions=points, rotations=rotations,
                           biases=[s.bias for s in sensors])
     return batch, truth

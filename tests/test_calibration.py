@@ -1,5 +1,6 @@
 """Tests for rotation-bias estimation (relative, absolute, 2D, 3D)."""
 
+import dataclasses
 import itertools
 import sys
 import warnings
@@ -8,13 +9,12 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sensorreg import calibration
 from sensorreg.calibration import (
     MeasurementBatch,
-    SensorMeasurements,
     StoppingCriteria,
     absolute_2d,
     absolute_3d,
@@ -72,49 +72,92 @@ def noiseless_batch(points, locations, biases, kinds=None):
     locations = np.asarray(locations, dtype=float)
     n_sensors = locations.shape[0]
     kinds = kinds or ["3d"] * n_sensors
-    sensors = []
-    for s in range(n_sensors):
-        rot = euler_to_rotation(biases[s])
-        local = (points - locations[s]) @ rot
-        sph = cart_to_spherical(local)
-        if kinds[s] == "3d":
-            sensors.append(SensorMeasurements(az=sph.az, el=sph.el, rng=sph.rng))
-        else:
-            sensors.append(SensorMeasurements(az=sph.az, el=sph.el))
-    return MeasurementBatch(sensors=tuple(sensors), locations=locations)
+    sph = [cart_to_spherical((points - locations[s]) @ euler_to_rotation(biases[s]))
+           for s in range(n_sensors)]
+    return MeasurementBatch(az=[m.az for m in sph], el=[m.el for m in sph],
+                            rng=[m.rng if kind == "3d" else np.full(len(points), np.nan)
+                                 for m, kind in zip(sph, kinds)],
+                            locations=locations)
+
+
+def add_noise(batch, rng, sigmas=(3e-3, 3e-3, 10.0)):
+    """``batch`` plus Gaussian noise of ``sigmas`` on az, el and rng, drawn
+    sensor by sensor in that order."""
+    noise = np.array([[sigma * rng.normal(size=batch.n_epochs) for sigma in sigmas]
+                      for _ in range(batch.n_sensors)])
+    return dataclasses.replace(batch, az=batch.az + noise[:, 0], el=batch.el + noise[:, 1],
+                               rng=batch.rng + noise[:, 2])
+
+
+def batch_of(s, n, **kwargs):
+    """S sensors with ranges that see n targets at one bearing."""
+    return MeasurementBatch(**{"az": np.full((s, n), 0.1), "el": np.zeros((s, n)),
+                               "rng": np.ones((s, n)), "locations": np.zeros((s, 3)),
+                               **kwargs})
 
 
 class TestDataStructures:
-    def test_sensor_measurements_shapes(self):
-        m = SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1], rng=[100.0, 200.0])
-        assert m.n == 2 and m.is_3d
-        with pytest.raises(ValueError):
-            SensorMeasurements(az=[0.1, 0.2], el=[0.0])
-        with pytest.raises(ValueError):
-            SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1], rng=[100.0])
+    def test_batch_shapes(self):
+        batch = MeasurementBatch(az=[[0.1, 0.2], [0.3, 0.4]], el=np.zeros((2, 2)),
+                                 rng=[[100.0, 200.0], [np.nan, np.nan]],
+                                 locations=np.zeros((2, 3)))
+        assert (batch.n_sensors, batch.n_epochs, batch.kinds) == (2, 2, ["3d", "2d"])
+        for field, shape in (("az", (4,)), ("el", (2, 1)), ("rng", (2, 3)), ("rng", (3, 2))):
+            with pytest.raises(ValueError, match=r"^az, el and rng must be \(S, n\) "
+                                                 r"arrays of one shape$"):
+                batch_of(2, 2, **{field: np.ones(shape)})
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 20), data=st.data())
-    def test_bad_values_name_field_and_first_epoch(self, n, data):
-        field = data.draw(st.sampled_from(["az", "el", "rng"]))
+    @settings(max_examples=100, deadline=None)
+    @given(n_sensors=st.integers(2, 5), n=st.integers(2, 20), data=st.data())
+    def test_bad_values_name_field_and_first_epoch(self, n_sensors, n, data):
+        # the first sensor with a bad value is named by its id, with its
+        # first bad field (az, el, then rng) and that field's first bad
+        # epoch; a bearing-only sensor's all-NaN ranges are not bad
+        fields = ("az", "el", "rng")
+        ids = data.draw(st.lists(st.integers(0, 999), min_size=n_sensors,
+                                 max_size=n_sensors, unique=True), label="ids")
+        ranged = np.array(data.draw(st.lists(st.booleans(), min_size=n_sensors,
+                                             max_size=n_sensors), label="ranged"))
+        values = {"az": np.full((n_sensors, n), 0.1), "el": np.full((n_sensors, n), -0.2),
+                  "rng": np.where(ranged[:, np.newaxis], 1000.0, np.full((n_sensors, n), np.nan))}
+        sensor = data.draw(st.integers(0, n_sensors - 1), label="sensor")
+        field = data.draw(st.sampled_from(fields[:3 if ranged[sensor] else 2]), label="field")
         bad = [np.nan, np.inf, -np.inf] + ([0.0, -5.0] if field == "rng" else [])
-        epoch = data.draw(st.integers(0, n - 1))
-        values = {"az": np.full(n, 0.1), "el": np.full(n, -0.2),
-                  "rng": np.full(n, 1000.0)}
-        values[field][epoch] = data.draw(st.sampled_from(bad))
-        values[field][epoch + 1:] = data.draw(st.sampled_from(bad))
-        with pytest.raises(DegenerateInputError, match=f"^{field} .* at epoch {epoch}$"):
-            SensorMeasurements(**values)
+        epoch = data.draw(st.integers(0, n - 1), label="epoch")
+        values[field][sensor, epoch] = data.draw(st.sampled_from(bad))
+        values[field][sensor, epoch + 1:] = data.draw(st.sampled_from(bad))
+        # NaN ranges at every epoch make the sensor bearing-only
+        assume(not np.isnan(values["rng"][sensor]).all())
+        # bad values after the first one: in later fields, or in later sensors
+        for s, later in itertools.product(range(sensor, n_sensors), fields):
+            if (s, fields.index(later)) > (sensor, fields.index(field)) and data.draw(
+                    st.booleans()):
+                values[later][s, data.draw(st.integers(0, n - 1))] = np.inf
+        with pytest.raises(DegenerateInputError, match=f"^sensor {ids[sensor]}: {field} "
+                                                       f"must be .* at epoch {epoch}$"):
+            batch_of(n_sensors, n, ids=ids, **values)
+
+    @pytest.mark.parametrize("row, epoch", [
+        ([1000.0, np.nan, 1000.0], 1), ([np.nan, 1000.0, 1000.0], 0),
+        ([1000.0, 1000.0, np.nan], 2), ([np.nan, np.nan, 5.0], 0)])
+    def test_range_row_mixing_nan_and_finite_is_refused(self, row, epoch):
+        # NaN marks a bearing-only sensor only where it fills the row
+        rng = np.array([[1000.0] * 3, [np.nan] * 3, row])
+        with pytest.raises(DegenerateInputError, match=f"^sensor 70: rng must be finite "
+                                                       f"and positive, got nan at epoch "
+                                                       f"{epoch}$"):
+            batch_of(3, 3, rng=rng, ids=(30, 50, 70))
+        assert batch_of(2, 3, rng=rng[:2]).kinds == ["3d", "2d"]
 
     def test_batch_local_positions_stack_every_sensor(self):
         batch = noiseless_batch(make_targets(), RING_8[:5], sample_biases(
             5, np.random.default_rng(0)))
         rays, stacked = batch.directions(), batch.local_positions()
         assert rays.shape == stacked.shape == (5, 40, 3)
-        for ray, got, sensor in zip(rays, stacked, batch.sensors):
-            one = direction_from_angles(sensor.az, sensor.el)
+        for ray, got, az, el, rng in zip(rays, stacked, batch.az, batch.el, batch.rng):
+            one = direction_from_angles(az, el)
             np.testing.assert_array_equal(ray, one)
-            np.testing.assert_array_equal(got, sensor.rng[:, np.newaxis] * one)
+            np.testing.assert_array_equal(got, rng[:, np.newaxis] * one)
 
     @settings(max_examples=40, deadline=None)
     @given(kinds=st.lists(st.sampled_from(["2d", "3d"]), min_size=2, max_size=8))
@@ -137,41 +180,27 @@ class TestDataStructures:
         ranging = [s for s in (2, 1, 0) if s != bearing_only]
         rays, positions = batch.directions(ranging), batch.local_positions(ranging)
         for ray, got, s in zip(rays, positions, ranging):
-            one = direction_from_angles(batch.sensors[s].az, batch.sensors[s].el)
+            one = direction_from_angles(batch.az[s], batch.el[s])
             np.testing.assert_array_equal(ray, one)
-            np.testing.assert_array_equal(got, batch.sensors[s].rng[:, np.newaxis] * one)
+            np.testing.assert_array_equal(got, batch.rng[s, :, np.newaxis] * one)
 
     def test_batch_validation(self):
-        m = SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1], rng=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            MeasurementBatch(sensors=(m,), locations=[[0, 0, 0]])
-        short = SensorMeasurements(az=[0.1], el=[0.0], rng=[1.0])
-        with pytest.raises(ValueError):
-            MeasurementBatch(sensors=(m, short), locations=np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            MeasurementBatch(sensors=(short, short), locations=np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            MeasurementBatch(sensors=(m, m), locations=np.zeros((3, 3)))
-        assert MeasurementBatch(sensors=(m, m), locations=np.zeros((2, 3))).ids == (0, 1)
+        with pytest.raises(ValueError, match="^a batch needs at least two sensors$"):
+            batch_of(1, 2)
+        with pytest.raises(ValueError, match="^a batch needs at least two shared targets$"):
+            batch_of(2, 1)
+        with pytest.raises(ValueError, match=r"^locations must be \(2, 3\)$"):
+            batch_of(2, 2, locations=np.zeros((3, 3)))
+        assert batch_of(2, 2).ids == (0, 1)
         for ids in ((30,), (30, 30), (30, 70, 90)):
             with pytest.raises(ValueError, match="ids must be 2 distinct sensor ids"):
-                MeasurementBatch(sensors=(m, m), locations=np.zeros((2, 3)), ids=ids)
-
-    def test_uneven_target_counts_name_the_sensor(self):
-        # the first sensor whose count differs from sensor 0's, and both counts
-        three = SensorMeasurements(az=[0.1, 0.2, 0.3], el=[0.0, 0.1, 0.2])
-        two = SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1])
-        with pytest.raises(ValueError, match="^sensor 2 has 2 targets but sensor 0 has 3: "
-                                             "every sensor must report the same number "
-                                             "of targets$"):
-            MeasurementBatch(sensors=(three, three, two, two), locations=np.zeros((4, 3)))
+                batch_of(2, 2, ids=ids)
 
     def test_batch_rejects_non_finite_location(self):
-        m = SensorMeasurements(az=[0.1, 0.2], el=[0.0, 0.1], rng=[1.0, 2.0])
         locations = np.zeros((3, 3))
         locations[1, 2] = np.nan
         with pytest.raises(DegenerateInputError, match="sensor 1 must be finite"):
-            MeasurementBatch(sensors=(m, m, m), locations=locations)
+            batch_of(3, 2, locations=locations)
 
     def test_stopping_criteria_validation(self):
         StoppingCriteria(rel_cost_tol=0.0)  # zero disables the cost rule
@@ -202,9 +231,8 @@ class TestPairwiseCost:
         # common-frame tracks differ by (10, 0, 0) at epoch 0 and agree at 1
         positions = [np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]]),
                      np.array([[-80.0, 0.0, 0.0], [-100.0, 10.0, 0.0]])]
-        sensors = [SensorMeasurements(az=sph.az, el=sph.el, rng=sph.rng)
-                   for sph in map(cart_to_spherical, positions)]
-        batch = MeasurementBatch(sensors=sensors,
+        sph = cart_to_spherical(np.array(positions))
+        batch = MeasurementBatch(az=sph.az, el=sph.el, rng=sph.rng,
                                  locations=[[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
         cost = pairwise_cost([np.eye(3), np.eye(3)], batch.local_positions(),
                              batch.locations)
@@ -231,13 +259,9 @@ class TestPairwiseCost:
         points = rng.uniform(-20000.0, 20000.0, size=(n, 3)) + [0.0, 0.0, -5000.0]
         locations = rng.uniform(-20000.0, 20000.0, size=(n_sensors, 3))
         biases = [EulerAngles(*(rng.uniform(-5, 5, 3) * DEG)) for _ in range(n_sensors)]
-        exact = noiseless_batch(points, locations, biases)
-        batch = MeasurementBatch(sensors=tuple(SensorMeasurements(
-            az=m.az + 3e-3 * rng.normal(size=n), el=m.el + 3e-3 * rng.normal(size=n),
-            rng=m.rng + 10.0 * rng.normal(size=n)) for m in exact.sensors),
-            locations=locations)
-        shifted = MeasurementBatch(sensors=batch.sensors,
-                                   locations=locations + rng.uniform(-20000.0, 20000.0, 3))
+        batch = add_noise(noiseless_batch(points, locations, biases), rng)
+        shifted = dataclasses.replace(batch, locations=locations + rng.uniform(-20000.0,
+                                                                               20000.0, 3))
         positions = batch.local_positions()
         for rotations in (rotation_from_rotvec(rng.normal(size=(n_sensors, 3))),
                           euler_to_rotation(biases)):
@@ -286,12 +310,11 @@ class TestRelative3d:
         bias = EulerAngles(7 * DEG, -4 * DEG, 3 * DEG)
         batch = noiseless_batch(points, locations,
                                 [bias, EulerAngles(0.0, 0.0, 0.0)])
-        noisy0 = SensorMeasurements(
-            az=batch.sensors[0].az + 3e-3 * rng.normal(size=points.shape[0]),
-            el=batch.sensors[0].el + 3e-3 * rng.normal(size=points.shape[0]),
-            rng=batch.sensors[0].rng + 10.0 * rng.normal(size=points.shape[0]))
-        noisy = MeasurementBatch(sensors=(noisy0, batch.sensors[1]),
-                                 locations=locations)
+        az, el, rng_m = batch.az.copy(), batch.el.copy(), batch.rng.copy()
+        az[0] += 3e-3 * rng.normal(size=points.shape[0])
+        el[0] += 3e-3 * rng.normal(size=points.shape[0])
+        rng_m[0] += 10.0 * rng.normal(size=points.shape[0])
+        noisy = dataclasses.replace(batch, az=az, el=el, rng=rng_m)
         rot = relative_3d(noisy).estimates[0]
         assert geodesic_angle(rot, euler_to_rotation(bias)) < 20e-3
 
@@ -341,10 +364,8 @@ class TestRelativeHetero:
         el = np.array([0.0, 0.0])
         ref_local = points - locations[1]
         sph = cart_to_spherical(ref_local)
-        batch = MeasurementBatch(
-            sensors=(SensorMeasurements(az=az, el=el),
-                     SensorMeasurements(az=sph.az, el=sph.el, rng=sph.rng)),
-            locations=locations)
+        batch = MeasurementBatch(az=[az, sph.az], el=[el, sph.el],
+                                 rng=[np.full(2, np.nan), sph.rng], locations=locations)
         with pytest.raises(ZeroVectorError):
             relative_hetero(batch)
 
@@ -414,15 +435,7 @@ class TestAbsolute3dPair:
             for _ in range(30):
                 biases = [EulerAngles(*(rng.uniform(-20, 20, 3) * DEG))
                           for _ in range(n_sensors)]
-                batch = noiseless_batch(points, locations, biases)
-                noisy = []
-                for m in batch.sensors:
-                    n = m.n
-                    noisy.append(SensorMeasurements(
-                        az=m.az + 3e-3 * rng.normal(size=n),
-                        el=m.el + 3e-3 * rng.normal(size=n),
-                        rng=m.rng + 10.0 * rng.normal(size=n)))
-                batch = MeasurementBatch(sensors=tuple(noisy), locations=locations)
+                batch = add_noise(noiseless_batch(points, locations, biases), rng)
                 for stopping in (StoppingCriteria(), StoppingCriteria(rel_cost_tol=1e-12)):
                     trace = np.asarray(absolute_3d(batch, stopping).cost_trace)
                     assert np.all(np.diff(trace) <= 0.0), (n_sensors, stopping)
@@ -449,12 +462,9 @@ class TestAbsolute3dPair:
         biases = [EulerAngles(15 * DEG, -10 * DEG, 5 * DEG),
                   EulerAngles(-5 * DEG, 8 * DEG, -12 * DEG)]
         batch = noiseless_batch(points, locations, biases)
-        noisy0 = SensorMeasurements(
-            az=batch.sensors[0].az + 3e-3 * rng.normal(size=points.shape[0]),
-            el=batch.sensors[0].el,
-            rng=batch.sensors[0].rng)
-        batch = MeasurementBatch(sensors=(noisy0, batch.sensors[1]),
-                                 locations=locations)
+        az = batch.az.copy()
+        az[0] += 3e-3 * rng.normal(size=points.shape[0])
+        batch = dataclasses.replace(batch, az=az)
         result = absolute_3d(batch, StoppingCriteria(max_iterations=1))
         assert result.iterations == 1
         assert not result.converged
@@ -482,11 +492,7 @@ class TestAbsolute3d:
                               [2000.0, 7000.0, -500.0], [-3000.0, 4000.0, -100.0]])
         biases = [EulerAngles(*(rng.uniform(-10, 10, 3) * DEG)) for _ in range(4)]
         batch = noiseless_batch(points, locations, biases)
-        noisy = tuple(SensorMeasurements(
-            az=m.az + 3e-3 * rng.normal(size=m.n),
-            el=m.el + 3e-3 * rng.normal(size=m.n),
-            rng=m.rng + 10.0 * rng.normal(size=m.n)) for m in batch.sensors)
-        result = absolute_3d(MeasurementBatch(sensors=noisy, locations=locations))
+        result = absolute_3d(add_noise(batch, rng))
         for est in result.estimates:
             assert is_rotation_matrix(est, tol=1e-9)
 
@@ -498,11 +504,10 @@ class TestAbsolute3d:
         biases = [EulerAngles(*(rng.uniform(-5, 5, 3) * DEG)) for _ in range(3)]
         batch = noiseless_batch(points, locations, biases)
         perm = rng.permutation(points.shape[0])
-        shuffled = tuple(SensorMeasurements(az=m.az[perm], el=m.el[perm],
-                                            rng=m.rng[perm])
-                         for m in batch.sensors)
+        shuffled = dataclasses.replace(batch, az=batch.az[:, perm], el=batch.el[:, perm],
+                                       rng=batch.rng[:, perm])
         r1 = absolute_3d(batch)
-        r2 = absolute_3d(MeasurementBatch(sensors=shuffled, locations=locations))
+        r2 = absolute_3d(shuffled)
         for a, b in zip(r1.estimates, r2.estimates):
             np.testing.assert_allclose(a, b, atol=1e-9)
 
@@ -628,11 +633,7 @@ class TestMomentSweep:
         points = rng.uniform(-20000.0, 20000.0, size=(n, 3)) + [0.0, 0.0, -5000.0]
         locations = rng.uniform(-20000.0, 20000.0, size=(n_sensors, 3))
         biases = [EulerAngles(*(rng.uniform(-5, 5, 3) * DEG)) for _ in range(n_sensors)]
-        exact = noiseless_batch(points, locations, biases)
-        batch = MeasurementBatch(sensors=tuple(SensorMeasurements(
-            az=m.az + 3e-3 * rng.normal(size=n), el=m.el + 3e-3 * rng.normal(size=n),
-            rng=m.rng + 10.0 * rng.normal(size=n)) for m in exact.sensors),
-            locations=locations)
+        batch = add_noise(noiseless_batch(points, locations, biases), rng)
         with warnings.catch_warnings(), mock.patch.object(
                 calibration, "_levenberg_marquardt", lambda state, *args: (state, 0, False)):
             warnings.simplefilter("ignore", UserWarning)  # near-collinear draws
@@ -926,9 +927,9 @@ def test_estimates_turn_with_the_world(algorithm, kind, solve, seed, angle, axis
     turn = rotation_from_rotvec(angle * np.asarray(axis) / np.linalg.norm(axis))
     fixed_point = StoppingCriteria(rel_cost_tol=0.0)
     base = solve(batch, fixed_point).estimates
-    turned = solve(MeasurementBatch(batch.sensors, batch.locations @ turn.T),
+    turned = solve(dataclasses.replace(batch, locations=batch.locations @ turn.T),
                    fixed_point).estimates
-    shifted = solve(MeasurementBatch(batch.sensors, batch.locations + shift),
+    shifted = solve(dataclasses.replace(batch, locations=batch.locations + shift),
                     fixed_point).estimates
     for est, est_turned, est_shifted in zip(base, turned, shifted):
         assert geodesic_angle(turn @ est, est_turned) < 1e-8
@@ -982,7 +983,8 @@ def test_permuting_the_sensors_permutes_the_estimates(algorithm, seed, count, da
     # and 3.6e-9 (alg6)
     batch = world_frame_batch(algorithm, count, seed)
     order = data.draw(st.permutations(range(batch.n_sensors)))
-    permuted = MeasurementBatch([batch.sensors[s] for s in order], batch.locations[order])
+    permuted = MeasurementBatch(batch.az[order], batch.el[order], batch.rng[order],
+                                batch.locations[order])
     assert_same_rotations(determined(algorithm, permuted, order), determined(algorithm, batch))
 
 
@@ -998,7 +1000,7 @@ def test_a_small_world_rotation_turns_the_estimates(algorithm, seed, count, axis
     # and 6.9e-7 (alg6)
     batch = world_frame_batch(algorithm, count, seed)
     turn = rotation_from_rotvec(0.02 * np.asarray(axis) / np.linalg.norm(axis))
-    turned = MeasurementBatch(batch.sensors, batch.locations @ turn.T)
+    turned = dataclasses.replace(batch, locations=batch.locations @ turn.T)
     base = np.asarray(determined(algorithm, batch))
     want = base if calibration.ALGORITHMS[algorithm].pair else turn @ base
     assert_same_rotations(determined(algorithm, turned), want)
@@ -1013,7 +1015,7 @@ def test_a_common_shift_changes_no_estimate(algorithm, seed, count, shift):
     # most 8.8e-7 mrad (alg7), 7.1e-7 (alg6), 7.0e-7 (alg4), 9.6e-8 (alg3)
     # and 1.8e-10 (alg1, alg2)
     batch = world_frame_batch(algorithm, count, seed)
-    shifted = MeasurementBatch(batch.sensors, batch.locations + shift)
+    shifted = dataclasses.replace(batch, locations=batch.locations + shift)
     assert_same_rotations(determined(algorithm, shifted), determined(algorithm, batch))
 
 
@@ -1026,7 +1028,7 @@ def test_scaling_the_locations_changes_no_bearing_only_estimate(algorithm, seed,
     # bearings fix the network only up to its scale (here 0.1-10 times);
     # measured at most 7.1e-7 mrad (alg6) and 5.8e-7 (alg7)
     batch = world_frame_batch(algorithm, count, seed)
-    scaled = MeasurementBatch(batch.sensors, scale * batch.locations)
+    scaled = dataclasses.replace(batch, locations=scale * batch.locations)
     assert_same_rotations(determined(algorithm, scaled), determined(algorithm, batch))
 
 
@@ -1066,7 +1068,7 @@ class TestEpipolarStart:
         turn = rotation_from_rotvec(angle * np.asarray(axis) / np.linalg.norm(axis))
         fixed_point = StoppingCriteria(rel_cost_tol=0.0)
         base = absolute_2d(batch, fixed_point).estimates
-        turned = absolute_2d(MeasurementBatch(batch.sensors, batch.locations @ turn.T),
+        turned = absolute_2d(dataclasses.replace(batch, locations=batch.locations @ turn.T),
                              fixed_point).estimates
         if count == 2:
             assert geodesic_angle(base[1].T @ base[0], turned[1].T @ turned[0]) < 1e-8
@@ -1096,8 +1098,8 @@ class TestEpipolarStart:
         batch, _ = next(iter(realizations(cfg, 1)))
         turn = rotation_from_rotvec(angle * np.asarray(axis) / np.linalg.norm(axis))
         start = calibration._warm_start(batch)[0]
-        turned = calibration._warm_start(MeasurementBatch(batch.sensors,
-                                                          batch.locations @ turn.T))[0]
+        turned = calibration._warm_start(dataclasses.replace(
+            batch, locations=batch.locations @ turn.T))[0]
         if count == 2:
             assert geodesic_angle(start[1].T @ start[0], turned[1].T @ turned[0]) < 1e-9
         else:
@@ -1444,7 +1446,7 @@ class TestAbsolute2d:
                                sigma_az=3e-3, sigma_el=3e-3)
                    for loc, bias in zip(locations, biases)]
         batch, _ = build_batch(trajectory, sensors, seed=count)
-        assert (np.abs(batch.sensors[0].el) >= np.radians(80.0)).all()
+        assert (np.abs(batch.el[0]) >= np.radians(80.0)).all()
         result = absolute_2d(batch)
         assert result.converged
         assert all(is_rotation_matrix(est) for est in result.estimates)
@@ -1498,8 +1500,8 @@ class TestAbsolute2d:
                                sensor_locations_m=RING[:3])
         batch, _ = list(realizations(cfg, cfg.mc_runs))[38]
         keep = np.arange(batch.n_epochs) != 87
-        without = MeasurementBatch([SensorMeasurements(m.az[keep], m.el[keep])
-                                    for m in batch.sensors], batch.locations)
+        without = dataclasses.replace(batch, az=batch.az[:, keep], el=batch.el[:, keep],
+                                      rng=batch.rng[:, keep])
         tight = StoppingCriteria(rel_cost_tol=1e-12)
         full, cut = absolute_2d(batch, tight), absolute_2d(without, tight)
         assert (full.dropped_indices, cut.dropped_indices) == (0, 0)

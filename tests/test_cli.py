@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sensorreg import calibration
-from sensorreg.calibration import CalibrationResult, MeasurementBatch, SensorMeasurements
+from sensorreg.calibration import CalibrationResult, MeasurementBatch
 from sensorreg.cli import _select_algorithm, main
 from sensorreg.errors import RegistrationError
 from sensorreg import experiments
@@ -66,15 +66,10 @@ def write_config(tmp_path, **overrides):
 
 class TestInferAlgorithm:
     def make(self, kinds):
-        n = 3
-        sensors = []
-        for k, kind in enumerate(kinds):
-            az = np.full(n, 0.1 * (k + 1))
-            el = np.zeros(n)
-            rng = np.full(n, 1000.0) if kind == "3d" else None
-            sensors.append(SensorMeasurements(az=az, el=el, rng=rng))
+        az = np.repeat(0.1 * np.arange(1, len(kinds) + 1)[:, np.newaxis], 3, axis=1)
+        rng = np.where(np.array(kinds)[:, np.newaxis] == "3d", np.full_like(az, 1000.0), np.nan)
         locations = np.arange(len(kinds) * 3, dtype=float).reshape(-1, 3)
-        return MeasurementBatch(sensors=tuple(sensors), locations=locations)
+        return MeasurementBatch(az=az, el=np.zeros_like(az), rng=rng, locations=locations)
 
     def test_choices(self):
         assert _select_algorithm(self.make(["3d", "3d"]), None) == "alg3"

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo experiment harness and file formats."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensorreg import calibration, experiments
-from sensorreg.calibration import ALGORITHMS, MeasurementBatch, SensorMeasurements
+from sensorreg.calibration import ALGORITHMS, MeasurementBatch
 from sensorreg.errors import ConfigError, DegenerateInputError, ExperimentError
 from sensorreg.experiments import (
     BATCH_COLUMNS,
@@ -252,9 +253,8 @@ class TestRunExperiment:
         short = list(realizations(cfg, 2))
         long = list(realizations(cfg, 5))
         for (batch, truth), (again, truth_again) in zip(short, long):
-            for m, m_again in zip(batch.sensors, again.sensors):
-                np.testing.assert_array_equal(m.az, m_again.az)
-                np.testing.assert_array_equal(m.rng, m_again.rng)
+            np.testing.assert_array_equal(batch.az, again.az)
+            np.testing.assert_array_equal(batch.rng, again.rng)
             assert truth.biases == truth_again.biases
         assert long[2][1].biases != long[1][1].biases
 
@@ -292,9 +292,8 @@ class TestRunExperiment:
         def thin_second(batch, stopping):
             calls.append(None)
             if len(calls) == 2:
-                batch = MeasurementBatch(
-                    sensors=[SensorMeasurements(m.az[:2], m.el[:2]) for m in batch.sensors],
-                    locations=batch.locations)
+                batch = dataclasses.replace(batch, az=batch.az[:, :2], el=batch.el[:, :2],
+                                            rng=batch.rng[:, :2])
             return original(batch, stopping)
 
         monkeypatch.setattr(calibration, "absolute_2d", thin_second)
@@ -492,16 +491,12 @@ class TestBatchFiles:
         loaded = read_batch(csv_path, sidecar)
         assert loaded.n_sensors == 2 and loaded.n_epochs == batch.n_epochs
         np.testing.assert_array_equal(loaded.locations, batch.locations)
-        for orig, back in zip(batch.sensors, loaded.sensors):
-            np.testing.assert_array_equal(back.az, orig.az)
-            np.testing.assert_array_equal(back.el, orig.el)
-            if orig.is_3d:
-                np.testing.assert_array_equal(back.rng, orig.rng)
-            else:
-                assert back.rng is None
+        for name in ("az", "el", "rng"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(batch, name))
+        assert loaded.kinds == batch.kinds == ["2d", "3d"]
         assert loaded.ids == (0, 1)
         # the files carry each sensor's id
-        renamed = MeasurementBatch(batch.sensors, batch.locations, ids=(30, 70))
+        renamed = dataclasses.replace(batch, ids=(30, 70))
         write_batch(renamed, csv_path, sidecar)
         assert read_batch(csv_path, sidecar).ids == (30, 70)
 
@@ -532,21 +527,20 @@ class TestBatchFiles:
                                    max_size=4), label="kinds")
         column = lambda values: np.array(data.draw(st.lists(values, min_size=n,
                                                              max_size=n)))
-        sensors = tuple(SensorMeasurements(
-            az=column(angle), el=column(angle),
-            rng=column(distance) if kind == "3d" else None) for kind in kinds)
+        az, el, rng = map(np.array, zip(*[
+            (column(angle), column(angle),
+             column(distance) if kind == "3d" else np.full(n, np.nan)) for kind in kinds]))
         locations = np.array(data.draw(st.lists(
             st.floats(-1e7, 1e7), min_size=3 * len(kinds), max_size=3 * len(kinds))))
-        batch = MeasurementBatch(sensors=sensors,
-                                 locations=locations.reshape(-1, 3))
+        batch = MeasurementBatch(az=az, el=el, rng=rng, locations=locations.reshape(-1, 3))
 
         reference = io.StringIO(newline="")
         writer = csv.writer(reference)
         writer.writerow(BATCH_COLUMNS)
-        for s, meas in enumerate(batch.sensors):
-            for i in range(meas.n):
-                writer.writerow([s, i, repr(float(meas.rng[i])) if meas.is_3d else "",
-                                 repr(float(meas.az[i])), repr(float(meas.el[i]))])
+        for s, kind in enumerate(kinds):
+            for i in range(n):
+                writer.writerow([s, i, repr(float(rng[s, i])) if kind == "3d" else "",
+                                 repr(float(az[s, i])), repr(float(el[s, i]))])
         with tempfile.TemporaryDirectory() as tmp:
             csv_path, sidecar = Path(tmp) / "batch.csv", Path(tmp) / "sensors.json"
             write_batch(batch, csv_path, sidecar)
@@ -554,13 +548,9 @@ class TestBatchFiles:
             # plain enough for the vectorized reader
             assert experiments._parse_plain(csv_path.read_text()) is not None
             loaded = read_batch(csv_path, sidecar)
-        assert loaded.locations.tobytes() == batch.locations.tobytes()
-        for orig, back in zip(batch.sensors, loaded.sensors):
-            assert back.az.tobytes() == orig.az.tobytes()
-            assert back.el.tobytes() == orig.el.tobytes()
-            assert (back.rng is None) == (orig.rng is None)
-            if orig.is_3d:
-                assert back.rng.tobytes() == orig.rng.tobytes()
+        # a bearing-only sensor's empty cells read back as its NaN row
+        for name in ("locations", "az", "el", "rng"):
+            assert getattr(loaded, name).tobytes() == getattr(batch, name).tobytes()
 
     def write_pair(self, tmp_path, csv_text, sensors):
         csv_path = tmp_path / "batch.csv"
@@ -631,7 +621,7 @@ class TestBatchFiles:
         batch = read_batch(csv_path, sidecar)
         assert batch.n_sensors == 2
         np.testing.assert_array_equal(batch.locations, [[0, 0, 0], [100, 0, 0]])
-        np.testing.assert_array_equal(batch.sensors[1].az, [0.3, 0.4])
+        np.testing.assert_array_equal(batch.az[1], [0.3, 0.4])
 
     def test_repeated_epoch_with_and_without_range(self, tmp_path):
         # sorting such rows as tuples compared a range with None
@@ -709,8 +699,8 @@ class TestBatchFiles:
             [{"id": 0, "location_m": [0, 0, 0], "kind": "3d"},
              {"id": 1, "location_m": [100, 0, 0], "kind": "3d"}])
         batch = read_batch(csv_path, sidecar)
-        np.testing.assert_array_equal(batch.sensors[1].az, [0.3, 0.4])
-        np.testing.assert_array_equal(batch.sensors[1].rng, [100.0, 120.0])
+        np.testing.assert_array_equal(batch.az[1], [0.3, 0.4])
+        np.testing.assert_array_equal(batch.rng[1], [100.0, 120.0])
 
     def test_mixed_range_cells(self, tmp_path):
         csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
@@ -723,6 +713,23 @@ class TestBatchFiles:
         with pytest.raises(ValueError, match="rng_m") as info:
             read_batch(csv_path, sidecar)
         assert str(info.value).startswith(f"{csv_path}: sensor 0: ")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", [None, "3d"])
+    def test_range_cells_that_all_read_non_finite_are_refused(self, tmp_path, cell, kind):
+        # an empty cell reads as NaN, the batch's mark of a bearing-only
+        # sensor: cells that all read nan must not load as one
+        csv_text = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
+                    "5,0,100.0,0.1,0.0\n5,1,100.0,0.2,0.0\n"
+                    f"7,0,{cell},0.1,0.0\n7,1,{cell},0.2,0.0\n")
+        sensors = [{"id": 5, "location_m": [0, 0, 0]}, {"id": 7, "location_m": [100, 0, 0]}]
+        if kind is not None:
+            sensors[1]["kind"] = kind
+        csv_path, sidecar = self.write_pair(tmp_path, csv_text, sensors)
+        with pytest.raises(DegenerateInputError) as info:
+            read_batch(csv_path, sidecar)
+        assert str(info.value) == (f"{csv_path}: sensor 7: rng must be finite and "
+                                   f"positive, got {cell} at epoch 0")
 
     ID_CSV = ("sensor_id,epoch_index,rng_m,az_rad,el_rad\n"
               "0,0,,0.1,0.0\n0,1,,0.2,0.0\n1,0,,0.1,0.0\n1,1,,0.2,0.0\n")

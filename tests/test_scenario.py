@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from sensorreg.calibration import MeasurementBatch
+from sensorreg.errors import DegenerateInputError
 from sensorreg.geometry import EulerAngles, euler_to_rotation, geodesic_angle
 from sensorreg.scenario import (
     ScenarioTruth,
@@ -91,12 +92,19 @@ class TestSensorTruth:
         with pytest.raises(ValueError):
             SensorTruth(location=(0, 0, 0), sigma_az=-1.0)
 
+    @pytest.mark.parametrize("field", ["sigma_range", "sigma_az", "sigma_el"])
+    def test_nan_sigma_is_refused(self, field):
+        # a NaN range sigma would make a ranged sensor's simulated ranges
+        # all NaN, which a batch reads as a bearing-only sensor
+        with pytest.raises(ValueError, match="noise sigmas must be nonnegative"):
+            SensorTruth(location=(0, 0, 0), **{field: math.nan})
+
 
 def observe(points, sensor):
-    """Noiseless measurements of ``points`` by ``sensor``, from build_batch."""
+    """Noiseless az, el and rng of ``points`` by ``sensor``, from build_batch."""
     reference = SensorTruth(location=(0.0, 0.0, -5000.0))
     batch, _ = build_batch(np.atleast_2d(points), [sensor, reference], seed=0)
-    return batch.sensors[0]
+    return batch.az[0], batch.el[0], batch.rng[0]
 
 
 class TestObserve:
@@ -107,37 +115,37 @@ class TestObserve:
         # north at azimuth -10 degrees
         sensor = SensorTruth(location=(0.0, 0.0, 0.0),
                              bias=EulerAngles(10 * DEG, 0.0, 0.0))
-        m = observe([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]], sensor)
-        assert m.az[0] == pytest.approx(-10 * DEG)
-        assert m.el[0] == pytest.approx(0.0, abs=1e-12)
-        assert m.rng[0] == pytest.approx(1000.0)
+        az, el, rng = observe([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]], sensor)
+        assert az[0] == pytest.approx(-10 * DEG)
+        assert el[0] == pytest.approx(0.0, abs=1e-12)
+        assert rng[0] == pytest.approx(1000.0)
 
     def test_unbiased_measurement(self):
         sensor = SensorTruth(location=(100.0, 200.0, -50.0))
-        m = observe([[1100.0, 200.0, -50.0], [100.0, 1200.0, -50.0]], sensor)
-        assert m.az[0] == pytest.approx(0.0, abs=1e-12)
-        assert m.rng[0] == pytest.approx(1000.0)
+        az, _, rng = observe([[1100.0, 200.0, -50.0], [100.0, 1200.0, -50.0]], sensor)
+        assert az[0] == pytest.approx(0.0, abs=1e-12)
+        assert rng[0] == pytest.approx(1000.0)
 
     def test_bearing_only_sensor_has_no_range(self):
         sensor = SensorTruth(location=(0.0, 0.0, 0.0), kind="2d")
-        m = observe([[500.0, 500.0, -100.0], [500.0, -500.0, -100.0]], sensor)
-        assert m.rng is None and not m.is_3d
-        assert m.az[0] == pytest.approx(math.atan2(500.0, 500.0))
+        az, _, rng = observe([[500.0, 500.0, -100.0], [500.0, -500.0, -100.0]], sensor)
+        assert np.isnan(rng).all()
+        assert az[0] == pytest.approx(math.atan2(500.0, 500.0))
 
     def test_matches_build_batch_noiseless(self):
         # scipy's intrinsic Z-Y-X rotation is the independent reference
         traj = generate_trajectory()
         bias = EulerAngles(2 * DEG, -1 * DEG, 3 * DEG)
         sensor = SensorTruth(location=(3000.0, -2000.0, -100.0), bias=bias)
-        m = observe(traj, sensor)
+        az, el, rng = observe(traj, sensor)
         rot = Rotation.from_euler("ZYX", list(bias)).as_matrix()
         local = (traj - np.asarray(sensor.location)) @ rot
-        np.testing.assert_allclose(m.rng, np.linalg.norm(local, axis=1),
+        np.testing.assert_allclose(rng, np.linalg.norm(local, axis=1),
                                    rtol=0.0, atol=1e-9)
-        np.testing.assert_allclose(m.az, np.arctan2(local[:, 1], local[:, 0]),
+        np.testing.assert_allclose(az, np.arctan2(local[:, 1], local[:, 0]),
                                    rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(
-            m.el, np.arctan2(local[:, 2], np.hypot(local[:, 0], local[:, 1])),
+            el, np.arctan2(local[:, 2], np.hypot(local[:, 0], local[:, 1])),
             rtol=0.0, atol=1e-12)
 
 
@@ -149,7 +157,8 @@ class TestBuildBatch:
         assert isinstance(batch, MeasurementBatch)
         assert isinstance(truth, ScenarioTruth)
         assert batch.n_sensors == 2 and batch.n_epochs == 91
-        assert batch.sensors[0].is_3d and not batch.sensors[1].is_3d
+        assert batch.kinds == ["3d", "2d"]
+        assert not np.isnan(batch.rng[0]).any() and np.isnan(batch.rng[1]).all()
         assert truth.target_positions.shape == (91, 3)
         assert len(truth.rotations) == 2
 
@@ -188,11 +197,11 @@ class TestBuildBatch:
         az_true = math.atan2(3000.0, 5000.0)
         el_true = math.atan2(-2000.0, math.hypot(5000.0, 3000.0))
         r_true = np.linalg.norm(point)
-        m = batch.sensors[0]
-        assert abs(np.mean(m.az) - az_true) < 1e-4
-        assert 2.9e-3 < np.std(m.az - az_true) < 3.1e-3
-        assert 1.9e-3 < np.std(m.el - el_true) < 2.1e-3
-        assert 9.5 < np.std(m.rng - r_true) < 10.5
+        az, el, rng = batch.az[0], batch.el[0], batch.rng[0]
+        assert abs(np.mean(az) - az_true) < 1e-4
+        assert 2.9e-3 < np.std(az - az_true) < 3.1e-3
+        assert 1.9e-3 < np.std(el - el_true) < 2.1e-3
+        assert 9.5 < np.std(rng - r_true) < 10.5
 
     def test_sensor_noise_streams_independent(self):
         point = np.array([5000.0, 3000.0, -2000.0])
@@ -200,8 +209,7 @@ class TestBuildBatch:
         sensors = [SensorTruth(location=(0.0, 0.0, 0.0), sigma_az=1e-3),
                    SensorTruth(location=(10.0, 0.0, 0.0), sigma_az=1e-3)]
         batch, _ = build_batch(traj, sensors, seed=11)
-        res0 = batch.sensors[0].az - np.mean(batch.sensors[0].az)
-        res1 = batch.sensors[1].az - np.mean(batch.sensors[1].az)
+        res0, res1 = batch.az - np.mean(batch.az, axis=1, keepdims=True)
         rho = np.corrcoef(res0, res1)[0, 1]
         assert abs(rho) < 0.05
 
@@ -212,10 +220,9 @@ class TestBuildBatch:
         b1, _ = build_batch(generate_trajectory(), sensors, seed=42)
         b2, _ = build_batch(generate_trajectory(), sensors, seed=42)
         b3, _ = build_batch(generate_trajectory(), sensors, seed=43)
-        np.testing.assert_array_equal(b1.sensors[0].az, b2.sensors[0].az)
-        np.testing.assert_array_equal(b1.sensors[0].rng, b2.sensors[0].rng)
-        np.testing.assert_array_equal(b1.sensors[1].az, b2.sensors[1].az)
-        assert not np.array_equal(b1.sensors[0].az, b3.sensors[0].az)
+        np.testing.assert_array_equal(b1.az, b2.az)
+        np.testing.assert_array_equal(b1.rng, b2.rng)
+        assert not np.array_equal(b1.az[0], b3.az[0])
 
     def test_rejects_trajectory_through_sensor(self):
         traj = np.array([[0.0, 0.0, -1000.0], [100.0, 0.0, -1000.0]])
@@ -234,6 +241,17 @@ class TestBuildBatch:
                                              "location: sensor 2 is within 1 m of "
                                              "the target at epoch 3$"):
             build_batch(traj, sensors, seed=0)
+
+    def test_range_not_positive_names_the_sensor(self):
+        # a bearing-only sensor's ranges are never checked, so sensor 0's
+        # negative draws pass; sensor 2's first one is refused
+        sensors = [SensorTruth(location=(5000.0, 0.0, 0.0), kind="2d", sigma_range=1e9),
+                   SensorTruth(location=(0.0, 0.0, 0.0)),
+                   SensorTruth(location=(0.0, 5000.0, 0.0), sigma_range=1e9)]
+        with pytest.raises(DegenerateInputError, match="^sensor 2: rng must be finite and "
+                                                       "positive, got -588502200.2879026 "
+                                                       "at epoch 3$"):
+            build_batch(generate_trajectory(), sensors, seed=0)
 
 
 class TestSampleSensorLocations:
